@@ -49,6 +49,7 @@ from .integrate import (
     ExpIntegrator,
     IntegralResult,
     NearSingularDirection,
+    NonSimpleVertex,
     ValidationFailure,
     boundary_exp_integral,
     brion_localize,

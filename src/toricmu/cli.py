@@ -39,6 +39,7 @@ from .functionals import TWO_PI, calabi, entropy_curve, futaki, mu_star
 from .integrate import (
     ExpIntegrator,
     NearSingularDirection,
+    NonSimpleVertex,
     ValidationFailure,
     boundary_exp_integral,
     brion_localize_limit,
@@ -306,7 +307,7 @@ def _cmd_integrate(args):
     if args.method == "auto":
         try:
             report = cross_validate(P, q, rho=rho)
-        except NearSingularDirection as err:
+        except (NearSingularDirection, NonSimpleVertex) as err:
             meta["localization"] = "skipped: %s" % err
             tri = polytope_exp_integral(P, q, rho=rho, method="triangulation")
             bnd = boundary_exp_integral(P, q, rho=rho)
@@ -886,7 +887,7 @@ def run(argv) -> int:
         return int(err.code or 0)
     try:
         rows, fieldnames, meta = args.handler(args)
-    except InputError as err:
+    except (InputError, NonSimpleVertex) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except (

@@ -47,6 +47,10 @@ class NearSingularDirection(ValueError):
     """Localization direction pairs too close to zero with an edge."""
 
 
+class NonSimpleVertex(ValueError):
+    """Localization met a vertex whose tangent cone is not simplicial."""
+
+
 class ValidationFailure(RuntimeError):
     """Independent evaluation routes disagree beyond tolerance."""
 
@@ -315,7 +319,10 @@ def _vertex_pairings(P, eta):
     out = []
     for v, cone in zip(P.vertices, P.vertex_cones):
         if cone is None:
-            raise ValueError("localization needs simple vertices")
+            raise NonSimpleVertex(
+                "localization needs simple vertices; (%s) is not simple"
+                % ", ".join(str(c) for c in v.coords)
+            )
         pairs = [(_dot(g, eta), g) for g in cone.generators]
         out.append((v, cone.index, pairs))
     return out

@@ -123,19 +123,7 @@ class PiecewiseAffineConvex:
     def cells(self):
         """[(piece_index, cell)] with full-dimensional cells only."""
         if self._cells is None:
-            out = []
-            for i, piece in enumerate(self.pieces):
-                cell = self.P
-                for j, other in enumerate(self.pieces):
-                    if j == i or other == piece:
-                        continue
-                    grad = tuple(a - b for a, b in zip(other.gradient, piece.gradient))
-                    cell = cell.clip(grad, piece.constant - other.constant)
-                    if cell is EMPTY:
-                        break
-                if cell is not EMPTY:
-                    out.append((i, cell))
-            self._cells = out
+            self._cells = _split(self.P, self.pieces)
         return list(self._cells)
 
     def restrict_to_facet(self, facet_index):
@@ -186,6 +174,24 @@ def as_pa(q, P) -> PiecewiseAffineConvex:
     return make_pa(q, P)
 
 
+def _split(cell, pieces):
+    """[(i, sub)] where sub is the full-dimensional part of cell on which
+    pieces[i] is the maximum."""
+    out = []
+    for i, piece in enumerate(pieces):
+        sub = cell
+        for j, other in enumerate(pieces):
+            if j == i or other == piece:
+                continue
+            grad = tuple(a - b for a, b in zip(other.gradient, piece.gradient))
+            sub = sub.clip(grad, piece.constant - other.constant)
+            if sub is EMPTY:
+                break
+        if sub is not EMPTY:
+            out.append((i, sub))
+    return out
+
+
 def common_cells(P, funcs):
     """Refine P so every function in funcs is affine per cell.
 
@@ -195,26 +201,10 @@ def common_cells(P, funcs):
     """
     work = [(P, ())]
     for f in funcs:
-        pa = as_pa(f, P)
-        refined = []
-        for (cell, ids) in work:
-            if len(pa.pieces) == 1:
-                refined.append((cell, ids + (0,)))
-                continue
-            for i, piece in enumerate(pa.pieces):
-                sub = cell
-                for j, other in enumerate(pa.pieces):
-                    if j == i or other == piece:
-                        continue
-                    grad = tuple(
-                        a - b for a, b in zip(other.gradient, piece.gradient)
-                    )
-                    sub = sub.clip(grad, piece.constant - other.constant)
-                    if sub is EMPTY:
-                        break
-                if sub is not EMPTY:
-                    refined.append((sub, ids + (i,)))
-        work = refined
+        pieces = as_pa(f, P).pieces
+        work = [
+            (sub, ids + (i,)) for (cell, ids) in work for (i, sub) in _split(cell, pieces)
+        ]
     return work
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd
 
@@ -295,20 +296,34 @@ class Simplex:
 class LatticePolytope:
     """Full-dimensional rational polytope with exact facet data.
 
-    Construct through :func:`build_polytope`; the constructor trusts its
-    arguments.
+    Construct through :func:`build_polytope` or :meth:`clip`; the constructor
+    trusts its arguments.  Vertex cones are computed on first use.
     """
 
-    def __init__(self, dim, vertices, facets, vertex_cones, nonsimple_vertices):
+    def __init__(self, dim, vertices, facets):
         self.dim = dim
         self.vertices = tuple(vertices)
         self.facets = tuple(facets)
-        self.vertex_cones = tuple(vertex_cones)
-        self.nonsimple_vertices = tuple(nonsimple_vertices)
-        self.simple = not self.nonsimple_vertices
         self._volume = None
         self._triangulation = None
         self._facet_charts = {}
+
+    @cached_property
+    def _cones(self):
+        return _vertex_cones(self.vertices, self.facets, self.dim)
+
+    @property
+    def vertex_cones(self):
+        """Tangent cone per vertex, None at a non-simple vertex."""
+        return self._cones[0]
+
+    @property
+    def nonsimple_vertices(self):
+        return self._cones[1]
+
+    @property
+    def simple(self):
+        return not self._cones[1]
 
     # -- measures ---------------------------------------------------------
 
@@ -359,36 +374,77 @@ class LatticePolytope:
     def clip(self, normal, offset):
         """Intersect with the halfspace <x, normal> <= offset.
 
-        Returns EMPTY when the intersection is empty or not full-dimensional.
+        One incremental double-description step (Fukuda & Prodon 1996):
+        vertices inside the halfspace are kept, one new vertex is placed on
+        each edge that crosses the hyperplane, and every vertex-facet
+        incidence is inherited from this polytope instead of recomputed.
+        The result is canonical and equal, field for field, to
+        build_polytope of the clipped region.  Returns EMPTY when the
+        intersection is empty or not full-dimensional.
         """
         normal = _coords(normal)
         offset = _frac(offset)
         if all(c == 0 for c in normal):
             return self if offset >= 0 else EMPTY
         vals = [_dot(v.coords, normal) for v in self.vertices]
-        if all(val <= offset for val in vals):
-            if all(val < offset for val in vals):
-                return self
-            # the halfspace is tight somewhere; result is this polytope
-            # unless it is entirely contained in the hyperplane
-            if all(val == offset for val in vals):
-                return EMPTY
+        if max(vals) <= offset:
             return self
-        if all(val >= offset for val in vals):
+        if min(vals) >= offset:
             return EMPTY
-        constraints = [(f.normal, f.offset) for f in self.facets]
-        constraints.append((normal, offset))
-        pts = _enumerate_vertices(constraints, self.dim)
-        keep = []
-        for p in pts:
-            if p not in keep:
-                keep.append(p)
-        if len(keep) <= self.dim:
-            return EMPTY
-        try:
-            return build_polytope(keep)
-        except DegenerateHull:
-            return EMPTY
+        # From here the hyperplane meets the interior, so the result is
+        # full-dimensional and the new facet differs from every old one.
+        n = self.dim
+        inc = [set() for _ in self.vertices]
+        for k, f in enumerate(self.facets):
+            for vi in f.vertex_indices:
+                inc[vi].add(k)
+        inside = [i for i, val in enumerate(vals) if val < offset]
+        outside = [i for i, val in enumerate(vals) if val > offset]
+        # points after the inside ones all lie on the new hyperplane
+        kept = inside + [i for i, val in enumerate(vals) if val == offset]
+        points = [self.vertices[i].coords for i in kept]
+        incidence = [inc[i] for i in kept]
+        for i in inside:
+            vi = self.vertices[i].coords
+            for j in outside:
+                common = inc[i] & inc[j]
+                # [v_i, v_j] is an edge iff the facets through both have
+                # normals of rank n - 1; in the plane one shared facet is enough
+                if len(common) < n - 1 or (
+                    n > 2 and _rank([self.facets[k].normal for k in common]) < n - 1
+                ):
+                    continue
+                t = (offset - vals[i]) / (vals[j] - vals[i])
+                vj = self.vertices[j].coords
+                points.append(tuple(a + t * (b - a) for a, b in zip(vi, vj)))
+                incidence.append(common)
+
+        # An old facet stays (n-1)-dimensional iff one of its vertices lies
+        # strictly inside: otherwise it meets the halfspace only within the
+        # hyperplane.
+        alive = set()
+        for i in inside:
+            alive |= inc[i]
+        order = sorted(range(len(points)), key=points.__getitem__)
+        remap = [0] * len(points)
+        for new, old in enumerate(order):
+            remap[old] = new
+        members = {k: [] for k in alive}
+        for p, ks in enumerate(incidence):
+            for k in ks:
+                if k in alive:
+                    members[k].append(remap[p])
+        cut = remap[len(inside):]
+        u = _primitive(normal)
+        k0 = next(k for k, c in enumerate(normal) if c != 0)
+        planes = [
+            (self.facets[k].normal, self.facets[k].offset, members[k]) for k in alive
+        ]
+        planes.append((u, offset * u[k0] / normal[k0], cut))
+        planes.sort(key=lambda plane: plane[:2])
+        verts = [RationalVector(points[i]) for i in order]
+        facets = [Facet(a, b, sorted(idx)) for (a, b, idx) in planes]
+        return LatticePolytope(n, verts, facets)
 
     # -- structure ---------------------------------------------------------
 
@@ -478,32 +534,13 @@ def _chart_coords(diff, basis):
     raise ValueError("basis is rank deficient")
 
 
-def _enumerate_vertices(constraints, n):
-    """All basic feasible points of an exact H-representation."""
-    pts = []
-    for rows in combinations(range(len(constraints)), n):
-        A = [constraints[i][0] for i in rows]
-        b = [constraints[i][1] for i in rows]
-        p = _solve(A, b)
-        if p is None:
-            continue
-        feasible = True
-        for (a, c) in constraints:
-            if _dot(p, a) > c:
-                feasible = False
-                break
-        if feasible:
-            pts.append(p)
-    return pts
-
-
 def build_polytope(vertices) -> LatticePolytope:
     """Convex hull with exact facet and vertex-cone data.
 
     Accepts any iterable of rational points (duplicates and interior points
     allowed).  Raises DegenerateHull when the points do not span.  Vertices
-    of non-simple polytopes are kept, with the affected cones set to None
-    and listed in nonsimple_vertices.
+    of non-simple polytopes are kept; their cones read None and they are
+    listed in nonsimple_vertices.
     """
     pts = []
     for v in vertices:
@@ -549,8 +586,7 @@ def build_polytope(vertices) -> LatticePolytope:
         idx = tuple(sorted(remap[i] for i in facet_pts[k] if i in remap))
         facets.append(Facet(u, b, idx))
 
-    cones, nonsimple = _vertex_cones(verts, facets, n)
-    return LatticePolytope(n, verts, facets, cones, nonsimple)
+    return LatticePolytope(n, verts, facets)
 
 
 def _build_segment(pts):
@@ -558,8 +594,7 @@ def _build_segment(pts):
     lo, hi = min(xs), max(xs)
     verts = [RationalVector((lo,)), RationalVector((hi,))]
     facets = [Facet((-1,), -lo, (0,)), Facet((1,), hi, (1,))]
-    cones = [VertexCone(((1,),), 1), VertexCone(((-1,),), 1)]
-    return LatticePolytope(1, verts, facets, cones, ())
+    return LatticePolytope(1, verts, facets)
 
 
 def _hull_facets(pts, n):
@@ -649,7 +684,7 @@ def _vertex_cones(verts, facets, n):
             continue
         idx = abs(_det(gens))
         cones.append(VertexCone(gens, idx))
-    return cones, tuple(nonsimple)
+    return tuple(cones), tuple(nonsimple)
 
 
 def _triangulate(P):

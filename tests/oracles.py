@@ -5,10 +5,13 @@ formulas (monotone-chain hulls, shoelace areas, Gauss-Legendre and Duffy
 quadrature, confluent divided-difference tables, Richardson-extrapolated
 central differences).  None of it imports the package under test, so
 agreement between the two is meaningful evidence rather than a tautology.
+The one exception is clip_rebuild, which calls the package's hull
+construction to pin the incremental clip to a full rebuild.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -232,3 +235,64 @@ def brute_lattice_count(inequalities, box, scale=1):
 
     rec(())
     return count
+
+
+def _solve_exact(rows, rhs):
+    """Gauss-Jordan over Fractions; None when the square system is singular."""
+    n = len(rows)
+    m = [[Fraction(c) for c in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        lead = m[col][col]
+        m[col] = [c / lead for c in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return tuple(row[n] for row in m)
+
+
+def basic_feasible_points(constraints, dim):
+    """Every point where dim of the inequalities <a, x> <= b are tight
+    with independent normals and all the others hold."""
+    pts = []
+    for rows in combinations(constraints, dim):
+        p = _solve_exact([a for a, _ in rows], [b for _, b in rows])
+        if p is None:
+            continue
+        if all(sum(Fraction(c) * x for c, x in zip(a, p)) <= b for a, b in constraints):
+            if p not in pts:
+                pts.append(p)
+    return pts
+
+
+def clip_rebuild(P, normal, offset):
+    """Clip-and-rebuild reference for LatticePolytope.clip.
+
+    Enumerates the vertices of P cut by <x, normal> <= offset from its
+    H-representation and rebuilds the hull anew with
+    toricmu.build_polytope.  Returns the polytope P itself, the string
+    "EMPTY", or the rebuilt polytope, following clip's conventions.
+    """
+    from toricmu import DegenerateHull, build_polytope
+
+    normal = tuple(Fraction(c) for c in normal)
+    offset = Fraction(offset)
+    if all(c == 0 for c in normal):
+        return P if offset >= 0 else "EMPTY"
+    vals = [sum(c * x for c, x in zip(normal, v.coords)) for v in P.vertices]
+    if all(val <= offset for val in vals):
+        return "EMPTY" if all(val == offset for val in vals) else P
+    if all(val >= offset for val in vals):
+        return "EMPTY"
+    constraints = [(f.normal, f.offset) for f in P.facets] + [(normal, offset)]
+    pts = basic_feasible_points(constraints, P.dim)
+    if len(pts) <= P.dim:
+        return "EMPTY"
+    try:
+        return build_polytope(pts)
+    except DegenerateHull:
+        return "EMPTY"

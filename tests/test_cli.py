@@ -1,13 +1,15 @@
 """Command-line interface: output shapes, exit codes, file handling,
-and byte-stability.  Tests drive run() in-process; one subprocess test
-covers the module entry point."""
+and byte-stability.  Tests drive run() in-process; two subprocess tests
+cover the module entry points."""
 
 import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +278,31 @@ def test_exit_code_2_on_bad_q_file(capsys, tmp_path):
     )
 
 
+def test_non_simple_polytope_localization(capsys, tmp_path):
+    # The apex (1, 1, 1) of the square pyramid lies on four facets, so the
+    # vertex-cone (Brion) route does not apply.  int e^x over the pyramid is
+    # int_0^1 (2 - 2z) (e^(2-z) - e^z) dz = 4.
+    pyr = tmp_path / "pyr.json"
+    pyr.write_text(
+        json.dumps({"vertices": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0], [1, 1, 1]]})
+    )
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps({"pieces": [{"eta": ["1", "0", "0"], "lambda": "0"}]}))
+    base = ["integrate", "--polytope", str(pyr), "--q", str(q), "--rho", "1"]
+
+    assert run(base + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "simple" in data["meta"]["localization"]
+    rows = dict(data["rows"])
+    assert sorted(rows) == ["boundary_triangulation", "interior_triangulation"]
+    assert float(rows["interior_triangulation"]) == pytest.approx(4.0, rel=1e-12)
+
+    assert run(base + ["--method", "localization"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: localization needs simple vertices")
+
+
 def test_exit_code_3_on_failed_check(capsys, monkeypatch):
     import toricmu.cli as cli_mod
 
@@ -340,3 +367,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("quantity,value")
+
+
+def test_package_main_help():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricmu", "--help"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: toricmu")

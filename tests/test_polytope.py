@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import support
@@ -20,6 +22,7 @@ from toricmu import (
     polytope_from_json,
     triangulate,
 )
+from toricmu.polytope import _vertex_cones
 
 
 def verts(P):
@@ -237,3 +240,120 @@ def test_json_dim_field_is_optional():
     assert Q.volume() == Fraction(3, 4)
     with pytest.raises(ValueError):
         polytope_from_json(json.dumps({"dim": 3, "vertices": [[0, 0], [1, 0], [0, 1]]}))
+
+
+# -- incremental clip against the clip-and-rebuild oracle ----------------------
+
+UNIT_CUBE = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+SIMPLEX_3D = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 2)]
+PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
+
+quarter = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def clip_inputs(draw):
+    """A polytope, then a halfspace (normal, offset) of one of four kinds."""
+    shape = draw(st.sampled_from(["hexagon", "segment", "cube", "simplex", "pyramid"]))
+    if shape == "hexagon":
+        pts = draw(st.lists(st.tuples(quarter, quarter), min_size=6, max_size=6))
+    elif shape == "segment":
+        pts = draw(st.lists(st.tuples(quarter), min_size=2, max_size=2))
+    else:
+        pts = {"cube": UNIT_CUBE, "simplex": SIMPLEX_3D, "pyramid": PYRAMID}[shape]
+    try:
+        P = build_polytope(pts)
+    except DegenerateHull:
+        assume(False)
+    return P, draw(halfspaces(P))
+
+
+def halfspaces(P):
+    n = P.dim
+    vertex = st.sampled_from(P.vertices)
+    facet = st.sampled_from(P.facets)
+    normal = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    scale = st.integers(1, 3)
+
+    def through_vertex(args):
+        a, v = args
+        return a, v.dot(a)
+
+    def along_facet(args):
+        f, k, flip = args
+        a = tuple(k * c for c in f.normal)
+        if flip:
+            return tuple(-c for c in a), -k * f.offset
+        return a, k * f.offset
+
+    def cut_single_vertex(vi):
+        a = [0] * n
+        for f in P.facets:
+            if vi in f.vertex_indices:
+                a = [x + c for x, c in zip(a, f.normal)]
+        top = P.vertices[vi].dot(a)
+        gap = min(top - w.dot(a) for w in P.vertices if w != P.vertices[vi])
+        return tuple(a), top - gap / 2
+
+    @st.composite
+    def at_random_offset(draw):
+        a = draw(normal)
+        vals = [v.dot(a) for v in P.vertices]
+        t = Fraction(draw(st.integers(-2, 12)), 10)
+        return a, min(vals) + t * (max(vals) - min(vals))
+
+    return st.one_of(
+        st.tuples(normal, vertex).map(through_vertex),
+        st.tuples(facet, scale, st.booleans()).map(along_facet),
+        st.integers(0, len(P.vertices) - 1).map(cut_single_vertex),
+        at_random_offset(),
+    )
+
+
+def cone_data(cones):
+    return [None if c is None else (c.generators, c.index) for c in cones]
+
+
+def clip_fields(P):
+    return (
+        P.dim,
+        [v.coords for v in P.vertices],
+        [(f.normal, f.offset, f.vertex_indices) for f in P.facets],
+        cone_data(P.vertex_cones),
+        P.nonsimple_vertices,
+    )
+
+
+def assert_clip_matches_oracle(P, normal, offset):
+    got = P.clip(normal, offset)
+    want = oracles.clip_rebuild(P, normal, offset)
+    if want == "EMPTY":
+        assert got is EMPTY
+    elif want is P:
+        assert got is P
+    else:
+        eager = _vertex_cones(want.vertices, want.facets, want.dim)
+        assert clip_fields(got) == clip_fields(want)
+        assert cone_data(got.vertex_cones) == cone_data(eager[0])
+        assert got.nonsimple_vertices == eager[1]
+        assert got.simple == (not eager[1])
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(clip_inputs(), st.data())
+def test_clip_matches_clip_and_rebuild(case, data):
+    P, (normal, offset) = case
+    Q = assert_clip_matches_oracle(P, normal, offset)
+    if Q is not EMPTY:
+        # a clipped polytope carries inherited incidences into the next clip
+        normal2, offset2 = data.draw(halfspaces(Q))
+        assert_clip_matches_oracle(Q, normal2, offset2)
+
+
+def test_clip_pyramid_apex_makes_it_simple():
+    P = build_polytope(PYRAMID)
+    assert P.nonsimple_vertices == (2,) and not P.simple  # the apex (1, 1, 1)
+    frustum = assert_clip_matches_oracle(P, (0, 0, 2), 1)
+    assert frustum.simple and len(frustum.vertices) == 8
+    assert frustum.volume() == P.volume() - Fraction(1, 6)
