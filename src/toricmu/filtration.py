@@ -21,7 +21,7 @@ from math import exp, log, pi
 
 from .functionals import mu_star
 from .paconvex import PiecewiseAffineConvex, as_pa, make_pa
-from .polytope import LatticePolytope, build_polytope
+from .polytope import LatticePolytope, _positive_int, build_polytope
 
 
 class NonConvergent(RuntimeError):
@@ -50,9 +50,8 @@ class GradedSections:
 
 
 def sections(P, m) -> GradedSections:
-    m = int(m)
-    if m < 1:
-        raise ValueError("degree must be positive")
+    """Degree-m monomial basis; m must be an integer >= 1."""
+    m = _positive_int(m, "degree")
     return GradedSections(P, m, P.lattice_points(m))
 
 
@@ -133,8 +132,8 @@ def spectral_measure(F, m, normalization="dimension") -> SpectralMeasure:
     probability measure), "volume" divides by m^n (nu_m converges to the
     unnormalized pushforward measure).
     """
-    m = int(m)
     basis = sections(F.P, m)
+    m = basis.m
     counts = Counter(F.weight_fn(p, m) for p in basis)
     if normalization == "dimension":
         denom = Fraction(len(basis))
@@ -179,7 +178,7 @@ def char_mu_estimate(F, m_list, normalization="dimension", nu_infinity=None) -> 
     consistent diagonal entry is returned.  Raises NonConvergent when no two
     consecutive diagonal entries agree reasonably.
     """
-    ms = sorted(set(int(m) for m in m_list))
+    ms = sorted(set(_positive_int(m, "degree") for m in m_list))
     if len(ms) < 3:
         raise ValueError("need at least three degrees")
     if nu_infinity is not None:

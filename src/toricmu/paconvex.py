@@ -12,7 +12,7 @@ transcendental (Laplace transforms, d_exp, non-integer powers).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, log1p
+from math import comb, factorial, log1p
 
 from .polytope import (
     EMPTY,
@@ -111,6 +111,7 @@ class PiecewiseAffineConvex:
         self.pieces = tuple(pieces)
         self.P = P
         self._cells = None
+        self._dh_terms = None
         self._facet_restrictions = {}
 
     def __call__(self, point) -> Fraction:
@@ -358,18 +359,74 @@ def boundary_pa_moment(q: PiecewiseAffineConvex, k: int = 1) -> Fraction:
 # -- Duistermaat-Heckman ------------------------------------------------------
 
 
+def _dd_weights(g):
+    """{(i, k): a} with [g_0, ..., g_n] f = sum a f^(k)(g_i) / k! for sorted g.
+
+    The confluent divided-difference table run on symbols: entry (i, k)
+    stands for f^(k)(g_i) / k!, which the table takes where g_i is
+    repeated k + 1 times.
+    """
+    col = [{(i, 0): 1} for i in range(len(g))]
+    for k in range(1, len(g)):
+        for i in range(len(g) - k):
+            d = g[i + k] - g[i]
+            if d == 0:
+                col[i] = {(i, k): 1}
+                continue
+            new = {key: -a / d for key, a in col[i].items()}
+            for key, a in col[i + 1].items():
+                new[key] = new.get(key, 0) + a / d
+            col[i] = new
+    return col[0]
+
+
+def _dh_terms(q: PiecewiseAffineConvex):
+    """(atoms, terms) with dh_cdf(q, tau) = sum of vol over the atoms
+    (v, vol) with v >= tau plus sum of c (v - tau)^e over the terms
+    (v, e, c) with v > tau; terms are sorted by v, largest first.
+
+    On a simplex where -q is affine with sorted vertex values g, the
+    pushforward of its volume is a B-spline with knots g (Curry &
+    Schoenberg 1966), so its mass on [tau, infinity) is vol times
+    [g_0, ..., g_n] (y - tau)_+^n.  Unless all g_i are equal (an atom),
+    no node repeats n + 1 times and the derivatives this divided
+    difference takes, C(n, k) (v - tau)_+^(n-k) for k < n, are
+    continuous in y, so it is the same combination of them for every tau.
+    Those combinations are summed over the cell triangulation once per q.
+    """
+    if q._dh_terms is None:
+        atoms, coeffs = [], {}
+        for (i, cell) in q.cells():
+            for s in cell.triangulate():
+                vol = s.normalized_volume()
+                g = sorted(-q.pieces[i](v) for v in s.vertices)
+                if g[0] == g[-1]:
+                    atoms.append((g[0], vol))
+                    continue
+                n = len(g) - 1
+                for (j, k), a in _dd_weights(g).items():
+                    key = (g[j], n - k)
+                    coeffs[key] = coeffs.get(key, 0) + vol * comb(n, k) * a
+        terms = sorted(((v, e, c) for (v, e), c in coeffs.items() if c), reverse=True)
+        q._dh_terms = (atoms, terms)
+    return q._dh_terms
+
+
 def dh_cdf(q: PiecewiseAffineConvex, tau) -> Fraction:
     """Mass of [tau, infinity) under the pushforward of mu by -q.
 
-    Equals the exact volume of {q <= -tau}.
+    Equals the exact volume of {q <= -tau}, as a sum of truncated powers
+    of tau (see _dh_terms).  The first call on q triangulates its cells;
+    later calls reuse that.
     """
     tau = Fraction(tau)
-    region = q.P
-    for piece in q.pieces:
-        region = region.clip(piece.gradient, -tau - piece.constant)
-        if region is EMPTY:
-            return Fraction(0)
-    return region.volume()
+    atoms, terms = _dh_terms(q)
+    total = sum((vol for (v, vol) in atoms if v >= tau), Fraction(0))
+    for (v, e, c) in terms:
+        if v <= tau:
+            break
+        total += c * (v - tau) ** e
+    return total
 
 
 class DHSummary:

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import gcd
+from math import ceil, floor, gcd
 
 
 class DegenerateHull(ValueError):
@@ -473,23 +473,32 @@ class LatticePolytope:
         return self._facet_charts[facet_index]
 
     def lattice_points(self, scale=1):
-        """Integer points of scale * P (scale a positive integer)."""
-        scale = int(scale)
-        los, his = [], []
+        """Integer points of scale * P (scale a positive integer).
+
+        Listed in itertools.product order over the vertex box: the outer
+        coordinates run over the box and the last one over its fiber, an
+        integer range cut out by the facets <p, u> <= floor(scale * b).
+        """
+        scale = _positive_int(scale, "scale")
+        rows = [(f.normal, floor(scale * f.offset)) for f in self.facets]
+        box = []
         for i in range(self.dim):
             vals = [scale * v.coords[i] for v in self.vertices]
-            lo, hi = min(vals), max(vals)
-            los.append(-int(-lo // 1))
-            his.append(int(hi // 1))
+            box.append(range(ceil(min(vals)), floor(max(vals)) + 1))
         out = []
-        for p in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-            ok = True
-            for f in self.facets:
-                if _dot(p, f.normal) > scale * f.offset:
-                    ok = False
+        for head in product(*box[:-1]):
+            lo, hi = box[-1].start, box[-1].stop - 1
+            for normal, bound in rows:
+                rest = bound - sum(a * x for a, x in zip(normal, head))
+                a = normal[-1]
+                if a > 0:
+                    hi = min(hi, rest // a)
+                elif a < 0:
+                    lo = max(lo, -(rest // -a))
+                elif rest < 0:
+                    hi = lo - 1
                     break
-            if ok:
-                out.append(p)
+            out.extend(head + (x,) for x in range(lo, hi + 1))
         return out
 
     # -- serialization ------------------------------------------------------
@@ -517,6 +526,17 @@ class LatticePolytope:
             len(self.vertices),
             len(self.facets),
         )
+
+
+def _positive_int(value, name) -> int:
+    """value as an int, or ValueError unless it is an integer >= 1."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, value)) from None
+    if k != value or k < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+    return k
 
 
 def _chart_coords(diff, basis):

@@ -5,13 +5,15 @@ formulas (monotone-chain hulls, shoelace areas, Gauss-Legendre and Duffy
 quadrature, confluent divided-difference tables, Richardson-extrapolated
 central differences).  None of it imports the package under test, so
 agreement between the two is meaningful evidence rather than a tautology.
-The one exception is clip_rebuild, which calls the package's hull
-construction to pin the incremental clip to a full rebuild.
+The exceptions are clip_rebuild, which calls the package's hull
+construction to pin the incremental clip to a full rebuild, and
+dh_cdf_clip, which measures a sublevel set with the package's clip and
+volume to pin the divided-difference DH CDF to them.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import mpmath
 import numpy as np
@@ -296,3 +298,35 @@ def clip_rebuild(P, normal, offset):
         return build_polytope(pts)
     except DegenerateHull:
         return "EMPTY"
+
+
+def dh_cdf_clip(q, tau):
+    """Clip-chain reference for dh_cdf: the volume of {q <= -tau}.
+
+    Cuts the polytope of q by <x, eta_E> <= -tau - c_E for every piece
+    with the package's clip and measures the rest with its volume.
+    """
+    tau = Fraction(tau)
+    region = q.P
+    for piece in q.pieces:
+        region = region.clip(piece.gradient, -tau - piece.constant)
+        if not region:
+            return Fraction(0)
+    return region.volume()
+
+
+def lattice_points_scan(P, scale=1):
+    """Box-scan reference for lattice_points: every integer point of the
+    vertex box of scale * P tested against every facet, in product order."""
+    box = []
+    for i in range(P.dim):
+        vals = [scale * v.coords[i] for v in P.vertices]
+        box.append(range(math.ceil(min(vals)), math.floor(max(vals)) + 1))
+    return [
+        p
+        for p in product(*box)
+        if all(
+            sum(a * x for a, x in zip(f.normal, p)) <= scale * f.offset
+            for f in P.facets
+        )
+    ]

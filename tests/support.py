@@ -1,9 +1,13 @@
 """Shared builders for the test suite: canonical polytopes, seeded
-random generators, and a finite-difference Futaki reference."""
+random generators, a hypothesis strategy for exact test polytopes, and a
+finite-difference Futaki reference."""
 
 from fractions import Fraction
 
-from toricmu import build_polytope, mu_lambda
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from toricmu import DegenerateHull, build_polytope, mu_lambda
 from toricmu.paconvex import AffineForm, make_pa
 
 
@@ -49,6 +53,33 @@ def donaldson_polytope():
             (r, s),
         ]
     )
+
+
+UNIT_CUBE = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+RATIONAL_SIMPLEX_3D = [
+    (0, 0, 0),
+    (Fraction(3, 2), 0, 0),
+    (0, Fraction(5, 3), 0),
+    (Fraction(1, 2), Fraction(1, 3), Fraction(7, 4)),
+]
+quarter = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def exact_polytopes(draw):
+    """A segment or hexagon on the 1/4 grid of [-3, 3]^n, the unit cube,
+    or a rational 3-simplex."""
+    shape = draw(st.sampled_from(["segment", "hexagon", "cube", "simplex"]))
+    if shape == "segment":
+        pts = draw(st.lists(st.tuples(quarter), min_size=2, max_size=2))
+    elif shape == "hexagon":
+        pts = draw(st.lists(st.tuples(quarter, quarter), min_size=6, max_size=6))
+    else:
+        pts = UNIT_CUBE if shape == "cube" else RATIONAL_SIMPLEX_3D
+    try:
+        return build_polytope(pts)
+    except DegenerateHull:
+        assume(False)
 
 
 def random_fraction(rng, span=3, denom=8):

@@ -30,6 +30,11 @@ def test_sections_counts():
     assert sections(support.blowup_polytope(), 2).dimension == 22
     with pytest.raises(ValueError):
         sections(unit_segment(), 0)
+    for bad in (2.7, Fraction(5, 2), -1):
+        with pytest.raises(ValueError):
+            sections(support.unit_square(), bad)
+        with pytest.raises(ValueError):
+            spectral_measure(corner_filtration(), bad)
 
 
 def test_sections_iterates_lattice_points():
@@ -160,6 +165,8 @@ def test_char_mu_estimate_validation():
     F = corner_filtration()
     with pytest.raises(ValueError):
         char_mu_estimate(F, [10, 20])
+    with pytest.raises(ValueError):
+        char_mu_estimate(F, [10, 20.5, 40])
 
     def noisy(point, m):
         return -m if m % 2 else 0

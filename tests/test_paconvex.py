@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import support
@@ -176,6 +178,44 @@ def test_dh_cdf_linear_example():
     assert dh_cdf(q, -2) == 1
     assert dh_cdf(q, 0) == 0
     assert dh_cdf(q, 1) == 0
+
+
+sixth = st.integers(-12, 12).map(lambda k: Fraction(k, 6))
+
+
+def node_values(q):
+    """Sorted distinct values of -q at the vertices of its cells."""
+    return sorted({-q.pieces[i](v) for (i, cell) in q.cells() for v in cell.vertices})
+
+
+@st.composite
+def dh_potentials(draw):
+    """2-4 random pieces, their rooftop at a node value or between two
+    (flat cells), or a constant, on one of the exact test polytopes."""
+    P = draw(support.exact_polytopes())
+    kind = draw(st.sampled_from(["pieces", "rooftop", "constant"]))
+    if kind == "constant":
+        return make_pa([AffineForm((0,) * P.dim, draw(sixth))], P)
+    pieces = draw(
+        st.lists(st.tuples(st.tuples(*[sixth] * P.dim), sixth), min_size=2, max_size=4)
+    )
+    q = make_pa([AffineForm(g, c) for g, c in pieces], P)
+    if kind == "rooftop":
+        vals = node_values(q)
+        k = draw(st.integers(0, 2 * len(vals) - 2))
+        q = rooftop(q, (vals[k // 2] + vals[(k + 1) // 2]) / 2)
+    return q
+
+
+@settings(max_examples=50, deadline=None)
+@given(dh_potentials())
+def test_dh_cdf_matches_clip_chain(q):
+    vals = node_values(q)
+    eps = Fraction(1, 10**9)
+    taus = [vals[0] - 1, vals[-1] + 1, Fraction(-1, 7)]
+    taus += [v + d for v in vals for d in (-eps, 0, eps)]
+    for tau in taus:
+        assert dh_cdf(q, tau) == oracles.dh_cdf_clip(q, tau), tau
 
 
 def test_dh_summary_linear_example():

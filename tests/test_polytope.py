@@ -148,6 +148,24 @@ def test_lattice_points_small_cases():
     assert sorted(seg.lattice_points(scale=3)) == [(0,), (1,), (2,), (3,)]
 
 
+@settings(max_examples=80, deadline=None)
+@given(support.exact_polytopes(), st.integers(1, 7))
+def test_lattice_points_match_box_scan(P, scale):
+    assert P.lattice_points(scale) == oracles.lattice_points_scan(P, scale)
+
+
+@pytest.mark.parametrize("scale", [0, -1, 2.5, Fraction(5, 2), "2", None, float("inf")])
+def test_lattice_points_reject_bad_scale(scale):
+    with pytest.raises(ValueError):
+        support.unit_square().lattice_points(scale)
+
+
+def test_lattice_points_accept_integral_scale_values():
+    square = support.unit_square()
+    assert square.lattice_points(2.0) == square.lattice_points(Fraction(4, 2))
+    assert len(square.lattice_points(2)) == 9
+
+
 def test_blowup_ehrhart_counts():
     # P = {-1 <= x, y <= 1, x + y <= 1}: hand enumeration gives 8 points,
     # and Ehrhart vol*t^2 + (bnd/2)*t + 1 gives 22 and 43 at t = 2, 3.
@@ -244,11 +262,8 @@ def test_json_dim_field_is_optional():
 
 # -- incremental clip against the clip-and-rebuild oracle ----------------------
 
-UNIT_CUBE = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 SIMPLEX_3D = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 2)]
 PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
-
-quarter = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
 
 
 @st.composite
@@ -256,11 +271,13 @@ def clip_inputs(draw):
     """A polytope, then a halfspace (normal, offset) of one of four kinds."""
     shape = draw(st.sampled_from(["hexagon", "segment", "cube", "simplex", "pyramid"]))
     if shape == "hexagon":
-        pts = draw(st.lists(st.tuples(quarter, quarter), min_size=6, max_size=6))
+        pts = draw(
+            st.lists(st.tuples(support.quarter, support.quarter), min_size=6, max_size=6)
+        )
     elif shape == "segment":
-        pts = draw(st.lists(st.tuples(quarter), min_size=2, max_size=2))
+        pts = draw(st.lists(st.tuples(support.quarter), min_size=2, max_size=2))
     else:
-        pts = {"cube": UNIT_CUBE, "simplex": SIMPLEX_3D, "pyramid": PYRAMID}[shape]
+        pts = {"cube": support.UNIT_CUBE, "simplex": SIMPLEX_3D, "pyramid": PYRAMID}[shape]
     try:
         P = build_polytope(pts)
     except DegenerateHull:
