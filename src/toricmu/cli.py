@@ -24,7 +24,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import e as EULER_E, exp, log, pi
+from math import e as EULER_E, exp, isfinite, log, pi
 
 from .filtration import (
     NonConvergent,
@@ -386,6 +386,9 @@ def _cmd_futaki(args):
 
 
 def _cmd_optimize(args):
+    if not (isfinite(args.lam) and args.lam <= 0.0):
+        # lambda > 0 needs a search box, which the command does not take
+        raise InputError("optimize needs a finite --lambda <= 0, got %r" % (args.lam,))
     P = _load_polytope(args.polytope)
     res = maximize_over_vectors(P, lam=args.lam)
     rows = [

@@ -27,7 +27,7 @@ near-singular in floating point raise NearSingularDirection instead.
 
 from __future__ import annotations
 
-from collections import Counter
+import struct
 from fractions import Fraction
 from itertools import product as _iproduct
 from math import exp, factorial, sqrt
@@ -88,13 +88,44 @@ def simplex_exp_from_values(det, exp_values):
     return det * ddexp(exp_values)
 
 
-def _simplex_weighted(det, avals, factor_vals):
+def _float_bits(values):
+    """The exact bit pattern of a float sequence, as a dict key.
+
+    Unlike ==, it tells -0.0 from 0.0 and matches NaNs bit for bit, so two
+    sequences with equal bits are the same input to any float arithmetic.
+    """
+    return struct.pack("%dd" % len(values), *values)
+
+
+def _divided_difference(avals, key, memo):
+    """(prod of multiplicity factorials, exp[avals, avals[i] for i in key]).
+
+    key is a sorted tuple of vertex indices.  memo holds the pairs already
+    computed for these avals; the kernel is looked up as the module global
+    ddexp on every miss.
+    """
+    hit = memo.get(key)
+    if hit is None:
+        # in a sorted key, multiplying the running length of each run
+        # gives the product of the factorials of the multiplicities
+        alph = 1
+        run = 1
+        for a, b in zip(key, key[1:]):
+            run = run + 1 if a == b else 1
+            alph *= run
+        hit = memo[key] = (alph, ddexp(list(avals) + [avals[i] for i in key]))
+    return hit
+
+
+def _simplex_weighted(det, avals, factor_vals, memo):
     """Integral over one simplex of (prod_j f_j) e^(e) given vertex values.
 
     avals[i] is the exponent at vertex i; factor_vals[j][i] the j-th affine
     factor at vertex i.  Each factor contributes one barycentric power, so a
     tuple of vertex choices maps to a confluent divided difference with the
-    chosen nodes repeated.
+    chosen nodes repeated.  memo, keyed by the sorted vertex choices, carries
+    divided differences between calls with the same avals; the caller drops
+    it when avals change.  Without factors it is not used.
     """
     if not factor_vals:
         return det * ddexp(avals)
@@ -111,10 +142,8 @@ def _simplex_weighted(det, avals, factor_vals):
     for key, w in coeff.items():
         if w == 0.0:
             continue
-        alph = 1
-        for c in Counter(key).values():
-            alph *= factorial(c)
-        total += w * alph * ddexp(list(avals) + [avals[i] for i in key])
+        alph, dd = _divided_difference(avals, key, memo)
+        total += w * alph * dd
     return det * total
 
 
@@ -125,7 +154,7 @@ def simplex_exp_integral(simplex, exponent: AffineForm, weight=None) -> float:
     if weight is None:
         return det * ddexp(avals)
     wvals = [float(weight(v)) for v in simplex.vertices]
-    return _simplex_weighted(det, avals, [wvals])
+    return _simplex_weighted(det, avals, [wvals], {})
 
 
 # -- reusable integration contexts --------------------------------------------
@@ -142,6 +171,12 @@ class ExpIntegrator:
     against the lattice measure of P or of its boundary.  The cell complex,
     triangulations, and per-vertex function values are computed once, so a
     parameter sweep only pays for divided differences.
+
+    Each simplex also keeps the divided differences of the last exponent it
+    saw, checked against the exact bits of its vertex exponents, so calls at
+    one exponent with different factors compute each distinct divided
+    difference once.  A new exponent replaces them; facet children keep
+    their own.
     """
 
     def __init__(self, P, funcs):
@@ -164,6 +199,7 @@ class ExpIntegrator:
                 ]
                 records.append((det, vals))
         self._records = records
+        self._memos = [(None, None)] * len(records)
 
     def interior(self, exp_combo, factor_combos=()):
         """Returns (value, magnitude) where magnitude sums |contributions|."""
@@ -171,10 +207,20 @@ class ExpIntegrator:
             self._build()
         total = 0.0
         mag = 0.0
-        for (det, vals) in self._records:
+        memos = self._memos
+        for r, (det, vals) in enumerate(self._records):
             avals = [
                 sum(c * row[k] for k, c in enumerate(exp_combo)) for row in vals
             ]
+            memo = None
+            if factor_combos:
+                # a plain integral needs one divided difference, which no
+                # other call at this exponent shares
+                bits = _float_bits(avals)
+                seen, memo = memos[r]
+                if seen != bits:
+                    memo = {}
+                    memos[r] = (bits, memo)
             fvals = [
                 [
                     const + sum(c * row[k] for k, c in enumerate(coeffs))
@@ -182,7 +228,7 @@ class ExpIntegrator:
                 ]
                 for (const, coeffs) in factor_combos
             ]
-            contrib = _simplex_weighted(det, avals, fvals)
+            contrib = _simplex_weighted(det, avals, fvals, memo)
             total += contrib
             mag += abs(contrib)
         return total, mag

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import log, sqrt
+from math import isfinite, log, sqrt
 
 from .functionals import TWO_PI, calabi
-from .integrate import ExpIntegrator, ValidationFailure
+from .integrate import ExpIntegrator, ValidationFailure, _float_bits
 from .paconvex import AffineForm, as_pa
 
 
@@ -28,7 +28,12 @@ OptimizationResult = namedtuple(
 
 
 class _Objective:
-    """mu_lambda(q_xi) and its gradient, sharing one integration context."""
+    """mu_lambda(q_xi) and its gradient, sharing one integration context.
+
+    The moments (A, B, C) and the pair (value, gradient) of every point are
+    kept for the objective's lifetime, keyed by the point's exact bits, so a
+    point the line search comes back to returns the same floats for free.
+    """
 
     def __init__(self, P, lam):
         n = P.dim
@@ -39,32 +44,44 @@ class _Objective:
         self.gear = ExpIntegrator(P, funcs)
         self.n = n
         self.lam = float(lam)
+        self._abc_at = {}
+        self._value_grad_at = {}
 
-    def _abc(self, xi):
-        combo = tuple(float(c) for c in xi)
-        A, _ = self.gear.interior(combo)
-        B, _ = self.gear.boundary(combo)
-        C, _ = self.gear.interior(combo, [(float(self.n), combo)])
-        return combo, A, B, C
+    def _abc(self, combo, key):
+        abc = self._abc_at.get(key)
+        if abc is None:
+            A, _ = self.gear.interior(combo)
+            B, _ = self.gear.boundary(combo)
+            C, _ = self.gear.interior(combo, [(float(self.n), combo)])
+            abc = self._abc_at[key] = (A, B, C)
+        return abc
 
     def value(self, xi):
-        _, A, B, C = self._abc(xi)
+        combo = tuple(float(c) for c in xi)
+        A, B, C = self._abc(combo, _float_bits(combo))
         return -TWO_PI * B / A + self.lam * (C / A - log(A))
 
     def value_grad(self, xi):
-        combo, A, B, C = self._abc(xi)
-        value = -TWO_PI * B / A + self.lam * (C / A - log(A))
-        grad = []
-        for i in range(self.n):
-            unit = tuple(1.0 if k == i else 0.0 for k in range(self.n))
-            probe = [(0.0, unit)]
-            Ai, _ = self.gear.interior(combo, probe)
-            Bi, _ = self.gear.boundary(combo, probe)
-            Ci, _ = self.gear.interior(combo, [(self.n + 1.0, combo), (0.0, unit)])
-            dmu = -TWO_PI * (Bi * A - B * Ai) / (A * A)
-            dsigma = (Ci * A - C * Ai) / (A * A) - Ai / A
-            grad.append(dmu + self.lam * dsigma)
-        return value, grad
+        combo = tuple(float(c) for c in xi)
+        key = _float_bits(combo)
+        hit = self._value_grad_at.get(key)
+        if hit is None:
+            A, B, C = self._abc(combo, key)
+            value = -TWO_PI * B / A + self.lam * (C / A - log(A))
+            grad = []
+            for i in range(self.n):
+                unit = tuple(1.0 if k == i else 0.0 for k in range(self.n))
+                probe = [(0.0, unit)]
+                Ai, _ = self.gear.interior(combo, probe)
+                Bi, _ = self.gear.boundary(combo, probe)
+                Ci, _ = self.gear.interior(
+                    combo, [(self.n + 1.0, combo), (0.0, unit)]
+                )
+                dmu = -TWO_PI * (Bi * A - B * Ai) / (A * A)
+                dsigma = (Ci * A - C * Ai) / (A * A) - Ai / A
+                grad.append(dmu + self.lam * dsigma)
+            hit = self._value_grad_at[key] = (value, tuple(grad))
+        return hit[0], list(hit[1])
 
 
 def _project(x, box):
@@ -144,13 +161,15 @@ def _bfgs_ascent(obj, x0, gtol, max_iter, box):
 
 
 def default_seeds(n):
+    """The origin, the signed unit vectors and +-(1, ..., 1), each once, in
+    that order (in dimension 1 the last two repeat the unit vectors)."""
     seeds = [tuple(0.0 for _ in range(n))]
     for i in range(n):
         for s in (1.0, -1.0):
             seeds.append(tuple(s if j == i else 0.0 for j in range(n)))
     seeds.append(tuple(1.0 for _ in range(n)))
     seeds.append(tuple(-1.0 for _ in range(n)))
-    return seeds
+    return list(dict.fromkeys(seeds))
 
 
 def maximize_over_vectors(
@@ -158,11 +177,14 @@ def maximize_over_vectors(
 ) -> OptimizationResult:
     """Maximize xi -> mu_lambda(q_xi) by multi-start BFGS.
 
-    lam > 0 makes the objective unbounded in general and requires an
-    explicit box ((lo, hi) per coordinate).  Raises MaxIterExceeded when no
-    seed converges; otherwise returns the best run (its trace is monotone).
+    lam must be finite; lam > 0 makes the objective unbounded in general
+    and requires an explicit box ((lo, hi) per coordinate).  Raises
+    MaxIterExceeded when no seed converges; otherwise returns the best run
+    (its trace is monotone).
     """
     lam = float(lam)
+    if not isfinite(lam):
+        raise ValueError("lam must be finite, got %r" % (lam,))
     if lam > 0 and box is None:
         raise ValueError("lam > 0 needs an explicit search box")
     obj = _Objective(P, lam)

@@ -6,9 +6,11 @@ quadrature, confluent divided-difference tables, Richardson-extrapolated
 central differences).  None of it imports the package under test, so
 agreement between the two is meaningful evidence rather than a tautology.
 The exceptions are clip_rebuild, which calls the package's hull
-construction to pin the incremental clip to a full rebuild, and
-dh_cdf_clip, which measures a sublevel set with the package's clip and
-volume to pin the divided-difference DH CDF to them.
+construction to pin the incremental clip to a full rebuild, dh_cdf_clip,
+which measures a sublevel set with the package's clip and volume to pin
+the divided-difference DH CDF to them, and UncachedObjective, which
+replays the optimizer objective's arithmetic on fresh package integrators
+to pin its caches.
 """
 
 import math
@@ -330,3 +332,57 @@ def lattice_points_scan(P, scale=1):
             for f in P.facets
         )
     ]
+
+
+class UncachedObjective:
+    """Reference for toricmu.optimize._Objective without any reuse.
+
+    The same formulas, in the same order, with a new ExpIntegrator for
+    every integral, so no divided difference or point outlives one call.
+    """
+
+    def __init__(self, P, lam):
+        from toricmu.paconvex import AffineForm
+
+        n = P.dim
+        self.P = P
+        self.funcs = [
+            AffineForm(tuple(-1 if j == i else 0 for j in range(n)), 0)
+            for i in range(n)
+        ]
+        self.n = n
+        self.lam = float(lam)
+
+    def _integral(self, kind, combo, factors=()):
+        from toricmu.integrate import ExpIntegrator
+
+        value, _ = getattr(ExpIntegrator(self.P, self.funcs), kind)(combo, factors)
+        return value
+
+    def _abc(self, xi):
+        combo = tuple(float(c) for c in xi)
+        A = self._integral("interior", combo)
+        B = self._integral("boundary", combo)
+        C = self._integral("interior", combo, [(float(self.n), combo)])
+        return combo, A, B, C
+
+    def value(self, xi):
+        _, A, B, C = self._abc(xi)
+        return -TWO_PI * B / A + self.lam * (C / A - math.log(A))
+
+    def value_grad(self, xi):
+        combo, A, B, C = self._abc(xi)
+        value = -TWO_PI * B / A + self.lam * (C / A - math.log(A))
+        grad = []
+        for i in range(self.n):
+            unit = tuple(1.0 if k == i else 0.0 for k in range(self.n))
+            probe = [(0.0, unit)]
+            Ai = self._integral("interior", combo, probe)
+            Bi = self._integral("boundary", combo, probe)
+            Ci = self._integral(
+                "interior", combo, [(self.n + 1.0, combo), (0.0, unit)]
+            )
+            dmu = -TWO_PI * (Bi * A - B * Ai) / (A * A)
+            dsigma = (Ci * A - C * Ai) / (A * A) - Ai / A
+            grad.append(dmu + self.lam * dsigma)
+        return value, grad

@@ -34,6 +34,13 @@ def blowup_polytope(delta=Fraction(1)):
     )
 
 
+def readme_pentagon():
+    """The README pentagon: [-1, 1]^2 with the corner (1, 1) cut off to
+    depth 1/2."""
+    h = Fraction(1, 2)
+    return build_polytope([(-1, -1), (1, -1), (1, -h), (-h, 1), (-1, 1)])
+
+
 def donaldson_polytope():
     """Nine-vertex polygon with three corners of the triangle
     conv{(0,0), (4,0), (0,4)} - (1,1)-ish model cut by shallow slices;

@@ -267,6 +267,16 @@ def test_exit_code_2_on_bad_input(capsys):
     assert invoke(capsys, "metric", "--polytope", "square", "--p", "0.5")[0] == 2
 
 
+@pytest.mark.parametrize("lam", ["0.5", "1e-300", "inf", "nan", "-inf"])
+def test_optimize_rejects_positive_or_non_finite_lambda(capsys, lam):
+    code = run(["optimize", "--polytope", "square", "--lambda=" + lam])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_exit_code_2_on_bad_q_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

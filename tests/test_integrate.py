@@ -15,10 +15,12 @@ import pytest
 import oracles
 import support
 from toricmu import (
+    ExpIntegrator,
     NearSingularDirection,
     boundary_exp_integral,
     brion_localize,
     brion_localize_limit,
+    build_polytope,
     cross_validate,
     polytope_exp_integral,
     simplex_exp_integral,
@@ -87,6 +89,15 @@ def test_weighted_integrals_hand_values():
         [(0, 0), (1, 0), (1, 1), (0, 1)],
     )
     assert qsq == pytest.approx(oracle, rel=1e-11)
+    # three factors repeat a vertex up to three times (weight 3! = 6)
+    gear = ExpIntegrator(P, [AffineForm((1, 0), 0), AffineForm((0, 1), 0)])
+    x_f, y_f = (0.0, (1.0, 0.0)), (0.0, (0.0, 1.0))
+    assert gear.interior((1.0, 1.0), [x_f, x_f, x_f])[0] == pytest.approx(
+        (6 - 2 * E) * (E - 1), rel=1e-12
+    )
+    assert gear.interior((1.0, 1.0), [x_f, y_f, x_f])[0] == pytest.approx(
+        E - 2, rel=1e-12
+    )
 
 
 def test_kinked_integrand_hand_values():
@@ -241,3 +252,52 @@ def test_cross_validate_nongeneric_direction():
     report = cross_validate(P, q, rho=1.0)
     assert report.passed
     assert report.interior_triangulation == pytest.approx(E - 1, rel=1e-12)
+
+
+def test_memoized_integrator_equals_fresh():
+    """Interior and boundary calls at a repeated exponent share divided
+    differences; every result must equal a fresh integrator's bit for bit,
+    whatever the factors and their order, and after a change of exponent
+    (including one that only flips the sign of a zero)."""
+    pent = support.readme_pentagon()
+    kink = support.pa_from(
+        pent, ((0, 0), 0), ((1, 1), 0), ((2, -1), Fraction(1, 2))
+    )
+    assert len(kink.cells()) == 3
+    cases = [
+        (
+            support.unit_segment(),
+            [AffineForm((1,), 0), AffineForm((-2,), Fraction(1, 3))],
+        ),
+        (pent, [AffineForm((-1, 0), 0), AffineForm((0, -1), 0)]),
+        (pent, [kink, AffineForm((1, -1), 0)]),
+        (
+            build_polytope(support.UNIT_CUBE),
+            [AffineForm((1, 2, -1), 0), AffineForm((0, 1, 1), Fraction(1, 2))],
+        ),
+    ]
+    exponents = [
+        (0.7, -0.3),
+        (0.7, -0.3),
+        (-1.1, 0.4),
+        (0.7, -0.3),
+        (0.0, -0.3),
+        (-0.0, -0.3),
+        (0.0, -0.3),
+    ]
+    for P, funcs in cases:
+        n = float(P.dim)
+        gear = ExpIntegrator(P, funcs)
+        for k, e in enumerate(exponents):
+            factor_lists = [
+                (),
+                [(0.0, (1.0, 0.0))],
+                [(n, e)],
+                [(n + 1.0, e), (0.0, (0.0, 1.0))],
+                [(0.5, (0.0, 1.0)), (0.0, (1.0, 0.0)), (-1.0, e)],
+            ]
+            for factors in factor_lists[k:] + factor_lists[:k]:
+                for kind in ("interior", "boundary"):
+                    got = getattr(gear, kind)(e, factors)
+                    fresh = getattr(ExpIntegrator(P, funcs), kind)(e, factors)
+                    assert got == fresh, (P.dim, e, factors, kind)

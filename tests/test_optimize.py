@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 import support
+import toricmu.integrate
 from toricmu import (
     MaxIterExceeded,
     ValidationFailure,
@@ -16,7 +18,7 @@ from toricmu import (
     mu_star,
     normalized_df,
 )
-from toricmu.optimize import default_seeds
+from toricmu.optimize import _Objective, default_seeds
 from toricmu.paconvex import AffineForm
 
 
@@ -86,6 +88,78 @@ def test_default_seeds_cover_axes():
     assert (0.0, 0.0) in seeds
     assert (1.0, 0.0) in seeds and (0.0, -1.0) in seeds
     assert len(seeds) == 7
+
+
+def test_default_seeds_are_distinct_in_dimension_one():
+    assert default_seeds(1) == [(0.0,), (1.0,), (-1.0,)]
+
+
+def test_non_finite_lambda_rejected():
+    P = support.unit_segment()
+    for lam in (math.nan, -math.inf, math.inf):
+        with pytest.raises(ValueError):
+            maximize_over_vectors(P, lam=lam, box=((-1, 1),))
+
+
+def test_objective_caches_match_uncached_oracle():
+    P = support.readme_pentagon()
+    points = [
+        (0.3, -0.2),
+        (0.0, 0.25),
+        (-0.0, 0.25),
+        (0.3, -0.2),
+        (0.0, -0.0),
+        (-0.0, 0.0),
+        (0.0, 0.25),
+    ]
+    for lam in (0.0, -0.5):
+        obj = _Objective(P, lam)
+        ref = oracles.UncachedObjective(P, lam)
+        # value before value_grad, value_grad before value, and revisits
+        for x in points + points[::-1]:
+            assert obj.value(x) == ref.value(x)
+            assert obj.value_grad(x) == ref.value_grad(x)
+        for x in points[::-1]:
+            assert obj.value_grad(x) == ref.value_grad(x)
+            assert obj.value(x) == ref.value(x)
+        # points that differ only in the sign of a zero are kept apart
+        assert len(obj._value_grad_at) == len(obj._abc_at) == 5
+
+
+def test_objective_gradient_is_a_fresh_list():
+    P = support.readme_pentagon()
+    obj = _Objective(P, -0.5)
+    value, grad = obj.value_grad((0.1, 0.2))
+    expected = list(grad)
+    grad[0] = 99.0
+    grad.append(1.0)
+    assert obj.value_grad((0.1, 0.2)) == (value, expected)
+
+
+def test_objective_kernel_calls(monkeypatch):
+    """Each distinct divided difference is computed once per point: on the
+    README pentagon (3 triangles, 5 edges) the value needs 3 + 5 + 9 and
+    the gradient 10 + 18 more; a revisited point needs none."""
+    calls = []
+    kernel = toricmu.integrate.ddexp
+
+    def counting(nodes):
+        calls.append(len(nodes))
+        return kernel(nodes)
+
+    monkeypatch.setattr(toricmu.integrate, "ddexp", counting)
+    obj = _Objective(support.readme_pentagon(), 0.0)
+
+    def count(call, x):
+        del calls[:]
+        call(x)
+        return len(calls)
+
+    assert count(obj.value_grad, (0.3, -0.2)) == 45
+    assert count(obj.value, (0.1, 0.2)) == 17
+    assert count(obj.value_grad, (0.1, 0.2)) == 28
+    assert count(obj.value, (0.3, -0.2)) == 0
+    assert count(obj.value_grad, (0.3, -0.2)) == 0
 
 
 def test_normalized_df_matches_calabi():
