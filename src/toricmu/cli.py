@@ -456,8 +456,8 @@ def _cmd_metric(args):
             p = float(args.p)
         except ValueError as err:
             raise InputError("--p must be a number or 'exp'") from err
-        if p < 1:
-            raise InputError("--p must be at least 1")
+        if not (isfinite(p) and p >= 1):
+            raise InputError("--p must be a finite number >= 1 or 'exp'")
         value = metric_dp(q, q2, p)
         name = "d_%g" % p
     return [{"quantity": name, "value": value}], REPORT_COLUMNS, {}
@@ -856,7 +856,7 @@ def _build_parser():
     sp = sub.add_parser("metric", help="d_p or d_exp between two potentials")
     common(sp)
     sp.add_argument("--q2", help="second potential (default zero)")
-    sp.add_argument("--p", default="exp", help="exponent p >= 1, or 'exp'")
+    sp.add_argument("--p", default="exp", help="any real exponent p >= 1, or 'exp'")
     sp.set_defaults(handler=_cmd_metric)
 
     sp = sub.add_parser("filtration", help="spectral measures and entropy limit")

@@ -225,8 +225,11 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
     The bracket is expanded by doubling until both ends fall below the value
     at the origin (properness of the objective guarantees this terminates),
     a coarse scan picks the best basin, and golden-section refines to xtol.
-    Returns (x_star, value).
+    Returns (x_star, value).  lam must be finite.
     """
+    lam = float(lam)
+    if not isfinite(lam):
+        raise ValueError("lam must be finite, got %r" % (lam,))
     obj = _Objective(P, lam)
 
     def h(x):

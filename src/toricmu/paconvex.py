@@ -11,8 +11,10 @@ transcendental (Laplace transforms, d_exp, non-integer powers).
 
 from __future__ import annotations
 
+import operator
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial, log1p
+from math import ceil, comb, factorial, isfinite, log1p, log10
 
 from .polytope import (
     EMPTY,
@@ -316,25 +318,76 @@ def _h_complete(vals, k) -> Fraction:
     return old[-1]
 
 
-def _simplex_poly_moment(simplex, aff: AffineForm, k: int) -> Fraction:
-    """Exact integral of aff^k over a simplex against lattice measure."""
+def _power_terms(weights, g, n, p, num):
+    """The terms a g_i^(p+n-j) p!/(p+n)! C(p+n, j) of p!/(p+n)! [g] x^(p+n),
+    one per confluent weight (i, j): a, in the number type num."""
+    rising = [num(1)]
+    for t in range(1, n + 1):
+        rising.append(rising[-1] * (p + t))
+    # p!/(p+n)! C(p+n, j) = 1 / (j! (p+1) ... (p+n-j))
+    return [
+        num(a) * num(g[i]) ** (p + n - j) / (factorial(j) * rising[n - j])
+        for (i, j), a in weights
+    ]
+
+
+def _simplex_power(simplex, aff: AffineForm, p):
+    """Integral of aff^p over a simplex against lattice measure.
+
+    By Hermite-Genocchi it is |det| p!/(p+n)! [g_0, ..., g_n] x^(p+n) for
+    the vertex values g.  An int p gives an exact Fraction, through the
+    closed form h_p(g) of that divided difference.  Any other p (real,
+    aff >= 0 on the simplex) is summed over the confluent weights of the
+    exact sorted g, so equal values need no threshold: in floats, or in
+    decimals with as many more digits as close values cancel.
+    """
     n = simplex.dim
-    if n == 0:
-        return aff(simplex.vertices[0]) ** k
-    vals = [aff(v) for v in simplex.vertices]
     det = abs(simplex.edge_matrix_det())
-    return det * _h_complete(vals, k) * Fraction(factorial(k), factorial(n + k))
+    if isinstance(p, int):
+        vals = [aff(v) for v in simplex.vertices]
+        return det * _h_complete(vals, p) * Fraction(factorial(p), factorial(n + p))
+    g = sorted(aff(v) for v in simplex.vertices)
+    top = g[-1]
+    if top == 0:
+        return 0.0
+    # scaled into [0, 1]: powers of g cannot overflow, nor the sum underflow
+    g = [x / top for x in g]
+    weights = _dd_weights(g).items()
+    terms = _power_terms(weights, g, n, p, float)
+    total = sum(terms)
+    # Close values cancel.  By Jensen the sum is at least mean(g)^p / n!,
+    # and rounding moves it by at most (p + 2n + 4) 2^-53 sum |terms|.
+    loss = sum(map(abs, terms)) * factorial(n) / float(sum(g) / (n + 1)) ** p
+    if (p + 2 * n + 4) * 2.0**-53 * loss > 1e-12:
+        with localcontext() as ctx:
+            ctx.prec = 20 + ceil(log10(loss))
+            terms = _power_terms(
+                weights, g, n, Decimal(p), lambda x: Decimal(x.numerator) / x.denominator
+            )
+            total = float(sum(terms))
+    return float(det) * float(top) ** p * total
+
+
+def _exponent(k) -> int:
+    """k as an int; ValueError unless it is an integer >= 0."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError("exact moments need an integer k, got %r" % (k,)) from None
+    if k < 0:
+        raise ValueError("exact moments need k >= 0, got %d" % k)
+    return k
 
 
 def poly_moment(P, aff: AffineForm, k: int = 1) -> Fraction:
-    """Exact integral of aff(mu)^k over P."""
-    return sum(
-        (_simplex_poly_moment(s, aff, k) for s in P.triangulate()), Fraction(0)
-    )
+    """Exact integral of aff(mu)^k over P, k an integer >= 0."""
+    k = _exponent(k)
+    return sum((_simplex_power(s, aff, k) for s in P.triangulate()), Fraction(0))
 
 
 def pa_moment(q: PiecewiseAffineConvex, k: int = 1, shift=Fraction(0)) -> Fraction:
     """Exact integral of (q(mu) + shift)^k over the polytope of q."""
+    k = _exponent(k)
     shift = Fraction(shift)
     total = Fraction(0)
     for (i, cell) in q.cells():
@@ -345,6 +398,7 @@ def pa_moment(q: PiecewiseAffineConvex, k: int = 1, shift=Fraction(0)) -> Fracti
 
 def boundary_pa_moment(q: PiecewiseAffineConvex, k: int = 1) -> Fraction:
     """Exact integral of q^k over the boundary, facet lattice measures."""
+    k = _exponent(k)
     P = q.P
     if P.dim == 1:
         return sum(
@@ -497,83 +551,27 @@ def _signed_regions(q, qp):
     zero = AffineForm.zero(q.P.dim)
     for (cell, (i, j)) in common_cells(q.P, [q, qp]):
         diff = q.pieces[i] - qp.pieces[j]
-        if diff == zero:
-            out.append((cell, diff))
-            continue
-        plus = cell.clip(tuple(-g for g in diff.gradient), diff.constant)
-        if plus is not EMPTY:
-            out.append((plus, diff))
-        minus = cell.clip(diff.gradient, -diff.constant)
-        if minus is not EMPTY:
-            out.append((minus, zero - diff))
+        signed = [diff] if diff == zero else [diff, zero - diff]
+        out += [(sub, signed[k]) for (k, sub) in _split(cell, signed)]
     return out
 
 
-def _simplex_power_nonint(simplex, aff: AffineForm, p: float) -> float:
-    """integral of aff^p over a simplex, aff >= 0 there, any real p >= 1.
-
-    Uses the exact pushforward density of an affine map on a segment or
-    triangle; dimensions above 2 are not supported for non-integer p.
-    """
-    n = simplex.dim
-    vals = sorted(float(aff(v)) for v in simplex.vertices)
-    det = abs(float(simplex.edge_matrix_det()))
-    if det == 0.0:
-        return 0.0
-    if n == 1:
-        g0, g1 = vals
-        if g1 - g0 <= 1e-14 * max(1.0, abs(g1)):
-            return det * ((0.5 * (g0 + g1)) ** p)
-        return det * (g1 ** (p + 1) - g0 ** (p + 1)) / ((p + 1) * (g1 - g0))
-    if n == 2:
-        area = det / 2.0
-        g0, g1, g2 = vals
-        if g2 - g0 <= 1e-14 * max(1.0, abs(g2)):
-            return area * (((g0 + g1 + g2) / 3.0) ** p)
-
-        def ramp_up(a, lo, hi):
-            # integral of s^p (s - a) ds on [lo, hi]
-            def F(s):
-                return s ** (p + 2) / (p + 2) - a * s ** (p + 1) / (p + 1)
-
-            return F(hi) - F(lo)
-
-        def ramp_down(b, lo, hi):
-            # integral of s^p (b - s) ds on [lo, hi]
-            def F(s):
-                return b * s ** (p + 1) / (p + 1) - s ** (p + 2) / (p + 2)
-
-            return F(hi) - F(lo)
-
-        total = 0.0
-        if g1 > g0:
-            total += ramp_up(g0, g0, g1) / ((g1 - g0) * (g2 - g0))
-        if g2 > g1:
-            total += ramp_down(g2, g1, g2) / ((g2 - g1) * (g2 - g0))
-        return 2.0 * area * total
-    raise NotImplementedError("non-integer p implemented for dim <= 2 only")
-
-
 def metric_dp(q, qp, p) -> float:
-    """L^p distance (integral of |q - q'|^p)^{1/p}, p >= 1.
+    """L^p distance (integral of |q - q'|^p)^{1/p}, for any real p >= 1.
 
-    Integer p is evaluated exactly before the final root; non-integer p uses
-    closed-form pushforward integrals (dim <= 2).
+    Integer p is summed exactly before the final root; any other p in
+    floats, by the same simplex identity (see _simplex_power).
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    regions = _signed_regions(q, qp)
-    if float(p) == int(p):
-        k = int(p)
-        total = Fraction(0)
-        for (cell, aff) in regions:
-            total += poly_moment(cell, aff, k)
-        return float(total) ** (1.0 / k)
-    total = 0.0
-    for (cell, aff) in regions:
-        for s in cell.triangulate():
-            total += _simplex_power_nonint(s, aff, float(p))
-    return total ** (1.0 / float(p))
+    pf = float(p)
+    if not (isfinite(pf) and pf >= 1):
+        raise ValueError("p must be finite and at least 1, got %r" % (p,))
+    p = int(pf) if pf == int(pf) else pf
+    total = sum(
+        _simplex_power(s, aff, p)
+        for (cell, aff) in _signed_regions(q, qp)
+        for s in cell.triangulate()
+    )
+    return float(total) ** (1.0 / p)
 
 
 def metric_dexp(q, qp) -> float:

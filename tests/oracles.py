@@ -3,7 +3,8 @@
 Everything in this module is written from scratch against textbook
 formulas (monotone-chain hulls, shoelace areas, Gauss-Legendre and Duffy
 quadrature, confluent divided-difference tables, Richardson-extrapolated
-central differences).  None of it imports the package under test, so
+central differences, closed-form power integrals over segments and
+triangles).  None of it imports the package under test, so
 agreement between the two is meaningful evidence rather than a tautology.
 The exceptions are clip_rebuild, which calls the package's hull
 construction to pin the incremental clip to a full rebuild, dh_cdf_clip,
@@ -160,6 +161,40 @@ def quad_boundary(f, vertices, order=32):
     for i, a in enumerate(verts):
         total += quad_segment(f, a, verts[(i + 1) % len(verts)], order=order)
     return total
+
+
+def simplex_power_closed_form(det, vals, p):
+    """Integral of aff^p over a segment or triangle, aff >= 0, real p >= 1.
+
+    det is |edge-matrix determinant| and vals the vertex values of aff.
+    The pushforward density of the simplex under aff is a box (segment) or
+    a tent (triangle); integrating s^p against it piece by piece gives
+    closed forms in s^(p+1) and s^(p+2).  Values equal to 1e-14 relative
+    are taken as one.
+    """
+    vals = sorted(vals)
+    if len(vals) == 2:
+        g0, g1 = vals
+        if g1 - g0 <= 1e-14 * max(1.0, abs(g1)):
+            return det * ((0.5 * (g0 + g1)) ** p)
+        return det * (g1 ** (p + 1) - g0 ** (p + 1)) / ((p + 1) * (g1 - g0))
+    g0, g1, g2 = vals
+    if g2 - g0 <= 1e-14 * max(1.0, abs(g2)):
+        return det / 2.0 * (((g0 + g1 + g2) / 3.0) ** p)
+
+    def moment(lo, hi, c, sign):
+        # integral of s^p * sign * (s - c) ds on [lo, hi]
+        def F(s):
+            return s ** (p + 2) / (p + 2) - c * s ** (p + 1) / (p + 1)
+
+        return sign * (F(hi) - F(lo))
+
+    total = 0.0
+    if g1 > g0:
+        total += moment(g0, g1, g0, 1.0) / ((g1 - g0) * (g2 - g0))
+    if g2 > g1:
+        total += moment(g1, g2, g2, -1.0) / ((g2 - g1) * (g2 - g0))
+    return det * total
 
 
 def mp_ddexp(nodes, dps=50):

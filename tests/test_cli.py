@@ -267,6 +267,30 @@ def test_exit_code_2_on_bad_input(capsys):
     assert invoke(capsys, "metric", "--polytope", "square", "--p", "0.5")[0] == 2
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "1e400"])
+def test_metric_rejects_non_finite_p(capsys, p):
+    code = run(["metric", "--polytope", "square", "--q", "const:1", "--p=" + p])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_metric_non_integer_p_in_dimension_three(capsys, tmp_path):
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({"vertices": support.UNIT_CUBE}))
+    q = tmp_path / "q.json"
+    q.write_text(json.dumps({"pieces": [{"eta": [1, 0, 0], "lambda": 0}]}))
+    code, out = invoke(
+        capsys, "metric", "--polytope", str(cube), "--q", str(q), "--p", "1.5"
+    )
+    assert code == 0
+    # (integral of x^1.5 over the unit cube)^(1/1.5) = (1/2.5)^(1/1.5)
+    d = float(report_dict(out)["d_1.5"])
+    assert d == pytest.approx(0.4 ** (1 / 1.5), rel=1e-12)
+
+
 @pytest.mark.parametrize("lam", ["0.5", "1e-300", "inf", "nan", "-inf"])
 def test_optimize_rejects_positive_or_non_finite_lambda(capsys, lam):
     code = run(["optimize", "--polytope", "square", "--lambda=" + lam])

@@ -96,9 +96,14 @@ def test_default_seeds_are_distinct_in_dimension_one():
 
 def test_non_finite_lambda_rejected():
     P = support.unit_segment()
+    pentagon = support.readme_pentagon()
     for lam in (math.nan, -math.inf, math.inf):
         with pytest.raises(ValueError):
             maximize_over_vectors(P, lam=lam, box=((-1, 1),))
+        with pytest.raises(ValueError):
+            maximize_along_ray(P, (1,), lam=lam)
+        with pytest.raises(ValueError):
+            maximize_along_ray(pentagon, (1, 1), lam=lam)
 
 
 def test_objective_caches_match_uncached_oracle():

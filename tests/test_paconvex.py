@@ -9,6 +9,8 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ import oracles
 import support
 from toricmu import (
     boundary_pa_moment,
+    build_polytope,
     dh_cdf,
     dh_summary,
     legendre,
@@ -29,7 +32,8 @@ from toricmu import (
     rooftop,
     sup_abs_diff,
 )
-from toricmu.paconvex import AffineForm, EmptyPieces, as_pa
+from toricmu.paconvex import AffineForm, EmptyPieces, _simplex_power, as_pa
+from toricmu.polytope import Simplex
 
 
 def kink_q(P=None):
@@ -121,6 +125,16 @@ def test_pa_moment_kink_values():
     # shift is added inside the power: int (q + shift)^2
     assert pa_moment(q, 2, shift=mean) == Fraction(1, 6)
     assert pa_moment(q, 2, shift=-mean) == Fraction(1, 18)
+    # exact moments take integer exponents only, numpy integers included
+    assert pa_moment(q, np.int64(2)) == Fraction(1, 12)
+    assert boundary_pa_moment(q, np.int64(1)) == 1
+    for bad in (1.5, 2.0, -1):
+        with pytest.raises(ValueError):
+            poly_moment(q.P, AffineForm((1, 0), 0), bad)
+        with pytest.raises(ValueError):
+            pa_moment(q, bad)
+        with pytest.raises(ValueError):
+            boundary_pa_moment(q, bad)
 
 
 def test_pa_moment_matches_refined_quadrature():
@@ -330,6 +344,103 @@ def test_metric_dp_hand_values():
     for p in (1, 2, 3, 2.5):
         expected = (2.0 / ((p + 1) * (p + 2))) ** (1.0 / p)
         assert metric_dp(qx, qy, p) == pytest.approx(expected, rel=1e-10)
+    # integral-valued p of any type takes the exact route: d_2^2 = 1/6
+    for p in (2, 2.0, np.int64(2), Fraction(2)):
+        assert metric_dp(qx, qy, p) == float(Fraction(1, 6)) ** 0.5
+    cube = build_polytope(support.UNIT_CUBE)
+    corner = build_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    x_cube = support.pa_from(cube, ((1, 0, 0), 0))
+    x_corner = support.pa_from(corner, ((1, 0, 0), 0))
+    for p in (1.5, 2.5):
+        assert metric_dp(x_cube, as_pa(None, cube), p) == pytest.approx(
+            (1.0 / (p + 1)) ** (1.0 / p), rel=1e-12
+        )
+        assert metric_dp(x_corner, as_pa(None, corner), p) == pytest.approx(
+            (1.0 / ((p + 1) * (p + 2) * (p + 3))) ** (1.0 / p), rel=1e-12
+        )
+    for bad in (0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            metric_dp(qx, qy, bad)
+
+
+@st.composite
+def pa_pairs(draw):
+    """Two potentials of 1-3 random pieces on one exact test polytope."""
+    P = draw(support.exact_polytopes())
+    piece = st.tuples(st.tuples(*[sixth] * P.dim), sixth)
+    pieces = st.lists(piece, min_size=1, max_size=3)
+    return tuple(
+        make_pa([AffineForm(g, c) for g, c in draw(pieces)], P) for _ in range(2)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(pa_pairs(), st.sampled_from([1, 2, 3]))
+def test_metric_dp_float_route_near_integer_matches_exact(pair, k):
+    q, qp = pair
+    exact = metric_dp(q, qp, k)
+    # an integral float is summed exactly too, so it agrees to the last bit
+    assert metric_dp(q, qp, float(k)) == exact
+    for p in (k - 1e-9, k + 1e-9):
+        if p >= 1:
+            assert metric_dp(q, qp, p) == pytest.approx(exact, rel=1e-8, abs=1e-12)
+
+
+def test_simplex_power_matches_segment_and_triangle_closed_forms():
+    rng = random.Random(515)
+    for trial in range(200):
+        n = 1 + trial % 2
+        while True:
+            s = Simplex([support.random_vector(rng, n) for _ in range(n + 1)])
+            if s.edge_matrix_det() != 0:
+                break
+        grad = support.random_vector(rng, n)
+        if trial % 5 == 0:
+            grad = (0,) * n  # every vertex value repeated
+        # aff >= 0 on s, vanishing at a vertex in half the trials
+        low = min(AffineForm(grad, 0)(v) for v in s.vertices)
+        aff = AffineForm(grad, rng.choice([0, Fraction(rng.randint(1, 12), 6)]) - low)
+        p = rng.choice([1.1, 1.5, 2.5, 3.7])
+        expected = oracles.simplex_power_closed_form(
+            abs(float(s.edge_matrix_det())), [float(aff(v)) for v in s.vertices], p
+        )
+        assert _simplex_power(s, aff, p) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_simplex_power_close_or_tiny_vertex_values():
+    # Close but unequal values cancel in the float sum; the result must
+    # still match the closed forms evaluated in 80-digit arithmetic.
+    segment = Simplex([(0,), (1,)])
+    triangle = Simplex([(0, 0), (1, 0), (0, 1)])
+    corner = Simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for m in (4, 8, 12, 15, 20, 40):
+        e = Fraction(1, 10**m)
+        cases = [
+            (segment, AffineForm((e,), 1)),
+            (triangle, AffineForm((e, 2 * e), 1)),  # values 1, 1 + e, 1 + 2e
+            (triangle, AffineForm((1, 1 + e), 0)),  # values 0, 1, 1 + e
+        ]
+        for p in (1.5, 2.5):
+            for s, aff in cases:
+                with mpmath.workdps(80):
+                    det, *vals = [
+                        mpmath.mpf(x.numerator) / x.denominator
+                        for x in [abs(s.edge_matrix_det())] + [aff(v) for v in s.vertices]
+                    ]
+                    expected = oracles.simplex_power_closed_form(det, vals, mpmath.mpf(p))
+                assert _simplex_power(s, aff, p) == pytest.approx(
+                    float(expected), rel=1e-12, abs=0
+                )
+            if m >= 12:
+                # 1 + e (x + 2y + 3z): 1/6 (1 + p e) up to O(e^2)
+                value = _simplex_power(corner, AffineForm((e, 2 * e, 3 * e), 1), p)
+                assert value == pytest.approx((1 + p * float(e)) / 6, rel=1e-14)
+    # values near 1e-130: g^(p+2) underflows, the integral (~1e-195) does not
+    aff = AffineForm((1, 2), 1)
+    tiny = Fraction(1, 10**130) * aff
+    assert _simplex_power(triangle, tiny, 1.5) / 1e-195 == pytest.approx(
+        _simplex_power(triangle, aff, 1.5), rel=1e-14
+    )
 
 
 def test_metric_dexp_constants_and_solver():
