@@ -24,7 +24,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import e as EULER_E, exp, isfinite, log, pi
+from math import e as EULER_E, exp, isfinite, pi
 
 from .filtration import (
     NonConvergent,
@@ -35,7 +35,16 @@ from .filtration import (
     spectral_measure,
     unit_segment,
 )
-from .functionals import TWO_PI, calabi, entropy_curve, futaki, mu_star
+from .functionals import (
+    TWO_PI,
+    EntropyPoint,
+    _entropy,
+    _moments,
+    calabi,
+    entropy_curve,
+    futaki,
+    mu_star,
+)
 from .integrate import (
     ExpIntegrator,
     NearSingularDirection,
@@ -83,15 +92,37 @@ def _fraction(text):
         raise InputError("cannot parse rational %r" % (text,)) from err
 
 
-def _int(text):
+def _positive_int(text, what):
     try:
-        return int(text)
+        k = int(text)
     except ValueError as err:
         raise InputError("cannot parse integer %r" % (text,)) from err
+    if k < 1:
+        raise InputError("%s needs a positive integer, got %r" % (what, text))
+    return k
+
+
+def _finite(value, flag):
+    if not isfinite(value):
+        raise InputError("%s must be finite, got %r" % (flag, value))
+    return value
 
 
 def _vector(text):
     return tuple(_fraction(part) for part in str(text).split(","))
+
+
+def _xi(text, P):
+    """--xi as a vector of P's dimension (default the origin)."""
+    if not text:
+        return (0,) * P.dim
+    xi = _vector(text)
+    if len(xi) != P.dim:
+        raise InputError(
+            "--xi has %d coordinates, the polytope has dimension %d"
+            % (len(xi), P.dim)
+        )
+    return xi
 
 
 def _grid(text):
@@ -105,10 +136,6 @@ def _grid(text):
     if count < 1:
         raise InputError("grid count must be at least 1")
     return start, end, count
-
-
-def _int_list(text):
-    return [_int(part) for part in str(text).split(",")]
 
 
 # -- builtin inputs --------------------------------------------------------------
@@ -140,18 +167,14 @@ def donaldson_polytope() -> LatticePolytope:
 
 def square_qn_potential(n):
     """q_n = max(-1/(6n), n - 1/(6n) - n^2 (x + y)) on the unit square."""
-    n = _int(n)
-    if n < 1:
-        raise InputError("square-qn needs a positive integer")
+    n = _positive_int(n, "square-qn")
     a = Fraction(1, 6 * n)
     return make_pa([((0, 0), a), ((-n * n, -n * n), a - n)], unit_square())
 
 
 def corner_flat_potential(d):
     """q_d = max(0, d t - (d - 1)) on the unit segment."""
-    d = _int(d)
-    if d < 1:
-        raise InputError("corner-flat needs a positive integer")
+    d = _positive_int(d, "corner-flat")
     return make_pa([((0,), 0), ((d,), d - 1)], unit_segment())
 
 
@@ -267,32 +290,17 @@ def _rel_gap(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-CURVE_COLUMNS = (
-    "parameter",
-    "numerator",
-    "denominator",
-    "mu",
-    "sigma",
-    "mu_lambda",
-    "scaled",
-)
+CURVE_COLUMNS = EntropyPoint._fields
 
 REPORT_COLUMNS = ("quantity", "value")
 
 
 def _curve_rows(report):
-    return [
-        {
-            "parameter": row.parameter,
-            "numerator": row.numerator,
-            "denominator": row.denominator,
-            "mu": row.mu,
-            "sigma": row.sigma,
-            "mu_lambda": row.mu_lambda,
-            "scaled": row.scaled,
-        }
-        for row in report
-    ]
+    return [row._asdict() for row in report]
+
+
+def _report_rows(pairs):
+    return [{"quantity": name, "value": value} for name, value in pairs]
 
 
 # -- plain commands ---------------------------------------------------------------
@@ -301,68 +309,40 @@ def _curve_rows(report):
 def _cmd_integrate(args):
     P = _load_polytope(args.polytope)
     q, P = _load_q(args.q, P)
-    rho = args.rho
-    rows = []
+    rho = _finite(args.rho, "--rho")
     meta = {"rho": rho, "method": args.method}
+    report = None
     if args.method == "auto":
         try:
             report = cross_validate(P, q, rho=rho)
         except (NearSingularDirection, NonSimpleVertex) as err:
             meta["localization"] = "skipped: %s" % err
-            tri = polytope_exp_integral(P, q, rho=rho, method="triangulation")
-            bnd = boundary_exp_integral(P, q, rho=rho)
-            rows.append({"quantity": "interior_triangulation", "value": tri.value})
-            rows.append({"quantity": "boundary_triangulation", "value": bnd.value})
-        else:
-            rows.append(
-                {
-                    "quantity": "interior_triangulation",
-                    "value": report.interior_triangulation,
-                }
-            )
-            rows.append(
-                {
-                    "quantity": "interior_localization",
-                    "value": report.interior_localization,
-                }
-            )
-            if report.boundary_triangulation is not None:
-                rows.append(
-                    {
-                        "quantity": "boundary_triangulation",
-                        "value": report.boundary_triangulation,
-                    }
-                )
-                rows.append(
-                    {
-                        "quantity": "boundary_localization",
-                        "value": report.boundary_localization,
-                    }
-                )
-            else:
-                bnd = boundary_exp_integral(P, q, rho=rho)
-                rows.append(
-                    {"quantity": "boundary_triangulation", "value": bnd.value}
-                )
-            rows.append({"quantity": "rel_gap", "value": report.rel_gap})
-    elif args.method == "triangulation":
-        tri = polytope_exp_integral(P, q, rho=rho, method="triangulation")
-        bnd = boundary_exp_integral(P, q, rho=rho)
-        rows.append({"quantity": "interior_triangulation", "value": tri.value})
-        rows.append({"quantity": "boundary_triangulation", "value": bnd.value})
+    if report is None:
+        route = "localization" if args.method == "localization" else "triangulation"
+        interior = polytope_exp_integral(P, q, rho=rho, method=route)
+        pairs = [("interior_" + route, interior.value)]
     else:
-        loc = polytope_exp_integral(P, q, rho=rho, method="localization")
-        bnd = boundary_exp_integral(P, q, rho=rho)
-        rows.append({"quantity": "interior_localization", "value": loc.value})
-        rows.append({"quantity": "boundary_triangulation", "value": bnd.value})
-    return rows, REPORT_COLUMNS, meta
+        pairs = [
+            ("interior_triangulation", report.interior_triangulation),
+            ("interior_localization", report.interior_localization),
+        ]
+    if report is None or report.boundary_triangulation is None:
+        pairs.append(
+            ("boundary_triangulation", boundary_exp_integral(P, q, rho=rho).value)
+        )
+    else:
+        pairs.append(("boundary_triangulation", report.boundary_triangulation))
+        pairs.append(("boundary_localization", report.boundary_localization))
+    if report is not None:
+        pairs.append(("rel_gap", report.rel_gap))
+    return _report_rows(pairs), REPORT_COLUMNS, meta
 
 
 def _cmd_entropy(args):
     P = _load_polytope(args.polytope)
     q, P = _load_q(args.q, P)
-    xi = _vector(args.xi) if args.xi else None
-    report = entropy_curve(P, q, xi=xi, lam=args.lam, grid=_grid(args.grid))
+    lam = _finite(args.lam, "--lambda")
+    report = entropy_curve(P, q, xi=_xi(args.xi, P), lam=lam, grid=_grid(args.grid))
     best = report.best()
     meta = {
         "lambda": args.lam,
@@ -378,8 +358,8 @@ def _cmd_futaki(args):
     if args.q is None:
         raise InputError("futaki needs --q as the variation direction")
     q, P = _load_q(args.q, P)
-    xi = _vector(args.xi) if args.xi else (0,) * P.dim
-    value = futaki(P, xi, q, lam=args.lam)
+    xi = _xi(args.xi, P)
+    value = futaki(P, xi, q, lam=_finite(args.lam, "--lambda"))
     rows = [{"quantity": "futaki", "value": value}]
     meta = {"lambda": args.lam, "xi": ",".join(str(c) for c in xi)}
     return rows, REPORT_COLUMNS, meta
@@ -406,14 +386,7 @@ def _cmd_calabi(args):
     if args.q is None:
         raise InputError("calabi needs --q")
     q, P = _load_q(args.q, P)
-    report = normalized_df(P, q)
-    rows = [
-        {"quantity": "m_na", "value": report.m_na},
-        {"quantity": "variance", "value": report.variance},
-        {"quantity": "c_na", "value": report.c_na},
-        {"quantity": "rho_max", "value": report.rho_max},
-        {"quantity": "sup_value", "value": report.sup_value},
-    ]
+    rows = _report_rows(normalized_df(P, q)._asdict().items())
     return rows, REPORT_COLUMNS, {}
 
 
@@ -470,7 +443,7 @@ def _cmd_filtration(args):
         if name == "corner":
             F = corner_filtration()
         elif name == "corner-flat":
-            F = corner_flat_filtration(_int(param or "2"))
+            F = corner_flat_filtration(_positive_int(param or "2", "corner-flat"))
         else:
             raise InputError("unknown filtration case %r" % (case,))
     else:
@@ -479,7 +452,10 @@ def _cmd_filtration(args):
         P = _load_polytope(args.polytope)
         q, P = _load_q(args.q, P)
         F = MonomialFiltration.from_pa(q)
-    degrees = _int_list(args.m) if args.m else [1, 2, 4, 8, 16, 32, 64]
+    if args.m:
+        degrees = [_positive_int(m, "--m") for m in str(args.m).split(",")]
+    else:
+        degrees = [1, 2, 4, 8, 16, 32, 64]
     rows = []
     for m in degrees:
         nu = spectral_measure(F, m, normalization=args.normalization)
@@ -610,22 +586,14 @@ def _reproduce_donaldson():
         tri, loc, btri, bloc = _both_routes(P, eta, x)
         ci = _donaldson_closed_interior(x)
         cb = _donaldson_closed_boundary(x)
-        for label, got in (
-            ("interior triangulation", tri),
-            ("interior localization", loc),
+        for label, got, want in (
+            ("interior triangulation", tri, ci),
+            ("interior localization", loc, ci),
+            ("boundary triangulation", btri, cb),
+            ("boundary localization", bloc, cb),
         ):
-            _require(
-                _rel_gap(got, ci) <= 1e-9,
-                "%s at %g: rel gap %.3g" % (label, x, _rel_gap(got, ci)),
-            )
-        for label, got in (
-            ("boundary triangulation", btri),
-            ("boundary localization", bloc),
-        ):
-            _require(
-                _rel_gap(got, cb) <= 1e-9,
-                "%s at %g: rel gap %.3g" % (label, x, _rel_gap(got, cb)),
-            )
+            gap = _rel_gap(got, want)
+            _require(gap <= 1e-9, "%s at %g: rel gap %.3g" % (label, x, gap))
 
     fut0 = futaki(P, (0, 0), AffineForm((-1, 0), 0))
     _require(abs(fut0) <= 1e-8, "Futaki pairing at 0 is %.3g" % fut0)
@@ -638,14 +606,9 @@ def _reproduce_donaldson():
     count = 201
     for i in range(count):
         x = 5.0 * i / (count - 1)
-        combo = (x,)
-        A, _ = gear.interior(combo)
-        B, _ = gear.boundary(combo)
-        C, _ = gear.interior(combo, [(n, combo)])
-        A1, _ = gear.interior(combo, [(0.0, (1.0,))])
-        B1, _ = gear.boundary(combo, [(0.0, (1.0,))])
-        mu = -TWO_PI * B / A
-        sigma = C / A - log(A)
+        base, (A1, B1, _) = _moments(gear, n, (x,), [(0.0, (1.0,))], dsigma=False)
+        A, B, _ = base
+        mu, sigma, _ = _entropy(base)
         rows.append(
             {
                 "parameter": x,
@@ -681,9 +644,7 @@ def _reproduce_donaldson():
 
 
 def _reproduce_square_qn(param):
-    n = _int(param or "5")
-    if n < 1:
-        raise InputError("square-qn needs a positive integer")
+    n = _positive_int(param or "5", "square-qn")
     q = square_qn_potential(n)
     P = q.P
     b1 = boundary_pa_moment(q, 1)
@@ -772,11 +733,9 @@ def _reproduce_cp1():
         "maximal entropy %.12g is not -4 pi" % res.value,
     )
     _require(abs(res.xi[0]) <= 1e-6, "maximizer %r is not 0" % (res.xi,))
-    rows = [
-        {"quantity": "xi", "value": res.xi[0]},
-        {"quantity": "value", "value": res.value},
-        {"quantity": "status", "value": res.status},
-    ]
+    rows = _report_rows(
+        [("xi", res.xi[0]), ("value", res.value), ("status", res.status)]
+    )
     return rows, REPORT_COLUMNS, {"target": -4.0 * pi}
 
 
@@ -882,6 +841,15 @@ def _build_parser():
     return parser
 
 
+def _require_finite(rows, meta):
+    """CheckFailure for the first non-finite float in the output."""
+    places = [("row %d" % i, row) for i, row in enumerate(rows)] + [("meta", meta)]
+    for where, record in places:
+        for name, value in record.items():
+            if isinstance(value, float) and not isfinite(value):
+                raise CheckFailure("%s is %r in %s" % (name, value, where))
+
+
 def run(argv) -> int:
     parser = _build_parser()
     try:
@@ -890,6 +858,7 @@ def run(argv) -> int:
         return int(err.code or 0)
     try:
         rows, fieldnames, meta = args.handler(args)
+        _require_finite(rows, meta)
     except (InputError, NonSimpleVertex) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

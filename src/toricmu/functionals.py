@@ -38,34 +38,68 @@ def _xi_form(P, xi) -> AffineForm:
     return AffineForm(tuple(-c for c in coords), 0)
 
 
-def _entropy_values(gear, n, exp_combo):
-    A, _ = gear.interior(exp_combo)
-    B, _ = gear.boundary(exp_combo)
-    C, _ = gear.interior(exp_combo, [(float(n), exp_combo)])
+def _moments(gear, n, combo, directions=(), base=True, sigma=True, dsigma=True):
+    """Moments of e^combo on gear's polytope (dimension n) from one interior
+    and one boundary call.
+
+    Returns one triple per request: (A, B, C) = (int e^q, int_boundary e^q,
+    int (n + q) e^q) when base is true, then (A_d, B_d, C_d) for each
+    direction factor d, the same integrals with one more factor d, where
+    C_d = int (n + 1 + q) d e^q is the variation of C.  C is None unless
+    sigma (base) or dsigma (directions) asks for it.
+    """
+    heads = ([([], sigma)] if base else []) + [([d], dsigma) for d in directions]
+    lists = []
+    for head, want in heads:
+        lists += [head, [(n + len(head), combo)] + head] if want else [head]
+    inner = iter(gear.interior(combo, lists))
+    outer = gear.boundary(combo, [head for head, _ in heads])
+    return [
+        (next(inner)[0], B, next(inner)[0] if want else None)
+        for (B, _), (_, want) in zip(outer, heads)
+    ]
+
+
+def _entropy(moments, variations=()):
+    """(mu, sigma, [(dmu, dsigma)]) from base moments (A, B, C) and, per
+    direction, moments (A_d, B_d, C_d) as _moments returns them.
+
+    A None C gives a None sigma or dsigma.  The first variation of mu_lambda
+    in direction d is dmu + lambda * dsigma.
+    """
+    A, B, C = moments
+    if A == 0.0:  # e^q underflowed on all of P: nan where division would raise
+        A = float("nan")
     mu = -TWO_PI * B / A
-    sigma = C / A - log(A)
-    return A, B, mu, sigma
+    sigma = None if C is None else C / A - log(A)
+    firsts = []
+    for (Ad, Bd, Cd) in variations:
+        dmu = -TWO_PI * (Bd * A - B * Ad) / (A * A)
+        dsigma = None if Cd is None else (Cd * A - C * Ad) / (A * A) - Ad / A
+        firsts.append((dmu, dsigma))
+    return mu, sigma, firsts
+
+
+def _at_rho(P, q, rho, sigma=True):
+    """(mu, sigma) of rho * q; sigma is None unless asked for."""
+    gear = ExpIntegrator(P, [as_pa(q, P)])
+    (moments,) = _moments(gear, float(P.dim), (float(rho),), sigma=sigma)
+    return _entropy(moments)[:2]
 
 
 def mu_star(P, q, rho=1.0) -> float:
     """mu of rho * q."""
-    gear = ExpIntegrator(P, [as_pa(q, P)])
-    A, _ = gear.interior((float(rho),))
-    B, _ = gear.boundary((float(rho),))
-    return -TWO_PI * B / A
+    return _at_rho(P, q, rho, sigma=False)[0]
 
 
 def sigma_star(P, q, rho=1.0) -> float:
     """sigma of rho * q."""
-    gear = ExpIntegrator(P, [as_pa(q, P)])
-    _, _, _, sigma = _entropy_values(gear, P.dim, (float(rho),))
-    return sigma
+    return _at_rho(P, q, rho)[1]
 
 
 def mu_lambda(P, q, lam, rho=1.0) -> float:
     """mu + lambda * sigma of rho * q."""
-    gear = ExpIntegrator(P, [as_pa(q, P)])
-    _, _, mu, sigma = _entropy_values(gear, P.dim, (float(rho),))
+    mu, sigma = _at_rho(P, q, rho)
     return mu + float(lam) * sigma
 
 
@@ -76,21 +110,11 @@ def futaki(P, xi, q0, lam=0.0) -> float:
     xi -> mu_lambda(q_xi).
     """
     qxi = _xi_form(P, xi)
-    q0 = as_pa(q0, P)
-    n = float(P.dim)
-    lam = float(lam)
-    gear = ExpIntegrator(P, [qxi, q0])
+    gear = ExpIntegrator(P, [qxi, as_pa(q0, P)])
     e = (1.0, 0.0)
-    q0f = (0.0, (0.0, 1.0))
-    A, _ = gear.interior(e)
-    A1, _ = gear.interior(e, [q0f])
-    B, _ = gear.boundary(e)
-    B1, _ = gear.boundary(e, [q0f])
-    C, _ = gear.interior(e, [(n, e)])
-    C1, _ = gear.interior(e, [(n + 1.0, e), q0f])
-    dmu = -TWO_PI * (B1 * A - B * A1) / (A * A)
-    dsigma = (C1 * A - C * A1) / (A * A) - A1 / A
-    return -(dmu + lam * dsigma)
+    base, along = _moments(gear, float(P.dim), e, [(0.0, (0.0, 1.0))])
+    _, _, [(dmu, dsigma)] = _entropy(base, [along])
+    return -(dmu + float(lam) * dsigma)
 
 
 EntropyPoint = namedtuple(
@@ -144,12 +168,8 @@ def entropy_curve(P, q0, xi=None, lam=0.0, grid=(0.0, 5.0, 201)) -> EntropyRepor
     gear = ExpIntegrator(P, [qxi, q0])
     rows = []
     for rho in _parse_grid(grid):
-        combo = (1.0, rho)
-        A, _ = gear.interior(combo)
-        B, _ = gear.boundary(combo)
-        C, _ = gear.interior(combo, [(n, combo)])
-        mu = -TWO_PI * B / A
-        sigma = C / A - log(A)
+        [(A, B, C)] = _moments(gear, n, (1.0, rho))
+        mu, sigma, _ = _entropy((A, B, C))
         rows.append(
             EntropyPoint(rho, B, A, mu, sigma, mu + lam * sigma, -mu / TWO_PI)
         )
@@ -212,11 +232,9 @@ def extremal_limit_check(P, q, rho_small=1e-3):
     q = as_pa(q, P)
     n = P.dim
     lam = -1.0 / rho
-    gear = ExpIntegrator(P, [q])
-    _, _, mu, sigma = _entropy_values(gear, n, (rho,))
+    mu, sigma = _at_rho(P, q, rho)
     vol = float(P.volume())
-    bnd = float(P.boundary_measure())
-    mu0 = -TWO_PI * bnd / vol
+    mu0, _, _ = _entropy((vol, float(P.boundary_measure()), None))
     sigma0 = n - log(vol)
     lhs = ((mu + lam * sigma) - (mu0 + lam * sigma0)) / rho
     rhs = calabi(P, q).c_na

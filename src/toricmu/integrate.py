@@ -10,6 +10,8 @@ over a simplex reduce, through the barycentric moment identity
 
 to confluent divided differences of exp, which the _ddexp kernel evaluates
 without cancellation.  Piecewise-affine data is handled on the cell complex.
+ExpIntegrator integrates any number of factor lists at one exponent in one
+pass over the simplices.
 
 Localization route: the vertex sum
 
@@ -23,6 +25,10 @@ perturbed to xi + t*zeta with a generic rational zeta, each vertex term is
 expanded as a truncated Laurent series in t, the negative powers cancel in
 the sum and the t^0 coefficient is the limit.  Directions that are merely
 near-singular in floating point raise NearSingularDirection instead.
+
+Both routes share the kernel's overflow convention: an exponential whose
+argument exceeds 709 is inf rather than an OverflowError, so an overflowing
+integral comes back non-finite.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import exp, factorial, sqrt
+from math import factorial, sqrt
 
+from ._ddexp_py import _safe_exp
 from .polytope import _coords, _dot
 from .paconvex import AffineForm, as_pa, common_cells
 
@@ -125,10 +132,8 @@ def _simplex_weighted(det, avals, factor_vals, memo):
     tuple of vertex choices maps to a confluent divided difference with the
     chosen nodes repeated.  memo, keyed by the sorted vertex choices, carries
     divided differences between calls with the same avals; the caller drops
-    it when avals change.  Without factors it is not used.
+    it when avals change.
     """
-    if not factor_vals:
-        return det * ddexp(avals)
     m = len(avals)
     coeff = {}
     for tup in _iproduct(range(m), repeat=len(factor_vals)):
@@ -164,7 +169,8 @@ class ExpIntegrator:
     """Fixed (polytope, function list); evaluates many float combinations.
 
     funcs are PA functions (or affine forms, or None for the zero function)
-    on P.  interior()/boundary() integrate
+    on P.  interior()/boundary() take one exponent combination and a list of
+    factor lists, and integrate for each factor list
 
         (prod_j (c_j + sum_k combo_jk * funcs_k)) * e^(sum_k e_k * funcs_k)
 
@@ -172,11 +178,15 @@ class ExpIntegrator:
     triangulations, and per-vertex function values are computed once, so a
     parameter sweep only pays for divided differences.
 
-    Each simplex also keeps the divided differences of the last exponent it
-    saw, checked against the exact bits of its vertex exponents, so calls at
-    one exponent with different factors compute each distinct divided
-    difference once.  A new exponent replaces them; facet children keep
-    their own.
+    One call makes one pass over the simplices: the vertex exponents are
+    computed once per simplex and every factor list is integrated from
+    them.  Each simplex also keeps the divided differences of the last
+    exponent it saw, checked against the exact bits of its vertex
+    exponents, so the factor lists of one call, and later calls at the same
+    exponent, compute each distinct divided difference once.  A new
+    exponent replaces them; facet children keep their own.  An empty
+    factor list needs one divided difference, which nothing else shares, so
+    it bypasses the memo.
     """
 
     def __init__(self, P, funcs):
@@ -201,53 +211,58 @@ class ExpIntegrator:
         self._records = records
         self._memos = [(None, None)] * len(records)
 
-    def interior(self, exp_combo, factor_combos=()):
-        """Returns (value, magnitude) where magnitude sums |contributions|."""
+    def interior(self, exp_combo, factor_lists):
+        """[(value, magnitude)] per factor list; magnitude sums |contributions|."""
         if self._records is None:
             self._build()
-        total = 0.0
-        mag = 0.0
+        totals = [0.0] * len(factor_lists)
+        mags = [0.0] * len(factor_lists)
+        factored = any(factor_lists)
         memos = self._memos
         for r, (det, vals) in enumerate(self._records):
             avals = [
                 sum(c * row[k] for k, c in enumerate(exp_combo)) for row in vals
             ]
             memo = None
-            if factor_combos:
-                # a plain integral needs one divided difference, which no
-                # other call at this exponent shares
+            if factored:
                 bits = _float_bits(avals)
                 seen, memo = memos[r]
                 if seen != bits:
                     memo = {}
                     memos[r] = (bits, memo)
-            fvals = [
-                [
-                    const + sum(c * row[k] for k, c in enumerate(coeffs))
-                    for row in vals
-                ]
-                for (const, coeffs) in factor_combos
-            ]
-            contrib = _simplex_weighted(det, avals, fvals, memo)
-            total += contrib
-            mag += abs(contrib)
-        return total, mag
+            for j, factors in enumerate(factor_lists):
+                if factors:
+                    fvals = [
+                        [
+                            const + sum(c * row[k] for k, c in enumerate(coeffs))
+                            for row in vals
+                        ]
+                        for (const, coeffs) in factors
+                    ]
+                    contrib = _simplex_weighted(det, avals, fvals, memo)
+                else:
+                    contrib = det * ddexp(avals)
+                totals[j] += contrib
+                mags[j] += abs(contrib)
+        return list(zip(totals, mags))
 
-    def boundary(self, exp_combo, factor_combos=()):
+    def boundary(self, exp_combo, factor_lists):
+        """As interior(), over the boundary of P."""
+        totals = [0.0] * len(factor_lists)
+        mags = [0.0] * len(factor_lists)
         if self.dim == 1:
-            total = 0.0
-            mag = 0.0
             for f in self.P.facets:
                 v = self.P.vertices[f.vertex_indices[0]]
                 row = [float(pa(v)) for pa in self.funcs]
-                a = sum(c * row[k] for k, c in enumerate(exp_combo))
-                w = 1.0
-                for (const, coeffs) in factor_combos:
-                    w *= const + sum(c * row[k] for k, c in enumerate(coeffs))
-                contrib = w * exp(a)
-                total += contrib
-                mag += abs(contrib)
-            return total, mag
+                ea = _safe_exp(sum(c * row[k] for k, c in enumerate(exp_combo)))
+                for j, factors in enumerate(factor_lists):
+                    w = 1.0
+                    for (const, coeffs) in factors:
+                        w *= const + sum(c * row[k] for k, c in enumerate(coeffs))
+                    contrib = w * ea
+                    totals[j] += contrib
+                    mags[j] += abs(contrib)
+            return list(zip(totals, mags))
         if self._children is None:
             self._children = []
             for i in range(len(self.P.facets)):
@@ -257,13 +272,11 @@ class ExpIntegrator:
                 else:
                     sub, _, _ = self.P.facet_polytope(i)
                 self._children.append(ExpIntegrator(sub, restricted))
-        total = 0.0
-        mag = 0.0
         for child in self._children:
-            t, m = child.interior(exp_combo, factor_combos)
-            total += t
-            mag += m
-        return total, mag
+            for j, (t, m) in enumerate(child.interior(exp_combo, factor_lists)):
+                totals[j] += t
+                mags[j] += m
+        return list(zip(totals, mags))
 
 
 # -- public integral drivers ---------------------------------------------------
@@ -311,6 +324,20 @@ def _weight_terms(weight, P, q, rho):
     return funcs, out
 
 
+def _weighted_integral(kind, P, qpa, rho, weight):
+    """The triangulation route of both public drivers: one integrator call."""
+    funcs, terms = _weight_terms(weight, P, qpa, rho)
+    gear = ExpIntegrator(P, funcs)
+    exp_combo = (float(rho),) + (0.0,) * (len(gear.funcs) - 1)
+    parts = getattr(gear, kind)(exp_combo, [combos for (_, combos) in terms])
+    total = 0.0
+    mag = 0.0
+    for (scalar, _), (t, m) in zip(terms, parts):
+        total += scalar * t
+        mag += abs(scalar) * m
+    return IntegralResult(total, "triangulation", 1e-14 * mag * (P.dim + 2))
+
+
 def polytope_exp_integral(P, q, rho=1.0, weight=None, method="auto") -> IntegralResult:
     """Integral over P of weight * e^(rho q) against the lattice measure.
 
@@ -326,16 +353,7 @@ def polytope_exp_integral(P, q, rho=1.0, weight=None, method="auto") -> Integral
             raise ValueError("localization evaluates unweighted integrals only")
         value, mag = _localize_integral(P, qpa, float(rho))
         return IntegralResult(value, "localization", 1e-13 * mag)
-    funcs, terms = _weight_terms(weight, P, qpa, rho)
-    gear = ExpIntegrator(P, funcs)
-    exp_combo = (float(rho),) + (0.0,) * (len(gear.funcs) - 1)
-    total = 0.0
-    mag = 0.0
-    for (scalar, combos) in terms:
-        t, m = gear.interior(exp_combo, combos)
-        total += scalar * t
-        mag += abs(scalar) * m
-    return IntegralResult(total, "triangulation", 1e-14 * mag * (P.dim + 2))
+    return _weighted_integral("interior", P, qpa, rho, weight)
 
 
 def boundary_exp_integral(P, q, rho=1.0, weight=None) -> IntegralResult:
@@ -344,17 +362,7 @@ def boundary_exp_integral(P, q, rho=1.0, weight=None) -> IntegralResult:
     Facet lattice measures; evaluated by recursion to the facets in their
     exact lattice charts.
     """
-    qpa = as_pa(q, P)
-    funcs, terms = _weight_terms(weight, P, qpa, rho)
-    gear = ExpIntegrator(P, funcs)
-    exp_combo = (float(rho),) + (0.0,) * (len(gear.funcs) - 1)
-    total = 0.0
-    mag = 0.0
-    for (scalar, combos) in terms:
-        t, m = gear.boundary(exp_combo, combos)
-        total += scalar * t
-        mag += abs(scalar) * m
-    return IntegralResult(total, "triangulation", 1e-14 * mag * (P.dim + 2))
+    return _weighted_integral("boundary", P, as_pa(q, P), rho, weight)
 
 
 # -- localization ---------------------------------------------------------------
@@ -381,14 +389,11 @@ def _norm(vec):
 _GENERICITY = 1e-6
 
 
-def brion_localize(P, eta, scale=1.0, boundary=False) -> float:
-    """Vertex-sum evaluation of int e^(<mu, scale*eta>) over P (or its boundary).
+def _localization_data(P, eta, scale, boundary, allow_zero):
+    """Checked inputs of a vertex sum: (eta, x, vertex pairings, zero edges).
 
-    eta must be exact rational; scale is a float.  Raises
-    NearSingularDirection when any edge pairing falls below the genericity
-    threshold 1e-6 * |eta| * |mu| (exact zeros included); polytope_exp_integral
-    with method="localization" additionally handles the exact-zero case by an
-    analytic limit.
+    Pairings below the genericity threshold raise NearSingularDirection;
+    with allow_zero, exact zeros are collected in zero edges instead.
     """
     eta = _coords(eta)
     x = float(scale)
@@ -398,21 +403,30 @@ def brion_localize(P, eta, scale=1.0, boundary=False) -> float:
     neta = _norm(eta)
     if neta == 0.0:
         raise ValueError("direction must be nonzero")
+    zero_edges = []
     for (_, _, pairs) in data:
         for (t, mu) in pairs:
-            if abs(float(t)) < _GENERICITY * neta * _norm(mu):
+            if allow_zero and t == 0:
+                zero_edges.append(mu)
+            elif abs(float(t)) < _GENERICITY * neta * _norm(mu):
                 raise NearSingularDirection(
                     "edge %r pairs to %s with the direction" % (mu, t)
                 )
-    n = P.dim
+    if boundary and P.dim != 2:
+        raise ValueError("boundary localization is two-dimensional only")
+    return eta, x, data, zero_edges
+
+
+def _vertex_sum(n, eta, x, data, boundary):
+    """The Brion vertex sum over checked data with no zero pairing."""
     if boundary:
-        if n != 2:
-            raise ValueError("boundary localization is two-dimensional only")
         total = 0.0
         for (v, _, pairs) in data:
             (t1, _), (t2, _) = pairs
             t1f, t2f = float(t1) * x, float(t2) * x
-            total -= exp(x * float(_dot(v.coords, eta))) * (t1f + t2f) / (t1f * t2f)
+            total -= (
+                _safe_exp(x * float(_dot(v.coords, eta))) * (t1f + t2f) / (t1f * t2f)
+            )
         return total
     sign = -1.0 if n % 2 else 1.0
     total = 0.0
@@ -420,8 +434,21 @@ def brion_localize(P, eta, scale=1.0, boundary=False) -> float:
         denom = 1.0
         for (t, _) in pairs:
             denom *= x * float(t)
-        total += exp(x * float(_dot(v.coords, eta))) * index / denom
+        total += _safe_exp(x * float(_dot(v.coords, eta))) * index / denom
     return sign * total
+
+
+def brion_localize(P, eta, scale=1.0, boundary=False) -> float:
+    """Vertex-sum evaluation of int e^(<mu, scale*eta>) over P (or its boundary).
+
+    eta must be exact rational; scale is a float.  Raises
+    NearSingularDirection when any edge pairing falls below the genericity
+    threshold 1e-6 * |eta| * |mu| (exact zeros included); polytope_exp_integral
+    with method="localization" additionally handles the exact-zero case by an
+    analytic limit.
+    """
+    eta, x, data, _ = _localization_data(P, eta, scale, boundary, False)
+    return _vertex_sum(P.dim, eta, x, data, boundary)
 
 
 # truncated Laurent series: (lead power, coefficient list)
@@ -473,28 +500,10 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
     NearSingularDirection is still raised for pairings that are small in
     floating point without being exactly zero.
     """
-    eta = _coords(eta)
-    x = float(scale)
-    if x == 0.0:
-        raise ValueError("scale must be nonzero")
-    data = _vertex_pairings(P, eta)
-    neta = _norm(eta)
-    if neta == 0.0:
-        raise ValueError("direction must be nonzero")
-    zero_edges = []
-    for (_, _, pairs) in data:
-        for (t, mu) in pairs:
-            if t == 0:
-                zero_edges.append(mu)
-            elif abs(float(t)) < _GENERICITY * neta * _norm(mu):
-                raise NearSingularDirection(
-                    "edge %r pairs to %s with the direction" % (mu, t)
-                )
+    eta, x, data, zero_edges = _localization_data(P, eta, scale, boundary, True)
     n = P.dim
-    if boundary and n != 2:
-        raise ValueError("boundary localization is two-dimensional only")
     if not zero_edges:
-        return brion_localize(P, eta, scale=x, boundary=boundary)
+        return _vertex_sum(n, eta, x, data, boundary)
 
     zeta = _aux_direction(n, zero_edges)
     zmax = 0
@@ -507,7 +516,7 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
     for (v, index, pairs) in data:
         a = x * float(_dot(v.coords, eta))
         b = x * float(_dot(v.coords, zeta))
-        ea = exp(a)
+        ea = _safe_exp(a)
         term = (0, [ea * b ** j / factorial(j) for j in range(keep)])
         if boundary:
             (t1, m1), (t2, m2) = pairs
@@ -569,9 +578,9 @@ def _localize_integral(P, qpa, rho):
         piece = qpa.pieces[i]
         const = float(piece.constant)
         if rho == 0.0 or all(g == 0 for g in piece.gradient):
-            contrib = exp(rho * const) * float(cell.volume())
+            contrib = _safe_exp(rho * const) * float(cell.volume())
         else:
-            contrib = exp(rho * const) * brion_localize_limit(
+            contrib = _safe_exp(rho * const) * brion_localize_limit(
                 cell, piece.gradient, scale=rho
             )
         total += contrib
@@ -629,7 +638,7 @@ def cross_validate(P, q, rho=1.0) -> CrossValidation:
         piece = qpa.pieces[0]
         if any(g != 0 for g in piece.gradient):
             bt = boundary_exp_integral(P, qpa, rho=rho).value
-            bl = exp(rho * float(piece.constant)) * brion_localize_limit(
+            bl = _safe_exp(rho * float(piece.constant)) * brion_localize_limit(
                 P, piece.gradient, scale=rho, boundary=True
             )
             gaps.append(abs(bt - bl) / max(abs(bt), abs(bl), 1e-300))

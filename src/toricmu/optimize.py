@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isfinite, log, sqrt
+from math import isfinite, sqrt
 
-from .functionals import TWO_PI, calabi
+from .functionals import TWO_PI, _entropy, _moments, calabi
 from .integrate import ExpIntegrator, ValidationFailure, _float_bits
 from .paconvex import AffineForm, as_pa
 
@@ -50,37 +50,35 @@ class _Objective:
     def _abc(self, combo, key):
         abc = self._abc_at.get(key)
         if abc is None:
-            A, _ = self.gear.interior(combo)
-            B, _ = self.gear.boundary(combo)
-            C, _ = self.gear.interior(combo, [(float(self.n), combo)])
-            abc = self._abc_at[key] = (A, B, C)
+            [abc] = _moments(self.gear, float(self.n), combo)
+            self._abc_at[key] = abc
         return abc
 
     def value(self, xi):
         combo = tuple(float(c) for c in xi)
-        A, B, C = self._abc(combo, _float_bits(combo))
-        return -TWO_PI * B / A + self.lam * (C / A - log(A))
+        mu, sigma, _ = _entropy(self._abc(combo, _float_bits(combo)))
+        return mu + self.lam * sigma
 
     def value_grad(self, xi):
         combo = tuple(float(c) for c in xi)
         key = _float_bits(combo)
         hit = self._value_grad_at.get(key)
         if hit is None:
-            A, B, C = self._abc(combo, key)
-            value = -TWO_PI * B / A + self.lam * (C / A - log(A))
-            grad = []
-            for i in range(self.n):
-                unit = tuple(1.0 if k == i else 0.0 for k in range(self.n))
-                probe = [(0.0, unit)]
-                Ai, _ = self.gear.interior(combo, probe)
-                Bi, _ = self.gear.boundary(combo, probe)
-                Ci, _ = self.gear.interior(
-                    combo, [(self.n + 1.0, combo), (0.0, unit)]
-                )
-                dmu = -TWO_PI * (Bi * A - B * Ai) / (A * A)
-                dsigma = (Ci * A - C * Ai) / (A * A) - Ai / A
-                grad.append(dmu + self.lam * dsigma)
-            hit = self._value_grad_at[key] = (value, tuple(grad))
+            units = [
+                (0.0, tuple(1.0 if k == i else 0.0 for k in range(self.n)))
+                for i in range(self.n)
+            ]
+            abc = self._abc_at.get(key)
+            # after value() at this point only the direction moments are new
+            moments = _moments(
+                self.gear, float(self.n), combo, units, base=abc is None
+            )
+            if abc is None:
+                abc = self._abc_at[key] = moments.pop(0)
+            mu, sigma, firsts = _entropy(abc, moments)
+            value = mu + self.lam * sigma
+            grad = tuple(dmu + self.lam * dsigma for (dmu, dsigma) in firsts)
+            hit = self._value_grad_at[key] = (value, grad)
         return hit[0], list(hit[1])
 
 

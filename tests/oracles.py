@@ -391,7 +391,9 @@ class UncachedObjective:
     def _integral(self, kind, combo, factors=()):
         from toricmu.integrate import ExpIntegrator
 
-        value, _ = getattr(ExpIntegrator(self.P, self.funcs), kind)(combo, factors)
+        [(value, _)] = getattr(ExpIntegrator(self.P, self.funcs), kind)(
+            combo, [factors]
+        )
         return value
 
     def _abc(self, xi):

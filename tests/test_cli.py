@@ -301,6 +301,38 @@ def test_optimize_rejects_positive_or_non_finite_lambda(capsys, lam):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # input the command cannot use: exit 2
+        ("filtration --case corner --m 0,1,2", 2),
+        ("filtration --case corner --m 1,2,-3", 2),
+        ("filtration --case corner-flat:0", 2),
+        ("entropy --polytope square --xi 1,2,3", 2),
+        ("futaki --polytope square --q zero --xi 1,2,3", 2),
+        ("entropy --polytope square --lambda nan", 2),
+        ("entropy --polytope square --lambda=-inf", 2),
+        ("futaki --polytope square --q zero --lambda inf", 2),
+        ("integrate --polytope square --rho nan", 2),
+        ("integrate --polytope square --rho inf", 2),
+        # exponentials beyond the float range either way: exit 3
+        ("integrate --polytope cp1 --q corner-flat:2 --rho 800", 3),
+        ("integrate --polytope square --q square-qn:2 --rho -800", 3),
+        ("futaki --polytope cp1 --q corner-flat:2 --xi -800", 3),
+        ("entropy --polytope cp1 --q corner-flat:2 --grid 0:900:3", 3),
+        ("entropy --polytope blowup-delta:1 --q const:0 --xi 800,800", 3),
+        ("entropy --polytope square --q const:-1000 --grid 0:5:3", 3),
+    ],
+)
+def test_unusable_input_and_non_finite_results_exit_cleanly(capsys, argv, code):
+    assert run(argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "error: " if code == 2 else "validation failure: "
+    assert captured.err.startswith(prefix)
+    assert "Traceback" not in captured.err
+
+
 def test_exit_code_2_on_bad_q_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

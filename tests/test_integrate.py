@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import support
@@ -92,10 +94,10 @@ def test_weighted_integrals_hand_values():
     # three factors repeat a vertex up to three times (weight 3! = 6)
     gear = ExpIntegrator(P, [AffineForm((1, 0), 0), AffineForm((0, 1), 0)])
     x_f, y_f = (0.0, (1.0, 0.0)), (0.0, (0.0, 1.0))
-    assert gear.interior((1.0, 1.0), [x_f, x_f, x_f])[0] == pytest.approx(
+    assert gear.interior((1.0, 1.0), [[x_f, x_f, x_f]])[0][0] == pytest.approx(
         (6 - 2 * E) * (E - 1), rel=1e-12
     )
-    assert gear.interior((1.0, 1.0), [x_f, y_f, x_f])[0] == pytest.approx(
+    assert gear.interior((1.0, 1.0), [[x_f, y_f, x_f]])[0][0] == pytest.approx(
         E - 2, rel=1e-12
     )
 
@@ -170,6 +172,30 @@ def test_brion_nongeneric_raises_and_limit_resolves():
     assert brion_localize_limit(P, (1, 0), boundary=True) == pytest.approx(
         expected_bnd, rel=1e-11
     )
+
+
+@pytest.mark.parametrize(
+    "make_P, eta, scale, boundary, error, message",
+    [
+        (support.unit_square, (1, 2), 0.0, False, ValueError, "scale must be"),
+        (support.unit_square, (0, 0), 1.0, False, ValueError, "direction must"),
+        (support.unit_square, (1, 1e-9), 1.0, False, NearSingularDirection, "pairs"),
+        (
+            lambda: build_polytope(support.UNIT_CUBE),
+            (1, 2, 3),
+            1.0,
+            True,
+            ValueError,
+            "two-dimensional only",
+        ),
+    ],
+)
+def test_localization_input_checks(make_P, eta, scale, boundary, error, message):
+    """Both vertex-sum entry points reject the same inputs the same way."""
+    P = make_P()
+    for localize in (brion_localize, brion_localize_limit):
+        with pytest.raises(error, match=message):
+            localize(P, eta, scale=scale, boundary=boundary)
 
 
 def test_brion_matches_triangulation_random():
@@ -254,11 +280,44 @@ def test_cross_validate_nongeneric_direction():
     assert report.interior_triangulation == pytest.approx(E - 1, rel=1e-12)
 
 
+def _assert_calls_equal_fresh(P, funcs, exponents):
+    n = float(P.dim)
+    gear = ExpIntegrator(P, funcs)
+    for k, e in enumerate(exponents):
+        factor_lists = [
+            (),
+            [(0.0, (1.0, 0.0))],
+            [(n, e)],
+            [(n + 1.0, e), (0.0, (0.0, 1.0))],
+            [(0.5, (0.0, 1.0)), (0.0, (1.0, 0.0)), (-1.0, e)],
+        ]
+        for kind in ("interior", "boundary"):
+            fresh = [
+                getattr(ExpIntegrator(P, funcs), kind)(e, [factors])[0]
+                for factors in factor_lists
+            ]
+            # single-list calls, in an order that moves with the exponent
+            order = list(range(5))
+            for j in order[k:] + order[:k]:
+                got = getattr(gear, kind)(e, [factor_lists[j]])
+                assert got == [fresh[j]], (P.dim, e, factor_lists[j], kind)
+            # one call with every list, in every rotation of the list order
+            for r in range(5):
+                got = getattr(gear, kind)(e, factor_lists[r:] + factor_lists[:r])
+                assert got == fresh[r:] + fresh[:r], (P.dim, e, r, kind)
+                # the magnitude sums |contributions|, so it bounds the value
+                assert all(m >= abs(v) for (v, m) in got), (P.dim, e, kind)
+            assert getattr(gear, kind)(e, [(), ()]) == [fresh[0], fresh[0]]
+            assert getattr(gear, kind)(e, []) == []
+
+
 def test_memoized_integrator_equals_fresh():
     """Interior and boundary calls at a repeated exponent share divided
-    differences; every result must equal a fresh integrator's bit for bit,
-    whatever the factors and their order, and after a change of exponent
-    (including one that only flips the sign of a zero)."""
+    differences, and one call with several factor lists makes one pass over
+    the simplices.  Every result must equal a fresh integrator's single-list
+    call bit for bit, whatever the factors and their order, and after a
+    change of exponent (including one that only flips the sign of a
+    zero)."""
     pent = support.readme_pentagon()
     kink = support.pa_from(
         pent, ((0, 0), 0), ((1, 1), 0), ((2, -1), Fraction(1, 2))
@@ -286,18 +345,20 @@ def test_memoized_integrator_equals_fresh():
         (0.0, -0.3),
     ]
     for P, funcs in cases:
-        n = float(P.dim)
-        gear = ExpIntegrator(P, funcs)
-        for k, e in enumerate(exponents):
-            factor_lists = [
-                (),
-                [(0.0, (1.0, 0.0))],
-                [(n, e)],
-                [(n + 1.0, e), (0.0, (0.0, 1.0))],
-                [(0.5, (0.0, 1.0)), (0.0, (1.0, 0.0)), (-1.0, e)],
-            ]
-            for factors in factor_lists[k:] + factor_lists[:k]:
-                for kind in ("interior", "boundary"):
-                    got = getattr(gear, kind)(e, factors)
-                    fresh = getattr(ExpIntegrator(P, funcs), kind)(e, factors)
-                    assert got == fresh, (P.dim, e, factors, kind)
+        _assert_calls_equal_fresh(P, funcs, exponents)
+
+    coefficient = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+
+    @settings(max_examples=8, deadline=None)
+    @given(support.exact_polytopes(), st.data())
+    def exact_inputs(P, data):
+        forms = [
+            AffineForm(
+                tuple(data.draw(coefficient) for _ in range(P.dim)),
+                data.draw(coefficient),
+            )
+            for _ in range(2)
+        ]
+        _assert_calls_equal_fresh(P, forms, exponents[1:3])
+
+    exact_inputs()
