@@ -16,6 +16,15 @@ table is filled entry by entry from the complete-homogeneous-symmetric series
 which converges fast for small nodes.  The K squarings that undo the scaling
 only ever add and multiply nonnegative numbers, so no cancellation occurs at
 any point.
+
+Only the entries the answer B^(2^K)[0][m-1] reads are computed.  At K = 0
+that is the one seed entry (0, m-1): a single series, no table.  At K = 1
+the one squaring reads row 0 and column m-1 of the seed table, so those
+2m - 3 series and two diagonal exps are all that is filled.  At K >= 2 the
+whole seed table is filled and squared K - 1 times.  The last squaring
+always forms just the corner, the sum over k of B[0][k] * B[k][m-1] from
+0.0 with k ascending, as a full squaring would, so the result has the same
+bits as squaring the whole table K times.
 """
 
 from math import exp, factorial, frexp
@@ -32,17 +41,19 @@ def _dd_series(x):
     r = len(x) - 1
     invf = 1.0 / factorial(r)
     total = invf
-    old = [1.0] * (r + 1)
+    # h[t] holds h_k(x_0..x_t); each pass turns h_{k-1} into h_k in place,
+    # left to right: acc is the new h[t - 1] when h[t] still holds the old
+    h = [1.0] * (r + 1)
+    x0 = x[0]
+    rest = range(1, r + 1)
     small = 0
     for k in range(1, 60):
         invf /= r + k
-        new = [0.0] * (r + 1)
-        new[0] = x[0] * old[0]
-        for t in range(1, r + 1):
-            new[t] = new[t - 1] + x[t] * old[t]
-        term = new[r] * invf
+        acc = h[0] = x0 * h[0]
+        for t in rest:
+            acc = h[t] = acc + x[t] * h[t]
+        term = acc * invf
         total += term
-        old = new
         # sign-symmetric nodes zero out alternate terms, so one small term
         # is not yet convergence
         if abs(term) <= 1e-19 * abs(total):
@@ -68,6 +79,16 @@ def _square_upper(B):
     return C
 
 
+def _corner_of_square(B):
+    """Entry (0, m-1) of B @ B, summed exactly as _square_upper sums it."""
+    last = len(B) - 1
+    B0 = B[0]
+    acc = 0.0
+    for k in range(last + 1):
+        acc += B0[k] * B[k][last]
+    return acc
+
+
 def ddexp(nodes):
     """Divided difference exp[nodes[0], ..., nodes[-1]] (order insensitive)."""
     m = len(nodes)
@@ -84,18 +105,31 @@ def ddexp(nodes):
         K = max(0, frexp(spread / 0.5)[1])
         while spread * (0.5 ** K) > 0.5:
             K += 1
+    if K == 0:
+        # eps = 1, so s = h and the answer is the one seed entry (0, m-1)
+        return _safe_exp(c) * _dd_series(h)
     eps = 0.5 ** K
     s = [v * eps for v in h]
+    last = m - 1
 
     B = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        B[i][i] = exp(s[i])
-    for i in range(m):
-        for j in range(i + 1, m):
-            B[i][j] = (eps ** (j - i)) * _dd_series(s[i : j + 1])
-    for _ in range(K):
-        B = _square_upper(B)
-    return _safe_exp(c) * B[0][m - 1]
+    if K == 1:
+        # one squaring reads only row 0 and column m-1 of the seed table
+        B[0][0] = exp(s[0])
+        B[last][last] = exp(s[last])
+        for j in range(1, m):
+            B[0][j] = (eps ** j) * _dd_series(s[: j + 1])
+        for i in range(1, last):
+            B[i][last] = (eps ** (last - i)) * _dd_series(s[i:])
+    else:
+        for i in range(m):
+            B[i][i] = exp(s[i])
+        for i in range(m):
+            for j in range(i + 1, m):
+                B[i][j] = (eps ** (j - i)) * _dd_series(s[i : j + 1])
+        for _ in range(K - 1):
+            B = _square_upper(B)
+    return _safe_exp(c) * _corner_of_square(B)
 
 
 BACKEND = "python"

@@ -11,7 +11,11 @@ construction to pin the incremental clip to a full rebuild, dh_cdf_clip,
 which measures a sublevel set with the package's clip and volume to pin
 the divided-difference DH CDF to them, and UncachedObjective, which
 replays the optimizer objective's arithmetic on fresh package integrators
-to pin its caches.
+to pin its caches.  ddexp_full_table is a package-free oracle of a
+different kind: a verbatim copy of the scalar divided-difference kernel
+as it was when it still filled and squared the whole seed table, kept to
+pin the kernel that fills only the entries its answer reads to the same
+bits.
 """
 
 import math
@@ -231,6 +235,86 @@ def mp_ddexp(nodes, dps=50):
                     nxt.append(mpmath.exp(xs[i]) / mpmath.factorial(w))
             col = nxt
         return float(col[0])
+
+
+def _safe_exp(x):
+    if x > 709.0:
+        return float("inf")
+    return math.exp(x)
+
+
+def _dd_series(x):
+    """Divided difference of exp over small nodes (|x_i| <= 1/2)."""
+    r = len(x) - 1
+    invf = 1.0 / math.factorial(r)
+    total = invf
+    old = [1.0] * (r + 1)
+    small = 0
+    for k in range(1, 60):
+        invf /= r + k
+        new = [0.0] * (r + 1)
+        new[0] = x[0] * old[0]
+        for t in range(1, r + 1):
+            new[t] = new[t - 1] + x[t] * old[t]
+        term = new[r] * invf
+        total += term
+        old = new
+        # sign-symmetric nodes zero out alternate terms, so one small term
+        # is not yet convergence
+        if abs(term) <= 1e-19 * abs(total):
+            small += 1
+            if small >= 2:
+                break
+        else:
+            small = 0
+    return total
+
+
+def _square_upper(B):
+    m = len(B)
+    C = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        Bi = B[i]
+        Ci = C[i]
+        for j in range(i, m):
+            acc = 0.0
+            for k in range(i, j + 1):
+                acc += Bi[k] * B[k][j]
+            Ci[j] = acc
+    return C
+
+
+def ddexp_full_table(nodes):
+    """Divided difference exp[nodes] from the whole Opitz seed table.
+
+    Scaling and squaring (McCurdy, Ng & Parlett 1984): every seed entry
+    (i, j) comes from its own series, and all K squarings are full."""
+    m = len(nodes)
+    if m == 0:
+        raise ValueError("need at least one node")
+    if m == 1:
+        return _safe_exp(nodes[0])
+    c = sum(nodes) / m
+    h = [b - c for b in nodes]
+    spread = max(abs(v) for v in h)
+    K = 0
+    if spread > 0.5:
+        # smallest K with spread / 2^K <= 1/2
+        K = max(0, math.frexp(spread / 0.5)[1])
+        while spread * (0.5 ** K) > 0.5:
+            K += 1
+    eps = 0.5 ** K
+    s = [v * eps for v in h]
+
+    B = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        B[i][i] = math.exp(s[i])
+    for i in range(m):
+        for j in range(i + 1, m):
+            B[i][j] = (eps ** (j - i)) * _dd_series(s[i : j + 1])
+    for _ in range(K):
+        B = _square_upper(B)
+    return _safe_exp(c) * B[0][m - 1]
 
 
 def central_derivative(f, h=1e-4):

@@ -2,14 +2,17 @@
 
 The kernel feeds every integral in the package, so it gets the heaviest
 randomized coverage.  Expected values come from oracles.mp_ddexp, an
-independent confluent-recurrence implementation in mpmath.
+independent confluent-recurrence implementation in mpmath.  The Python
+kernel is also pinned bit for bit to oracles.ddexp_full_table, the same
+algorithm computing its whole seed table.
 """
 
 import math
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -139,3 +142,93 @@ def test_backends_agree():
     for _ in range(200):
         nodes = [rng.uniform(-20, 20) for _ in range(rng.randint(1, 10))]
         assert cy(nodes) == pytest.approx(py(nodes), rel=1e-13)
+
+
+def _bits(x):
+    # every NaN compares as NaN; every other float by its exact bits
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+HALF_UP = math.nextafter(0.5, math.inf)
+SPREADS = [0.25, 0.5, HALF_UP, 1.0, math.nextafter(1.0, math.inf), 3.0]
+BASES = [0.0, -0.0, 3.0, 708.0, 709.0, 709.5, 712.0, 800.0, -708.0, -745.0, -760.0]
+
+
+@st.composite
+def kernel_nodes(draw):
+    """Node lists of 1-8 nodes at every scaling depth the kernel takes.
+
+    Four shapes: free nodes around a base, centered symmetric nodes whose
+    spread is exactly a K boundary, the simplex-with-confluent-pair shape
+    avals + [a_i, a_j] of the weighted moments, and signed zeros."""
+    shape = draw(st.sampled_from(["free", "symmetric", "confluent", "zeros"]))
+    m = draw(st.integers(1, 8))
+    if shape == "zeros":
+        return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=m, max_size=m))
+    base = draw(
+        st.one_of(st.sampled_from(BASES), st.floats(-40.0, 40.0, allow_nan=False))
+    )
+    if shape == "symmetric":
+        # mean exactly 0, so the centered nodes are exactly +-t and 0
+        t = draw(st.sampled_from(SPREADS))
+        return [-t, t] + [0.0] * max(0, m - 2)
+    spread = draw(
+        st.one_of(
+            st.sampled_from(SPREADS),
+            st.floats(0.0, 0.5),
+            st.floats(0.5, 1.0),
+            st.floats(1.0, 60.0),
+        )
+    )
+    units = st.floats(-1.0, 1.0)
+    if shape == "free":
+        return [base + spread * u for u in draw(st.lists(units, min_size=m, max_size=m))]
+    avals = [
+        base + spread * u
+        for u in draw(st.lists(units, min_size=max(1, m - 2), max_size=max(1, m - 2)))
+    ]
+    i = draw(st.integers(0, len(avals) - 1))
+    j = draw(st.integers(0, len(avals) - 1))
+    return avals + [avals[i], avals[j]]
+
+
+@settings(max_examples=600, deadline=None)
+@given(kernel_nodes())
+@example([-0.5, 0.5])
+@example([-HALF_UP, HALF_UP])
+@example([-0.5, 0.5, 0.0, 0.0])
+@example([-HALF_UP, HALF_UP, 0.0, 0.0, 0.0])
+@example([0.0, -0.0])
+@example([-0.0, -0.0, -0.0])
+@example([-0.0])
+@example([709.0, 709.5, 708.75])
+@example([710.0, 712.0, 711.0, 710.0])
+@example([-745.0, -744.0, -746.5])
+@example([800.0, 799.0])
+@example([0.3, -1.7, 2.4, 0.3, -1.7])
+def test_python_kernel_bit_identical_to_full_table(nodes):
+    """The kernel fills only the seed entries its corner reads, summed in
+    the same order as the whole-table kernel, so every result has the same
+    bits."""
+    assert _bits(_ddexp_py.ddexp(nodes)) == _bits(oracles.ddexp_full_table(nodes))
+
+
+@pytest.mark.parametrize(
+    "nodes, series_calls",
+    [
+        ([0.1, -0.2, 0.3, 0.0], 1),  # K = 0: only the corner series
+        ([0.8, -0.8, 0.1, -0.1], 5),  # K = 1: row 0 and column 3, 2m - 3
+        ([1.5, -1.5, 0.2, -0.2], 6),  # K = 2: the whole strict upper triangle
+    ],
+)
+def test_python_kernel_series_per_depth(monkeypatch, nodes, series_calls):
+    calls = []
+    series = _ddexp_py._dd_series
+
+    def counting(x):
+        calls.append(len(x))
+        return series(x)
+
+    monkeypatch.setattr(_ddexp_py, "_dd_series", counting)
+    assert _bits(_ddexp_py.ddexp(nodes)) == _bits(oracles.ddexp_full_table(nodes))
+    assert len(calls) == series_calls
