@@ -8,7 +8,12 @@ Run: python3 benchmarks/bench_kernel.py
 """
 
 import random
+import sys
 import time
+from pathlib import Path
+
+# import toricmu from this checkout's sources, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from toricmu import _ddexp_py
 

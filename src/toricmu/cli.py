@@ -63,13 +63,13 @@ from .optimize import (
 )
 from .paconvex import (
     AffineForm,
+    _pa_moments,
     as_pa,
     boundary_pa_moment,
     dh_summary,
     make_pa,
     metric_dexp,
     metric_dp,
-    pa_moment,
 )
 from .polytope import DegenerateHull, LatticePolytope, build_polytope
 
@@ -135,7 +135,7 @@ def _grid(text):
         raise InputError("grid must be start:end:count, got %r" % (text,)) from err
     if count < 1:
         raise InputError("grid count must be at least 1")
-    return start, end, count
+    return _finite(start, "grid start"), _finite(end, "grid end"), count
 
 
 # -- builtin inputs --------------------------------------------------------------
@@ -239,11 +239,9 @@ def _load_q(spec, P):
             (tuple(Fraction(c) for c in piece["eta"]), Fraction(str(piece["lambda"])))
             for piece in data["pieces"]
         ]
+        return make_pa(pieces, P), P
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise InputError("bad potential file %r: %s" % (spec, err)) from err
-    if not pieces:
-        raise InputError("potential file %r has no pieces" % (spec,))
-    return make_pa(pieces, P), P
 
 
 # -- output ----------------------------------------------------------------------
@@ -648,8 +646,7 @@ def _reproduce_square_qn(param):
     q = square_qn_potential(n)
     P = q.P
     b1 = boundary_pa_moment(q, 1)
-    m1 = pa_moment(q, 1)
-    m2 = pa_moment(q, 2)
+    _, m1, m2 = _pa_moments(q, 2)
     b1_target = 1 - Fraction(2, 3 * n)
     m2_target = Fraction(1, 12) - Fraction(1, 36 * n * n)
     _require(

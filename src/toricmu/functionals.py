@@ -20,12 +20,7 @@ from fractions import Fraction
 from math import log, pi
 
 from .integrate import ExpIntegrator
-from .paconvex import (
-    AffineForm,
-    as_pa,
-    boundary_pa_moment,
-    pa_moment,
-)
+from .paconvex import AffineForm, _boundary_moments, _pa_moments, _variance, as_pa
 
 TWO_PI = 2.0 * pi
 
@@ -184,10 +179,17 @@ def kappa(P) -> Fraction:
     return -P.boundary_measure() / P.volume()
 
 
+def _exact_moments(q):
+    """(vol, M, variance) from m = int_P q^(0..2) and b = int_boundary q^(0..1),
+    one pass each: vol = m0 and M = b1 - b0 m1 / m0, as kappa = -b0 / m0."""
+    m = _pa_moments(q, 2)
+    b0, b1 = _boundary_moments(q, 1)
+    return m[0], b1 - b0 * m[1] / m[0], _variance(m)
+
+
 def mabuchi_slope(P, q) -> Fraction:
     """M(q) = int_boundary q dsigma + kappa * int_P q dmu, exact."""
-    q = as_pa(q, P)
-    return boundary_pa_moment(q, 1) + kappa(P) * pa_moment(q, 1)
+    return _exact_moments(as_pa(q, P))[1]
 
 
 CalabiReport = namedtuple(
@@ -199,16 +201,13 @@ def calabi(P, q) -> CalabiReport:
     """Calabi energy data of q.
 
     c_na = -(2 pi / vol) M(q) - variance / (2 vol) with
-    variance = int (q - qbar)^2 dmu.  Along the ray rho * q the energy is the
-    concave quadratic -(2 pi M rho + variance rho^2 / 2) / vol, so the
-    supremum over rho >= 0 is 0 when M >= 0 and is attained at
+    variance = int (q - qbar)^2 dmu, all from one interior and one boundary
+    pass (_exact_moments).  Along the ray rho * q the energy is the concave
+    quadratic -(2 pi M rho + variance rho^2 / 2) / vol, so the supremum over
+    rho >= 0 is 0 when M >= 0 and is attained at
     rho_max = -2 pi M / variance otherwise.
     """
-    q = as_pa(q, P)
-    vol = P.volume()
-    M = mabuchi_slope(P, q)
-    qbar = pa_moment(q, 1) / vol
-    variance = pa_moment(q, 2, shift=-qbar)
+    vol, M, variance = _exact_moments(as_pa(q, P))
     c_na = float(-TWO_PI * M / vol - variance / (2 * vol))
     if M >= 0 or variance == 0:
         rho_max = 0.0

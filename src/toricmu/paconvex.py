@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb, factorial, isfinite, log1p, log10
 
 from .polytope import (
@@ -304,18 +305,40 @@ def rooftop(q: PiecewiseAffineConvex, tau) -> PiecewiseAffineConvex:
 # -- exact polynomial moments ------------------------------------------------
 
 
-def _h_complete(vals, k) -> Fraction:
-    """Complete homogeneous symmetric polynomial h_k of exact values."""
-    if k == 0:
-        return Fraction(1)
-    old = [Fraction(1)] * len(vals)
+def _h_complete(vals, k):
+    """[h_0, ..., h_k]: complete homogeneous symmetric polynomials, one recurrence."""
+    h, out = [Fraction(1)] * len(vals), [Fraction(1)]
     for _ in range(k):
-        new = [Fraction(0)] * len(vals)
-        new[0] = vals[0] * old[0]
-        for t in range(1, len(vals)):
-            new[t] = new[t - 1] + vals[t] * old[t]
-        old = new
-    return old[-1]
+        h = list(accumulate(map(operator.mul, vals, h)))
+        out.append(h[-1])
+    return out
+
+
+def _simplex_moments(simplex, aff: AffineForm, k):
+    """[integral of aff^p over a simplex, p = 0..k]: one det, one h recurrence."""
+    det, n = abs(simplex.edge_matrix_det()), simplex.dim
+    hs = _h_complete([aff(v) for v in simplex.vertices], k)
+    return [det * h * Fraction(factorial(p), factorial(n + p)) for p, h in enumerate(hs)]
+
+
+def _pa_moments(q, k):
+    """[integral of q^p, p = 0..k], exact, in one pass over q's cell simplices."""
+    parts = [_simplex_moments(s, q.pieces[i], k) for i, c in q.cells() for s in c.triangulate()]
+    return [sum(col, Fraction(0)) for col in zip(*parts)]
+
+
+def _boundary_moments(q, k):
+    """[integral of q^p over the boundary, p = 0..k], in one pass per facet."""
+    if q.P.dim == 1:  # the two facets are the two end points
+        parts = [[q(v) ** p for p in range(k + 1)] for v in q.P.vertices]
+    else:
+        parts = [_pa_moments(q.restrict_to_facet(i), k) for i in range(len(q.P.facets))]
+    return [sum(col, Fraction(0)) for col in zip(*parts)]
+
+
+def _variance(m):
+    """integral of (q - qbar)^2 from the moments [m0, m1, m2, ...] of q."""
+    return m[2] - m[1] * m[1] / m[0]
 
 
 def _power_terms(weights, g, n, p, num):
@@ -336,16 +359,14 @@ def _simplex_power(simplex, aff: AffineForm, p):
 
     By Hermite-Genocchi it is |det| p!/(p+n)! [g_0, ..., g_n] x^(p+n) for
     the vertex values g.  An int p gives an exact Fraction, through the
-    closed form h_p(g) of that divided difference.  Any other p (real,
-    aff >= 0 on the simplex) is summed over the confluent weights of the
-    exact sorted g, so equal values need no threshold: in floats, or in
-    decimals with as many more digits as close values cancel.
+    closed form h_p(g) of that divided difference (_simplex_moments).  Any
+    other p (real, aff >= 0 on the simplex) is summed over the confluent
+    weights of the exact sorted g, so equal values need no threshold: in
+    floats, or in decimals with as many more digits as close values cancel.
     """
-    n = simplex.dim
-    det = abs(simplex.edge_matrix_det())
     if isinstance(p, int):
-        vals = [aff(v) for v in simplex.vertices]
-        return det * _h_complete(vals, p) * Fraction(factorial(p), factorial(n + p))
+        return _simplex_moments(simplex, aff, p)[p]
+    det, n = abs(simplex.edge_matrix_det()), simplex.dim
     g = sorted(aff(v) for v in simplex.vertices)
     top = g[-1]
     if top == 0:
@@ -381,33 +402,19 @@ def _exponent(k) -> int:
 
 def poly_moment(P, aff: AffineForm, k: int = 1) -> Fraction:
     """Exact integral of aff(mu)^k over P, k an integer >= 0."""
-    k = _exponent(k)
-    return sum((_simplex_power(s, aff, k) for s in P.triangulate()), Fraction(0))
+    return pa_moment(as_pa(aff, P), k)
 
 
-def pa_moment(q: PiecewiseAffineConvex, k: int = 1, shift=Fraction(0)) -> Fraction:
-    """Exact integral of (q(mu) + shift)^k over the polytope of q."""
+def pa_moment(q: PiecewiseAffineConvex, k: int = 1) -> Fraction:
+    """Exact integral of q(mu)^k over the polytope of q."""
     k = _exponent(k)
-    shift = Fraction(shift)
-    total = Fraction(0)
-    for (i, cell) in q.cells():
-        aff = q.pieces[i] + AffineForm.constant_form(q.P.dim, shift)
-        total += poly_moment(cell, aff, k)
-    return total
+    return _pa_moments(q, k)[k]
 
 
 def boundary_pa_moment(q: PiecewiseAffineConvex, k: int = 1) -> Fraction:
     """Exact integral of q^k over the boundary, facet lattice measures."""
     k = _exponent(k)
-    P = q.P
-    if P.dim == 1:
-        return sum(
-            (q(P.vertices[f.vertex_indices[0]]) ** k for f in P.facets), Fraction(0)
-        )
-    total = Fraction(0)
-    for i in range(len(P.facets)):
-        total += pa_moment(q.restrict_to_facet(i), k)
-    return total
+    return _boundary_moments(q, k)[k]
 
 
 # -- Duistermaat-Heckman ------------------------------------------------------
@@ -488,19 +495,17 @@ class DHSummary:
 
     def __init__(self, q: PiecewiseAffineConvex):
         self.q = q
-        self.volume = q.P.volume()
-        self.moments = tuple(
-            pa_moment(q, k) * (-1) ** k for k in range(5)
-        )  # moments[k] = integral of t^k against DH, t = -q
+        m = _pa_moments(q, 4)
+        self.moments = tuple(mk * (-1) ** k for k, mk in enumerate(m))  # of t = -q
+        self.volume = m[0]
         self.barycenter = self.moments[1] / self.volume
-        mean = self.moments[1] / self.volume  # = -qbar
-        self.variance = pa_moment(q, 2, shift=mean)  # integral of (q - qbar)^2
+        self.variance = _variance(m)
 
     def cdf(self, tau) -> Fraction:
         return dh_cdf(self.q, tau)
 
     def moment(self, k) -> Fraction:
-        if not 0 <= k <= 4:
+        if _exponent(k) > 4:
             raise ValueError("moments tabulated for 0 <= k <= 4")
         return self.moments[k]
 
@@ -511,9 +516,7 @@ class DHSummary:
         return polytope_exp_integral(self.q.P, self.q, rho=rho).value
 
     def support(self):
-        vals = [
-            -self.q(v) for (_, cell) in self.q.cells() for v in cell.vertices
-        ]
+        vals = [-self.q(v) for (_, cell) in self.q.cells() for v in cell.vertices]
         return min(vals), max(vals)
 
 

@@ -15,7 +15,12 @@ to pin its caches.  ddexp_full_table is a package-free oracle of a
 different kind: a verbatim copy of the scalar divided-difference kernel
 as it was when it still filled and squared the whole seed table, kept to
 pin the kernel that fills only the entries its answer reads to the same
-bits.
+bits.  poly_moment_per_k, pa_moment_shift, boundary_pa_moment_per_k,
+mabuchi_slope_two_pass, calabi_four_pass and DHSummarySixPass are copies
+of the exact moment code as it was when every exponent, and the shifted
+variance, took its own pass over the simplices; they run on the package's
+cells, triangulations and facet restrictions, and pin the one-pass code
+to the same Fractions and float bits.
 """
 
 import math
@@ -507,3 +512,99 @@ class UncachedObjective:
             dsigma = (Ci * A - C * Ai) / (A * A) - Ai / A
             grad.append(dmu + self.lam * dsigma)
         return value, grad
+
+
+def _h_complete_k(vals, k):
+    """Complete homogeneous symmetric polynomial h_k of exact values."""
+    if k == 0:
+        return Fraction(1)
+    old = [Fraction(1)] * len(vals)
+    for _ in range(k):
+        new = [Fraction(0)] * len(vals)
+        new[0] = vals[0] * old[0]
+        for t in range(1, len(vals)):
+            new[t] = new[t - 1] + vals[t] * old[t]
+        old = new
+    return old[-1]
+
+
+def poly_moment_per_k(P, aff, k=1):
+    """Exact integral of aff^k over P, one pass over its simplices per k."""
+    total = Fraction(0)
+    for simplex in P.triangulate():
+        n = simplex.dim
+        det = abs(simplex.edge_matrix_det())
+        vals = [aff(v) for v in simplex.vertices]
+        total += (
+            det * _h_complete_k(vals, k) * Fraction(math.factorial(k), math.factorial(n + k))
+        )
+    return total
+
+
+def pa_moment_shift(q, k=1, shift=Fraction(0)):
+    """Exact integral of (q(mu) + shift)^k over the polytope of q."""
+    from toricmu.paconvex import AffineForm
+
+    shift = Fraction(shift)
+    total = Fraction(0)
+    for (i, cell) in q.cells():
+        aff = q.pieces[i] + AffineForm.constant_form(q.P.dim, shift)
+        total += poly_moment_per_k(cell, aff, k)
+    return total
+
+
+def boundary_pa_moment_per_k(q, k=1):
+    """Exact integral of q^k over the boundary, facet lattice measures."""
+    P = q.P
+    if P.dim == 1:
+        return sum(
+            (q(P.vertices[f.vertex_indices[0]]) ** k for f in P.facets), Fraction(0)
+        )
+    total = Fraction(0)
+    for i in range(len(P.facets)):
+        total += pa_moment_shift(q.restrict_to_facet(i), k)
+    return total
+
+
+def mabuchi_slope_two_pass(P, q):
+    """M(q) = int_boundary q dsigma + kappa * int_P q dmu, exact."""
+    from toricmu.paconvex import as_pa
+
+    q = as_pa(q, P)
+    kappa = -P.boundary_measure() / P.volume()
+    return boundary_pa_moment_per_k(q, 1) + kappa * pa_moment_shift(q, 1)
+
+
+def calabi_four_pass(P, q):
+    """calabi's (m_na, variance, c_na, rho_max, sup_value), with the
+    variance as the shifted second moment."""
+    from toricmu.paconvex import as_pa
+
+    q = as_pa(q, P)
+    vol = P.volume()
+    M = mabuchi_slope_two_pass(P, q)
+    qbar = pa_moment_shift(q, 1) / vol
+    variance = pa_moment_shift(q, 2, shift=-qbar)
+    c_na = float(-TWO_PI * M / vol - variance / (2 * vol))
+    if M >= 0 or variance == 0:
+        rho_max = 0.0
+        sup_value = 0.0
+    else:
+        rho_max = float(-TWO_PI * M / variance)
+        sup_value = float(2 * math.pi * math.pi * M * M / (vol * variance))
+    return (float(M), float(variance), c_na, rho_max, sup_value)
+
+
+class DHSummarySixPass:
+    """DHSummary's volume, moments, barycenter and variance: one pass per
+    moment and one more for the shifted variance."""
+
+    def __init__(self, q):
+        self.q = q
+        self.volume = q.P.volume()
+        self.moments = tuple(
+            pa_moment_shift(q, k) * (-1) ** k for k in range(5)
+        )  # moments[k] = integral of t^k against DH, t = -q
+        self.barycenter = self.moments[1] / self.volume
+        mean = self.moments[1] / self.volume  # = -qbar
+        self.variance = pa_moment_shift(q, 2, shift=mean)  # integral of (q - qbar)^2

@@ -315,6 +315,9 @@ def test_optimize_rejects_positive_or_non_finite_lambda(capsys, lam):
         ("futaki --polytope square --q zero --lambda inf", 2),
         ("integrate --polytope square --rho nan", 2),
         ("integrate --polytope square --rho inf", 2),
+        ("dh --polytope square --q square-qn:2 --grid nan:1:3", 2),
+        ("dh --polytope square --q square-qn:2 --grid inf:1:3", 2),
+        ("entropy --polytope square --q const:1 --grid nan:1:3", 2),
         # exponentials beyond the float range either way: exit 3
         ("integrate --polytope cp1 --q corner-flat:2 --rho 800", 3),
         ("integrate --polytope square --q square-qn:2 --rho -800", 3),
@@ -342,6 +345,17 @@ def test_exit_code_2_on_bad_q_file(capsys, tmp_path):
         invoke(capsys, "integrate", "--polytope", "square", "--q", str(missing))[0]
         == 2
     )
+    # a gradient of the wrong length, and no pieces at all
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps({"pieces": [{"eta": [1, 2, 3], "lambda": "0"}]}))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"pieces": []}))
+    for command, path in (("integrate", wrong), ("calabi", wrong), ("integrate", empty)):
+        assert run([command, "--polytope", "square", "--q", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad potential file")
+        assert "Traceback" not in captured.err
 
 
 def test_non_simple_polytope_localization(capsys, tmp_path):

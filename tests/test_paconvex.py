@@ -7,6 +7,7 @@ oracles back up the non-obvious float paths.
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -20,10 +21,12 @@ import support
 from toricmu import (
     boundary_pa_moment,
     build_polytope,
+    calabi,
     dh_cdf,
     dh_summary,
     legendre,
     legendre_dual,
+    mabuchi_slope,
     make_pa,
     metric_dexp,
     metric_dp,
@@ -32,6 +35,7 @@ from toricmu import (
     rooftop,
     sup_abs_diff,
 )
+from toricmu import paconvex
 from toricmu.paconvex import AffineForm, EmptyPieces, _simplex_power, as_pa
 from toricmu.polytope import Simplex
 
@@ -122,12 +126,18 @@ def test_pa_moment_kink_values():
     assert pa_moment(q, 2) == Fraction(1, 12)
     assert boundary_pa_moment(q, 1) == 1
     mean = Fraction(1, 6)
-    # shift is added inside the power: int (q + shift)^2
-    assert pa_moment(q, 2, shift=mean) == Fraction(1, 6)
-    assert pa_moment(q, 2, shift=-mean) == Fraction(1, 18)
+    # the oracle's shifted moment int (q + shift)^2 has the shift inside the power
+    assert oracles.pa_moment_shift(q, 2, shift=mean) == Fraction(1, 6)
+    # the variance int (q - qbar)^2 is that moment at shift -qbar, whatever
+    # constant q is moved by
+    for c in (0, mean, -mean):
+        variance = dh_summary(q + AffineForm.constant_form(2, c)).variance
+        assert variance == oracles.pa_moment_shift(q, 2, shift=-mean) == Fraction(1, 18)
     # exact moments take integer exponents only, numpy integers included
+    s = dh_summary(q)
     assert pa_moment(q, np.int64(2)) == Fraction(1, 12)
     assert boundary_pa_moment(q, np.int64(1)) == 1
+    assert s.moment(np.int64(2)) == Fraction(1, 12)
     for bad in (1.5, 2.0, -1):
         with pytest.raises(ValueError):
             poly_moment(q.P, AffineForm((1, 0), 0), bad)
@@ -135,6 +145,10 @@ def test_pa_moment_kink_values():
             pa_moment(q, bad)
         with pytest.raises(ValueError):
             boundary_pa_moment(q, bad)
+        with pytest.raises(ValueError):
+            s.moment(bad)
+    with pytest.raises(ValueError):
+        s.moment(5)
 
 
 def test_pa_moment_matches_refined_quadrature():
@@ -242,6 +256,77 @@ def test_dh_summary_linear_example():
     assert s.support() == (-1, 0)
     assert s.laplace(1.0) == pytest.approx(math.e - 1.0, rel=1e-12)
     assert s.laplace(-2.0) == pytest.approx((1.0 - math.exp(-2.0)) / 2.0, rel=1e-12)
+
+
+@st.composite
+def moment_potentials(draw):
+    """1-4 random pieces on one of the exact test polytopes (1-D to 3-D)."""
+    P = draw(support.exact_polytopes())
+    piece = st.tuples(st.tuples(*[sixth] * P.dim), sixth)
+    pieces = draw(st.lists(piece, min_size=1, max_size=4))
+    return make_pa([AffineForm(g, c) for g, c in pieces], P)
+
+
+def float_bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(moment_potentials())
+def test_one_pass_moments_equal_the_multi_pass_copies(q):
+    P = q.P
+    for k in range(5):
+        assert pa_moment(q, k) == oracles.pa_moment_shift(q, k)
+        assert poly_moment(P, q.pieces[0], k) == oracles.poly_moment_per_k(P, q.pieces[0], k)
+    for k in range(3):
+        assert boundary_pa_moment(q, k) == oracles.boundary_pa_moment_per_k(q, k)
+    assert mabuchi_slope(P, q) == oracles.mabuchi_slope_two_pass(P, q)
+    assert float_bits(calabi(P, q)) == float_bits(oracles.calabi_four_pass(P, q))
+    new, old = dh_summary(q), oracles.DHSummarySixPass(q)
+    assert new.volume == old.volume == P.volume()
+    assert new.moments == old.moments
+    assert new.barycenter == old.barycenter
+    assert new.variance == old.variance
+
+
+def simplex_count(q):
+    return sum(len(cell.triangulate()) for (_, cell) in q.cells())
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        support.pa_from(
+            support.readme_pentagon(),
+            ((1, 0), 0),
+            ((0, 1), 0),
+            ((-1, -1), Fraction(-1, 3)),
+        ),
+        support.pa_from(
+            build_polytope(support.UNIT_CUBE),
+            ((1, 0, 0), 0),
+            ((0, 1, 0), 0),
+            ((-1, -1, 1), Fraction(-1, 2)),
+        ),
+    ],
+)
+def test_calabi_and_dh_summary_take_one_pass(monkeypatch, q):
+    calls = []
+
+    def counted(simplex, aff, k):
+        calls.append(k)
+        return simplex_moments(simplex, aff, k)
+
+    simplex_moments = paconvex._simplex_moments
+    monkeypatch.setattr(paconvex, "_simplex_moments", counted)
+    P = q.P
+    interior = simplex_count(q)
+    boundary = sum(simplex_count(q.restrict_to_facet(i)) for i in range(len(P.facets)))
+    calabi(P, q)
+    assert sorted(calls) == [1] * boundary + [2] * interior
+    calls.clear()
+    dh_summary(q)
+    assert calls == [4] * interior
 
 
 def test_dh_mass_and_monotonicity_random():
