@@ -17,6 +17,15 @@ which converges fast for small nodes.  The K squarings that undo the scaling
 only ever add and multiply nonnegative numbers, so no cancellation occurs at
 any point.
 
+Every series goes through _series, which dispatches on the number of nodes.
+Two to five nodes, the node counts of the entropy moments (up to two
+factors) on 1-D and 2-D polytopes, run straight-line code: h_k(x_0..x_t)
+lives in local floats instead of a list, and the row of 1/(r + k)! is
+computed once at import by the same repeated divisions.  The
+multiplications and additions are those of the generic loop _dd_series, in
+the same order, so the results have the same bits.  Longer node lists run
+_dd_series itself.
+
 Only the entries the answer B^(2^K)[0][m-1] reads are computed.  At K = 0
 that is the one seed entry (0, m-1): a single series, no table.  At K = 1
 the one squaring reads row 0 and column m-1 of the seed table, so those
@@ -37,7 +46,10 @@ def _safe_exp(x):
 
 
 def _dd_series(x):
-    """Divided difference of exp over small nodes (|x_i| <= 1/2)."""
+    """Divided difference of exp over small nodes (|x_i| <= 1/2).
+
+    The generic series loop: ddexp uses it for more than five nodes, and it
+    is the reference the straight-line series are tested against."""
     r = len(x) - 1
     invf = 1.0 / factorial(r)
     total = invf
@@ -63,6 +75,124 @@ def _dd_series(x):
         else:
             small = 0
     return total
+
+
+def _factorial_row(n):
+    """1/(r+k)! for k = 0..59, r = n - 1, by _dd_series's own divisions."""
+    r = n - 1
+    invf = 1.0 / factorial(r)
+    row = [invf]
+    for k in range(1, 60):
+        invf /= r + k
+        row.append(invf)
+    return row[0], tuple(row[1:])
+
+
+# The straight-line series below are _dd_series for two to five nodes with
+# h0..h4 in locals.  Their stop test drops the two abs calls:
+# -lim <= term <= lim with lim = 1e-19 * total.  That is exact because every
+# partial sum is at least (2 - e^(1/2)) / r! > 0.35 / r! > 0 when
+# |x_i| <= 1/2 (|h_k| is at most C(r+k, k) / 2^k), so abs(total) == total;
+# and a NaN term or total fails both tests alike.
+_F2, _ROW2 = _factorial_row(2)
+_F3, _ROW3 = _factorial_row(3)
+_F4, _ROW4 = _factorial_row(4)
+_F5, _ROW5 = _factorial_row(5)
+
+
+def _series2(x):
+    x0, x1 = x
+    total = _F2
+    h0 = h1 = 1.0
+    small = False
+    for invf in _ROW2:
+        h0 = x0 * h0
+        h1 = h0 + x1 * h1
+        term = h1 * invf
+        total += term
+        lim = 1e-19 * total
+        if -lim <= term <= lim:
+            if small:
+                break
+            small = True
+        else:
+            small = False
+    return total
+
+
+def _series3(x):
+    x0, x1, x2 = x
+    total = _F3
+    h0 = h1 = h2 = 1.0
+    small = False
+    for invf in _ROW3:
+        h0 = x0 * h0
+        h1 = h0 + x1 * h1
+        h2 = h1 + x2 * h2
+        term = h2 * invf
+        total += term
+        lim = 1e-19 * total
+        if -lim <= term <= lim:
+            if small:
+                break
+            small = True
+        else:
+            small = False
+    return total
+
+
+def _series4(x):
+    x0, x1, x2, x3 = x
+    total = _F4
+    h0 = h1 = h2 = h3 = 1.0
+    small = False
+    for invf in _ROW4:
+        h0 = x0 * h0
+        h1 = h0 + x1 * h1
+        h2 = h1 + x2 * h2
+        h3 = h2 + x3 * h3
+        term = h3 * invf
+        total += term
+        lim = 1e-19 * total
+        if -lim <= term <= lim:
+            if small:
+                break
+            small = True
+        else:
+            small = False
+    return total
+
+
+def _series5(x):
+    x0, x1, x2, x3, x4 = x
+    total = _F5
+    h0 = h1 = h2 = h3 = h4 = 1.0
+    small = False
+    for invf in _ROW5:
+        h0 = x0 * h0
+        h1 = h0 + x1 * h1
+        h2 = h1 + x2 * h2
+        h3 = h2 + x3 * h3
+        h4 = h3 + x4 * h4
+        term = h4 * invf
+        total += term
+        lim = 1e-19 * total
+        if -lim <= term <= lim:
+            if small:
+                break
+            small = True
+        else:
+            small = False
+    return total
+
+
+_STRAIGHT = {2: _series2, 3: _series3, 4: _series4, 5: _series5}
+
+
+def _series(x):
+    """Divided difference of exp over 2 or more small nodes (|x_i| <= 1/2):
+    a straight-line series for two to five nodes, else _dd_series."""
+    return _STRAIGHT.get(len(x), _dd_series)(x)
 
 
 def _square_upper(B):
@@ -98,7 +228,7 @@ def ddexp(nodes):
         return _safe_exp(nodes[0])
     c = sum(nodes) / m
     h = [b - c for b in nodes]
-    spread = max(abs(v) for v in h)
+    spread = max(map(abs, h))
     K = 0
     if spread > 0.5:
         # smallest K with spread / 2^K <= 1/2
@@ -107,9 +237,10 @@ def ddexp(nodes):
             K += 1
     if K == 0:
         # eps = 1, so s = h and the answer is the one seed entry (0, m-1)
-        return _safe_exp(c) * _dd_series(h)
+        return _safe_exp(c) * _series(h)
     eps = 0.5 ** K
     s = [v * eps for v in h]
+    epow = [eps**j for j in range(m)]
     last = m - 1
 
     B = [[0.0] * m for _ in range(m)]
@@ -118,15 +249,15 @@ def ddexp(nodes):
         B[0][0] = exp(s[0])
         B[last][last] = exp(s[last])
         for j in range(1, m):
-            B[0][j] = (eps ** j) * _dd_series(s[: j + 1])
+            B[0][j] = epow[j] * _series(s[: j + 1])
         for i in range(1, last):
-            B[i][last] = (eps ** (last - i)) * _dd_series(s[i:])
+            B[i][last] = epow[last - i] * _series(s[i:])
     else:
         for i in range(m):
             B[i][i] = exp(s[i])
         for i in range(m):
             for j in range(i + 1, m):
-                B[i][j] = (eps ** (j - i)) * _dd_series(s[i : j + 1])
+                B[i][j] = epow[j - i] * _series(s[i : j + 1])
         for _ in range(K - 1):
             B = _square_upper(B)
     return _safe_exp(c) * _corner_of_square(B)

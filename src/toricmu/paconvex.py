@@ -131,7 +131,9 @@ class PiecewiseAffineConvex:
         return list(self._cells)
 
     def restrict_to_facet(self, facet_index):
-        """Restriction to a facet of P, in that facet's lattice chart."""
+        """Restriction to a facet of P, in that facet's lattice chart.
+
+        Raises ValueError when P is a segment (see facet_polytope)."""
         if facet_index not in self._facet_restrictions:
             sub, origin, basis = self.P.facet_polytope(facet_index)
             pieces = [piece.restrict(origin, basis) for piece in self.pieces]

@@ -459,7 +459,14 @@ class LatticePolytope:
         Returns (sub_polytope, origin, basis) where points of the facet are
         origin + basis @ y.  The chart maps the facet lattice onto Z^{n-1},
         so sub-polytope volume equals the facet's lattice measure.
+
+        Raises ValueError on a 1-D polytope: the facets of a segment are its
+        end points, which have no chart.
         """
+        if self.dim == 1:
+            raise ValueError(
+                "the facets of a segment are its end points and have no chart"
+            )
         if facet_index not in self._facet_charts:
             f = self.facets[facet_index]
             basis = _kernel_basis_int(f.normal)

@@ -4,7 +4,8 @@ The kernel feeds every integral in the package, so it gets the heaviest
 randomized coverage.  Expected values come from oracles.mp_ddexp, an
 independent confluent-recurrence implementation in mpmath.  The Python
 kernel is also pinned bit for bit to oracles.ddexp_full_table, the same
-algorithm computing its whole seed table.
+algorithm computing its whole seed table, and its straight-line series to
+the generic series loop _dd_series.
 """
 
 import math
@@ -223,12 +224,36 @@ def test_python_kernel_bit_identical_to_full_table(nodes):
 )
 def test_python_kernel_series_per_depth(monkeypatch, nodes, series_calls):
     calls = []
-    series = _ddexp_py._dd_series
+    series = _ddexp_py._series
 
     def counting(x):
         calls.append(len(x))
         return series(x)
 
-    monkeypatch.setattr(_ddexp_py, "_dd_series", counting)
+    monkeypatch.setattr(_ddexp_py, "_series", counting)
     assert _bits(_ddexp_py.ddexp(nodes)) == _bits(oracles.ddexp_full_table(nodes))
     assert len(calls) == series_calls
+
+
+def _series_nodes(n):
+    return st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.integers(2, 5).flatmap(_series_nodes))
+@example([0.0, -0.0])
+@example([-0.0, 0.0, -0.0])
+@example([-0.0, -0.0, -0.0, -0.0, -0.0])
+@example([0.5, -0.5])
+@example([-0.5, 0.5, -0.5, 0.5])
+@example([0.5, 0.5, 0.5, 0.5, 0.5])
+@example([-0.5, -0.5, -0.5])
+@example([0.0, 0.0])  # all-zero nodes: terms 1 and 2 are 0, stop at k = 2
+@example([0.0, 0.0, 0.0, 0.0, 0.0])
+@example([math.nan, 0.25])  # NaN terms are never small: all 59 terms
+@example([0.1, -0.2, math.nan, 0.3])
+@example([0.5, math.nan, -0.5, 0.0, 0.5])
+def test_straight_line_series_bit_identical_to_loop(x):
+    """The unrolled series for 2-5 nodes make the same float operations as
+    the generic _dd_series loop, and stop at the same term."""
+    assert _bits(_ddexp_py._STRAIGHT[len(x)](x)) == _bits(_ddexp_py._dd_series(x))

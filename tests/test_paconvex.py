@@ -198,6 +198,16 @@ def test_restrict_to_facet_consistent():
             assert restricted(y) == q(point)
 
 
+def test_segment_facets_have_no_chart():
+    P = build_polytope([(0,), (2,)])
+    q = make_pa([((1,), 0)], P)
+    for i in range(len(P.facets)):
+        with pytest.raises(ValueError, match="end points"):
+            P.facet_polytope(i)
+        with pytest.raises(ValueError, match="end points"):
+            q.restrict_to_facet(i)
+
+
 def test_dh_cdf_linear_example():
     P = support.unit_square()
     q = support.pa_from(P, ((1, 0), 0))  # q = x, -q uniform on [-1, 0]
