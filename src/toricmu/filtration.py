@@ -245,9 +245,7 @@ def corner_flat_filtration(d) -> MonomialFiltration:
     corner_filtration; their entropies converge to a limit that differs from
     the corner characteristic entropy.
     """
-    d = int(d)
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    d = _positive_int(d, "d")
     P = unit_segment()
     q = make_pa([((0,), 0), ((d,), d - 1)], P)
     return MonomialFiltration.from_pa(q, name="corner-flat:%d" % d)

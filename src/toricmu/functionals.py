@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import log, pi
+from math import isfinite, log, pi
 
 from .integrate import ExpIntegrator
 from .paconvex import AffineForm, _boundary_moments, _pa_moments, _variance, as_pa
+from .polytope import _positive_int
 
 TWO_PI = 2.0 * pi
 
@@ -138,12 +139,13 @@ class EntropyReport:
 
 def _parse_grid(grid):
     if isinstance(grid, (tuple, list)) and len(grid) == 3 and not hasattr(grid[2], "__len__"):
-        start, end, count = grid
-        count = int(count)
-        if count < 2:
-            return [float(start)]
-        step = (float(end) - float(start)) / (count - 1)
-        return [float(start) + step * i for i in range(count)]
+        start, end, count = float(grid[0]), float(grid[1]), _positive_int(grid[2], "grid count")
+        if not (isfinite(start) and isfinite(end)):
+            raise ValueError("grid start and end must be finite, got %r" % (grid,))
+        if count == 1:
+            return [start]
+        step = (end - start) / (count - 1)
+        return [start + step * i for i in range(count)]
     return [float(g) for g in grid]
 
 

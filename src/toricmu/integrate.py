@@ -285,10 +285,8 @@ class ExpIntegrator:
 def _weight_terms(weight, P, q, rho):
     """Normalize a weight spec to (funcs, [(scalar, [factor combos])]).
 
-    Accepted: None, an AffineForm, the strings "entropy" ((n + rho*q)) and
-    "qsq" (q^2), or a list of (coefficient, power) pairs meaning
-    sum coefficient(mu) * q(mu)^power with power <= 2 and coefficient a
-    rational number or AffineForm.
+    Accepted: None, an AffineForm, and the strings "entropy" ((n + rho*q))
+    and "qsq" (q^2).
     """
     funcs = [q]
     if weight is None:
@@ -300,28 +298,7 @@ def _weight_terms(weight, P, q, rho):
         return funcs, [(1.0, [(float(P.dim), (float(rho),))])]
     if weight == "qsq":
         return funcs, [(1.0, [(0.0, (1.0,)), (0.0, (1.0,))])]
-    items = []
-    for (coefficient, power) in weight:
-        power = int(power)
-        if power < 0 or power > 2:
-            raise ValueError("q powers up to 2 are supported")
-        if isinstance(coefficient, AffineForm):
-            funcs.append(coefficient)
-            items.append((1.0, len(funcs) - 1, power))
-        else:
-            items.append((float(coefficient), None, power))
-    width = len(funcs)
-    out = []
-    for (scalar, fidx, power) in items:
-        combos = []
-        if fidx is not None:
-            combos.append(
-                (0.0, tuple(1.0 if k == fidx else 0.0 for k in range(width)))
-            )
-        for _ in range(power):
-            combos.append((0.0, (1.0,) + (0.0,) * (width - 1)))
-        out.append((scalar, combos))
-    return funcs, out
+    raise ValueError("unknown weight %r" % (weight,))
 
 
 def _weighted_integral(kind, P, qpa, rho, weight):

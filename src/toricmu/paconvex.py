@@ -22,11 +22,10 @@ from .polytope import (
     DegenerateHull,
     LatticePolytope,
     RationalVector,
+    _back,
     _coords,
     _dot,
-    _rank,
-    _solve,
-    _sub,
+    _echelon,
     build_polytope,
 )
 
@@ -119,10 +118,6 @@ class PiecewiseAffineConvex:
 
     def __call__(self, point) -> Fraction:
         return max(piece(point) for piece in self.pieces)
-
-    def active_piece(self, point) -> int:
-        vals = [piece(point) for piece in self.pieces]
-        return vals.index(max(vals))
 
     def cells(self):
         """[(piece_index, cell)] with full-dimensional cells only."""
@@ -264,25 +259,17 @@ def legendre_dual(fspec, P) -> PiecewiseAffineConvex:
     n = P.dim
     if len(pts) == 0:
         raise EmptyPieces("empty conjugate spec")
-    # all graph points on one non-vertical hyperplane: a single affine piece
-    diffs = [_sub(p, pts[0]) for p in pts[1:]]
-    if _rank(diffs) < n + 1:
-        base = [pts[0]]
-        for p in pts[1:]:
-            trial = base + [p]
-            if _rank([_sub(x, base[0]) for x in trial[1:]]) == len(trial) - 1:
-                base.append(p)
-        if len(base) < n + 1:
-            raise DegenerateHull("support points do not span the base space")
-        rows = [[p[i] for i in range(n)] + [1] for p in base]
-        sol = _solve(rows, [p[n] for p in base])
-        if sol is None:
+    # rows [x, 1, value] have n + 2 pivots iff the graph points span R^(n+1);
+    # with n + 1 they lie on one hyperplane, a single affine piece unless the
+    # value column is a pivot (the hyperplane is vertical)
+    m, pivots, _ = _echelon([p[:n] + (1, p[n]) for p in pts], n + 2)
+    if len(pivots) < n + 1:
+        raise DegenerateHull("support points do not span the base space")
+    if len(pivots) == n + 1:
+        if pivots[-1] == n + 1:
             raise DegenerateHull("graph points span a vertical hyperplane")
-        piece = AffineForm(sol[:n], sol[n])
-        for p in pts:
-            if piece(p[:n]) != p[n]:
-                raise DegenerateHull("graph points span a vertical hyperplane")
-        return PiecewiseAffineConvex([piece], P)
+        sol = _back(m, pivots, [r[n + 1] for r in m], [0] * (n + 1))
+        return PiecewiseAffineConvex([AffineForm(sol[:n], sol[n])], P)
     hull = build_polytope(pts)
     pieces = []
     for f in hull.facets:

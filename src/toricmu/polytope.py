@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, factorial, floor, gcd
 
 
 class DegenerateHull(ValueError):
@@ -37,10 +37,8 @@ EMPTY = _EmptyRegion()
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        # floats convert exactly (binary rational); callers wanting decimal
-        # semantics should pass strings or Fractions
-        return Fraction(x)
+    # floats convert exactly (binary rational); callers wanting decimal
+    # semantics should pass strings or Fractions
     return Fraction(x)
 
 
@@ -115,93 +113,72 @@ def _primitive(vec) -> tuple:
     return tuple(c // g for c in ints)
 
 
-def _det(rows) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
+def _echelon(rows, width):
+    """Exact forward elimination over the first width columns of rows.
+
+    Returns (m, pivots, det): the eliminated rows, where row r has its pivot
+    in column pivots[r] and zeros below it in every pivot column; and the
+    determinant of the first width columns when they form a nonsingular
+    square, otherwise 0.  Columns past width ride along as right-hand sides.
+    """
     m = [list(map(Fraction, r)) for r in rows]
+    nr = len(m)
+    pivots = []
     det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+    for col in range(width):
+        top = len(pivots)
+        if top == nr:
+            break
+        piv = top
+        while piv < nr and m[piv][col] == 0:
+            piv += 1
+        if piv == nr:
+            continue
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
             det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+        prow = m[top]
+        p = prow[col]
+        det *= p
+        for r in range(top + 1, nr):
+            row = m[r]
+            if row[col] != 0:
+                f = row[col] / p
+                for c in range(col, len(row)):
+                    row[c] -= f * prow[c]
+        pivots.append(col)
+    if len(pivots) != width or nr != width:
+        det = Fraction(0)
+    return m, pivots, det
+
+
+def _back(m, pivots, rhs, x):
+    """Fill x at the pivot columns so that m[r] . x = rhs[r] for each pivot
+    row of an echelon form; the other entries of x keep their values."""
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        row = m[r]
+        x[c] = (rhs[r] - sum(row[j] * x[j] for j in range(c + 1, len(x)))) / row[c]
+    return x
+
+
+def _det(rows) -> Fraction:
+    return _echelon(rows, len(rows))[2]
+
 
 def _rank(rows) -> int:
-    if not rows:
-        return 0
-    m = [list(map(Fraction, r)) for r in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        for r in range(row + 1, nr):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, nc):
-                    m[r][c] -= f * m[row][c]
-        row += 1
-        rank += 1
-        if rank == min(nr, nc):
-            break
-    return rank
+    return len(_echelon(rows, len(rows[0]))[1]) if rows else 0
 
 
-def _solve(rows, rhs):
-    """Solve a square exact system; returns None when singular."""
-    n = len(rows)
-    m = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        for c in range(col, n + 1):
-            m[col][c] *= inv
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                for c in range(col, n + 1):
-                    m[r][c] -= f * m[col][c]
-    return tuple(m[i][n] for i in range(n))
-
-
-def _cross(rows):
-    """Vector orthogonal to n-1 independent rows in Q^n (Laplace minors)."""
-    n = len(rows) + 1
-    out = []
-    for j in range(n):
-        minor = [[r[c] for c in range(n) if c != j] for r in rows]
-        s = Fraction(-1) ** j
-        out.append(s * _det(minor) if minor else Fraction(1))
-    return tuple(out)
+def _null_vector(rows):
+    """Nonzero vector orthogonal to n - 1 independent rows in Q^n."""
+    n = len(rows[0])
+    m, pivots, _ = _echelon(rows, n)
+    if len(pivots) != n - 1:
+        raise ValueError("rows do not have rank n - 1")
+    x = [0] * n
+    x[next(c for c in range(n) if c not in pivots)] = 1
+    return _back(m, pivots, [0] * (n - 1), x)
 
 
 def _kernel_basis_int(u):
@@ -284,10 +261,7 @@ class Simplex:
         n = self.dim
         if n == 0:
             return Fraction(1)
-        fact = 1
-        for k in range(2, n + 1):
-            fact *= k
-        return abs(self.edge_matrix_det()) / fact
+        return abs(self.edge_matrix_det()) / factorial(n)
 
     def __repr__(self):
         return "Simplex(%r)" % (self.vertices,)
@@ -471,11 +445,8 @@ class LatticePolytope:
             f = self.facets[facet_index]
             basis = _kernel_basis_int(f.normal)
             origin = self.vertices[f.vertex_indices[0]]
-            ys = []
-            for vi in f.vertex_indices:
-                diff = _sub(self.vertices[vi].coords, origin.coords)
-                ys.append(_chart_coords(diff, basis))
-            sub = build_polytope(ys)
+            diffs = [_sub(self.vertices[vi].coords, origin.coords) for vi in f.vertex_indices]
+            sub = build_polytope(_chart_coords(diffs, basis))
             self._facet_charts[facet_index] = (sub, origin, basis)
         return self._facet_charts[facet_index]
 
@@ -546,19 +517,20 @@ def _positive_int(value, name) -> int:
     return k
 
 
-def _chart_coords(diff, basis):
-    """Solve basis^T y = diff exactly (basis columns independent)."""
-    n = len(diff)
+def _chart_coords(diffs, basis):
+    """Solve basis^T y = diff exactly for every diff, in one elimination.
+
+    The basis vectors must be independent; consistency is guaranteed for
+    differences of points in the facet hyperplane.
+    """
     k = len(basis)
-    # pick k independent rows of the n x k matrix whose columns are basis
-    mat = [[basis[j][i] for j in range(k)] for i in range(n)]
-    for rows in combinations(range(n), k):
-        sq = [mat[i] for i in rows]
-        if _det(sq) != 0:
-            y = _solve(sq, [diff[i] for i in rows])
-            # consistency is guaranteed for points in the facet hyperplane
-            return y
-    raise ValueError("basis is rank deficient")
+    rows = [[b[i] for b in basis] + [d[i] for d in diffs] for i in range(len(basis[0]))]
+    m, pivots, _ = _echelon(rows, k)
+    if len(pivots) != k:
+        raise ValueError("basis is rank deficient")
+    return [
+        _back(m, pivots, [m[r][k + t] for r in range(k)], [0] * k) for t in range(len(diffs))
+    ]
 
 
 def build_polytope(vertices) -> LatticePolytope:
@@ -580,13 +552,15 @@ def build_polytope(vertices) -> LatticePolytope:
     if any(len(p) != n for p in pts):
         raise ValueError("mixed coordinate lengths")
     diffs = [_sub(p, pts[0]) for p in pts[1:]]
-    if _rank(diffs) < n:
-        raise DegenerateHull("points span a %d-dim affine space in R^%d" % (_rank(diffs), n))
+    # the pivot columns of the transposed differences are the greedy affine base
+    _, pivots, _ = _echelon(list(zip(*diffs)), len(diffs))
+    if len(pivots) < n:
+        raise DegenerateHull("points span a %d-dim affine space in R^%d" % (len(pivots), n))
 
     if n == 1:
         return _build_segment(pts)
 
-    hull_facets = _hull_facets(pts, n)
+    hull_facets = _hull_facets(pts, n, [0] + [c + 1 for c in pivots])
 
     # recompute incidence from scratch against the merged facet list
     facet_pts = []
@@ -624,15 +598,9 @@ def _build_segment(pts):
     return LatticePolytope(1, verts, facets)
 
 
-def _hull_facets(pts, n):
-    """Beneath-beyond with exact strict visibility; returns merged (u, b)."""
-    base = [0]
-    for i in range(1, len(pts)):
-        trial = base + [i]
-        if _rank([_sub(pts[j], pts[0]) for j in trial[1:]]) == len(trial) - 1:
-            base.append(i)
-        if len(base) == n + 1:
-            break
+def _hull_facets(pts, n, base):
+    """Beneath-beyond with exact strict visibility from the affine base
+    (indices of n + 1 affinely independent points); returns merged (u, b)."""
     interior = tuple(
         sum(pts[j][i] for j in base) / Fraction(n + 1) for i in range(n)
     )
@@ -672,9 +640,7 @@ def _hull_facets(pts, n):
 
 def _oriented_plane(points, interior):
     """Hyperplane through n affinely independent points, outward oriented."""
-    rows = [_sub(p, points[0]) for p in points[1:]]
-    normal = _cross(rows)
-    u = _primitive(normal)
+    u = _primitive(_null_vector([_sub(p, points[0]) for p in points[1:]]))
     b = _dot(points[0], u)
     side = _dot(interior, u)
     if side > b:
@@ -689,28 +655,19 @@ def _vertex_cones(verts, facets, n):
     cones = []
     nonsimple = []
     for vi in range(len(verts)):
-        active = [f for f in facets if vi in f.vertex_indices]
-        if len(active) != n:
+        active = [f.normal for f in facets if vi in f.vertex_indices]
+        pivots = ()
+        if len(active) == n:
+            # the inward edge directions are the columns of -N^-1 for the
+            # active normals N: edge j leaves facet j and stays on the others
+            rows = [list(u) + [-1 if j == i else 0 for j in range(n)] for i, u in enumerate(active)]
+            m, pivots, _ = _echelon(rows, n)
+        if len(pivots) != n:
             cones.append(None)
             nonsimple.append(vi)
             continue
-        gens = []
-        ok = True
-        for drop in range(n):
-            rows = [active[k].normal for k in range(n) if k != drop]
-            d = _cross(rows)
-            if all(c == 0 for c in d):
-                ok = False
-                break
-            if _dot(d, active[drop].normal) > 0:
-                d = tuple(-c for c in d)
-            gens.append(_primitive(d))
-        if not ok:
-            cones.append(None)
-            nonsimple.append(vi)
-            continue
-        idx = abs(_det(gens))
-        cones.append(VertexCone(gens, idx))
+        gens = [_primitive(_back(m, pivots, [r[n + j] for r in m], [0] * n)) for j in range(n)]
+        cones.append(VertexCone(gens, abs(_det(gens))))
     return tuple(cones), tuple(nonsimple)
 
 

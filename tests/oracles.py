@@ -20,12 +20,18 @@ mabuchi_slope_two_pass, calabi_four_pass and DHSummarySixPass are copies
 of the exact moment code as it was when every exponent, and the shifted
 variance, took its own pass over the simplices; they run on the package's
 cells, triangulations and facet restrictions, and pin the one-pass code
-to the same Fractions and float bits.
+to the same Fractions and float bits.  _dot, _primitive, _det, _rank,
+_solve, _cross, VertexCone, _chart_coords and _vertex_cones are
+package-free verbatim copies of the geometry layer's exact linear algebra
+as it was when each kind of system had its own elimination loop, normals
+came from Laplace minors and facet charts from a search over row subsets;
+they pin the one forward elimination to the same Fractions.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import mpmath
 import numpy as np
@@ -608,3 +614,177 @@ class DHSummarySixPass:
         self.barycenter = self.moments[1] / self.volume
         mean = self.moments[1] / self.volume  # = -qbar
         self.variance = pa_moment_shift(q, 2, shift=mean)  # integral of (q - qbar)^2
+
+
+# -- exact linear algebra of the geometry layer, one routine per system -------
+#
+# See the module docstring.
+
+
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _primitive(vec) -> tuple:
+    """Scale a nonzero rational vector to a primitive integer vector."""
+    den = 1
+    for c in vec:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in vec]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(c // g for c in ints)
+
+
+def _det(rows) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination."""
+    n = len(rows)
+    m = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
+def _rank(rows) -> int:
+    if not rows:
+        return 0
+    m = [list(map(Fraction, r)) for r in rows]
+    nr, nc = len(m), len(m[0])
+    rank = 0
+    row = 0
+    for col in range(nc):
+        piv = None
+        for r in range(row, nr):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = 1 / m[row][col]
+        for r in range(row + 1, nr):
+            if m[r][col] != 0:
+                f = m[r][col] * inv
+                for c in range(col, nc):
+                    m[r][c] -= f * m[row][c]
+        row += 1
+        rank += 1
+        if rank == min(nr, nc):
+            break
+    return rank
+
+
+def _solve(rows, rhs):
+    """Solve a square exact system; returns None when singular."""
+    n = len(rows)
+    m = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(n)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        for c in range(col, n + 1):
+            m[col][c] *= inv
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                for c in range(col, n + 1):
+                    m[r][c] -= f * m[col][c]
+    return tuple(m[i][n] for i in range(n))
+
+
+def _cross(rows):
+    """Vector orthogonal to n-1 independent rows in Q^n (Laplace minors)."""
+    n = len(rows) + 1
+    out = []
+    for j in range(n):
+        minor = [[r[c] for c in range(n) if c != j] for r in rows]
+        s = Fraction(-1) ** j
+        out.append(s * _det(minor) if minor else Fraction(1))
+    return tuple(out)
+
+
+class VertexCone:
+    """Tangent cone data at a simple vertex.
+
+    generators are the primitive integer edge directions; index is the
+    absolute determinant of the generator matrix (1 iff the cone is smooth).
+    """
+
+    __slots__ = ("generators", "index")
+
+    def __init__(self, generators, index):
+        self.generators = tuple(tuple(int(c) for c in g) for g in generators)
+        self.index = int(index)
+
+    def __repr__(self):
+        return "VertexCone(generators=%r, index=%d)" % (self.generators, self.index)
+
+
+def _chart_coords(diff, basis):
+    """Solve basis^T y = diff exactly (basis columns independent)."""
+    n = len(diff)
+    k = len(basis)
+    # pick k independent rows of the n x k matrix whose columns are basis
+    mat = [[basis[j][i] for j in range(k)] for i in range(n)]
+    for rows in combinations(range(n), k):
+        sq = [mat[i] for i in rows]
+        if _det(sq) != 0:
+            y = _solve(sq, [diff[i] for i in rows])
+            # consistency is guaranteed for points in the facet hyperplane
+            return y
+    raise ValueError("basis is rank deficient")
+
+
+def _vertex_cones(verts, facets, n):
+    cones = []
+    nonsimple = []
+    for vi in range(len(verts)):
+        active = [f for f in facets if vi in f.vertex_indices]
+        if len(active) != n:
+            cones.append(None)
+            nonsimple.append(vi)
+            continue
+        gens = []
+        ok = True
+        for drop in range(n):
+            rows = [active[k].normal for k in range(n) if k != drop]
+            d = _cross(rows)
+            if all(c == 0 for c in d):
+                ok = False
+                break
+            if _dot(d, active[drop].normal) > 0:
+                d = tuple(-c for c in d)
+            gens.append(_primitive(d))
+        if not ok:
+            cones.append(None)
+            nonsimple.append(vi)
+            continue
+        idx = abs(_det(gens))
+        cones.append(VertexCone(gens, idx))
+    return tuple(cones), tuple(nonsimple)

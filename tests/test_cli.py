@@ -439,11 +439,14 @@ def test_json_rationals_as_strings(capsys):
 
 
 def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "toricmu.cli", "integrate", "--polytope", "square"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("quantity,value")

@@ -84,8 +84,9 @@ def test_flat_family_potential():
     assert q((Fraction(2, 3),)) == 0
     assert q((1,)) == 1
     assert q((Fraction(5, 6),)) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        corner_flat_filtration(0)
+    for bad in (0, 2.7, "two"):
+        with pytest.raises(ValueError):
+            corner_flat_filtration(bad)
 
 
 def test_from_pa_weights_floor():

@@ -151,6 +151,30 @@ def test_entropy_curve_with_xi_offset():
     assert report.rows[-1].mu == pytest.approx(mu_star(P, combined), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        (0.0, 1.0, 0),
+        (0.0, 1.0, -3),
+        (0.0, 1.0, 2.5),
+        (0.0, 1.0, "many"),
+        (math.nan, 1.0, 3),
+        (0.0, math.inf, 3),
+    ],
+)
+def test_entropy_curve_rejects_bad_grid(grid):
+    with pytest.raises(ValueError):
+        entropy_curve(support.unit_segment(), AffineForm((1,), 0), grid=grid)
+
+
+def test_entropy_curve_grid_counts():
+    P, q0 = support.unit_segment(), AffineForm((1,), 0)
+    assert [r.parameter for r in entropy_curve(P, q0, grid=(0.5, 1.0, 1)).rows] == [0.5]
+    # an integral float count is a count; explicit sequences pass through
+    assert len(entropy_curve(P, q0, grid=(0.0, 1.0, 4.0))) == 4
+    assert [r.parameter for r in entropy_curve(P, q0, grid=[0.0, 0.5]).rows] == [0.0, 0.5]
+
+
 def test_kappa_values():
     assert kappa(support.unit_square()) == -4
     assert kappa(support.blowup_polytope()) == -2

@@ -91,6 +91,8 @@ def test_weighted_integrals_hand_values():
         [(0, 0), (1, 0), (1, 1), (0, 1)],
     )
     assert qsq == pytest.approx(oracle, rel=1e-11)
+    with pytest.raises(ValueError):
+        polytope_exp_integral(P, diag(), weight=[(1, 1)])
     # three factors repeat a vertex up to three times (weight 3! = 6)
     gear = ExpIntegrator(P, [AffineForm((1, 0), 0), AffineForm((0, 1), 0)])
     x_f, y_f = (0.0, (1.0, 0.0)), (0.0, (0.0, 1.0))

@@ -37,7 +37,7 @@ from toricmu import (
 )
 from toricmu import paconvex
 from toricmu.paconvex import AffineForm, EmptyPieces, _simplex_power, as_pa
-from toricmu.polytope import Simplex
+from toricmu.polytope import DegenerateHull, Simplex
 
 
 def kink_q(P=None):
@@ -379,6 +379,23 @@ def test_legendre_double_dual_identity():
         back = legendre_dual(legendre(q), P)
         for pt in rational_grid(P, steps=4):
             assert back(pt) == q(pt)
+
+
+def test_legendre_dual_single_piece_and_degenerate_specs():
+    P = support.unit_square()
+    # graph points on the plane value = 2 x - y + 1/2: one affine piece
+    ws = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)]
+    q = legendre_dual([(w, -(2 * w[0] - w[1] + Fraction(1, 2))) for w in ws], P)
+    assert [(p.gradient, p.constant) for p in q.pieces] == [((2, -1), Fraction(1, 2))]
+    with pytest.raises(DegenerateHull, match="^support points do not span the base space$"):
+        legendre_dual([((0, 0), 0), ((1, 1), 1), ((2, 2), 2)], P)
+    with pytest.raises(DegenerateHull, match="^graph points span a vertical hyperplane$"):
+        legendre_dual([((0, 0), 0), ((1, 1), 1), ((2, 2), 5)], P)
+    # on a segment two values over one point are vertical, not non-spanning
+    with pytest.raises(DegenerateHull, match="^graph points span a vertical hyperplane$"):
+        legendre_dual([((0,), 0), ((0,), -1)], support.unit_segment())
+    with pytest.raises(DegenerateHull, match="^support points do not span the base space$"):
+        legendre_dual([((1,), 3)], support.unit_segment())
 
 
 def test_legendre_fenchel_young():

@@ -22,7 +22,17 @@ from toricmu import (
     polytope_from_json,
     triangulate,
 )
-from toricmu.polytope import _vertex_cones
+from toricmu.polytope import (
+    _det,
+    _echelon,
+    _kernel_basis_int,
+    _null_vector,
+    _primitive,
+    _back,
+    _rank,
+    _sub,
+    _vertex_cones,
+)
 
 
 def verts(P):
@@ -374,3 +384,105 @@ def test_clip_pyramid_apex_makes_it_simple():
     frustum = assert_clip_matches_oracle(P, (0, 0, 2), 1)
     assert frustum.simple and len(frustum.vertices) == 8
     assert frustum.volume() == P.volume() - Fraction(1, 6)
+
+
+# -- the one forward elimination against the per-system copies ---------------
+
+small_fractions = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """A square matrix of small rationals, often singular: with a zero row,
+    leading zero columns, or one row a combination of two others."""
+    n = draw(st.integers(1, 5))
+    m = [[draw(small_fractions) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["any", "zero row", "zero columns", "combination"]))
+    i = draw(st.integers(0, n - 1))
+    if shape == "zero row":
+        m[i] = [Fraction(0)] * n
+    elif shape == "zero columns":
+        for row in m:
+            row[: i + 1] = [Fraction(0)] * (i + 1)
+    elif shape == "combination" and n >= 3:
+        a, b = draw(small_fractions), draw(small_fractions)
+        m[i] = [a * x + b * y for x, y in zip(m[i - 1], m[i - 2])]
+    return m
+
+
+def solve(rows, rhs):
+    """The square solve that the package's callers make: one elimination of
+    [rows | rhs], then back substitution; None when singular."""
+    n = len(rows)
+    m, pivots, _ = _echelon([list(r) + [b] for r, b in zip(rows, rhs)], n)
+    return tuple(_back(m, pivots, [r[n] for r in m], [0] * n)) if len(pivots) == n else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices(), st.data())
+def test_elimination_matches_per_system_copies(m, data):
+    n = len(m)
+    rhs = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
+    transpose = [list(col) for col in zip(*m)]
+    assert _det(m) == oracles._det(m)
+    assert _rank(m) == oracles._rank(m)
+    assert _rank(transpose) == oracles._rank(transpose)
+    assert solve(m, rhs) == oracles._solve(m, rhs)
+    # the pivot columns of the transpose are the greedy independent rows
+    base = []
+    for i, row in enumerate(m):
+        if oracles._rank([m[j] for j in base] + [row]) == len(base) + 1:
+            base.append(i)
+    assert _echelon(transpose, n)[1] == base
+    if n >= 2:
+        rows = m[:-1]
+        assert _rank(rows) == oracles._rank(rows)
+        cross = oracles._cross(rows)
+        if oracles._rank(rows) == n - 1:
+            want = oracles._primitive(cross)
+            assert _primitive(_null_vector(rows)) in (want, tuple(-c for c in want))
+        else:
+            assert not any(cross)
+            with pytest.raises(ValueError):
+                _null_vector(rows)
+
+
+@st.composite
+def hulls_3d(draw):
+    """A 3-D hull of quarter-grid points with a duplicate, an edge midpoint
+    and an interior point among its inputs."""
+    quarter = support.quarter
+    pts = draw(st.lists(st.tuples(quarter, quarter, quarter), min_size=4, max_size=8))
+    a, b = pts[0], pts[1]
+    pts += [a, tuple((x + y) / 2 for x, y in zip(a, b))]
+    pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+    try:
+        return build_polytope(draw(st.permutations(pts)))
+    except DegenerateHull:
+        assume(False)
+
+
+def assert_geometry_matches_copies(P):
+    cones, nonsimple = oracles._vertex_cones(P.vertices, P.facets, P.dim)
+    assert cone_data(P.vertex_cones) == cone_data(cones)
+    assert P.nonsimple_vertices == nonsimple
+    if P.dim == 1:
+        return
+    for i, f in enumerate(P.facets):
+        sub, origin, basis = P.facet_polytope(i)
+        want_basis = _kernel_basis_int(f.normal)
+        want_origin = P.vertices[f.vertex_indices[0]]
+        ys = [
+            oracles._chart_coords(_sub(P.vertices[vi].coords, want_origin.coords), want_basis)
+            for vi in f.vertex_indices
+        ]
+        assert (origin, basis) == (want_origin, want_basis)
+        assert clip_fields(sub) == clip_fields(build_polytope(ys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(support.exact_polytopes(), hulls_3d()))
+def test_charts_and_cones_match_per_system_copies(P):
+    assert_geometry_matches_copies(P)
