@@ -42,7 +42,9 @@ def _moments(gear, n, combo, directions=(), base=True, sigma=True, dsigma=True):
     int (n + q) e^q) when base is true, then (A_d, B_d, C_d) for each
     direction factor d, the same integrals with one more factor d, where
     C_d = int (n + 1 + q) d e^q is the variation of C.  C is None unless
-    sigma (base) or dsigma (directions) asks for it.
+    sigma (base) or dsigma (directions) asks for it.  C and C_d are the
+    costliest integrals here and only sigma reads them, so callers forming
+    mu + lam * sigma ask for them only when lam != 0 (see _mu_lambda).
     """
     heads = ([([], sigma)] if base else []) + [([d], dsigma) for d in directions]
     lists = []
@@ -76,6 +78,16 @@ def _entropy(moments, variations=()):
     return mu, sigma, firsts
 
 
+def _mu_lambda(mu, sigma, lam):
+    """mu + lam * sigma, and mu itself at lam == 0, where sigma may be None
+    (not computed) or non-finite.
+
+    At lam == 0 the sum would be mu bit for bit wherever sigma is finite;
+    returning mu also keeps it where only C overflows.
+    """
+    return mu if lam == 0.0 else mu + lam * sigma
+
+
 def _at_rho(P, q, rho, sigma=True):
     """(mu, sigma) of rho * q; sigma is None unless asked for."""
     gear = ExpIntegrator(P, [as_pa(q, P)])
@@ -94,23 +106,30 @@ def sigma_star(P, q, rho=1.0) -> float:
 
 
 def mu_lambda(P, q, lam, rho=1.0) -> float:
-    """mu + lambda * sigma of rho * q."""
-    mu, sigma = _at_rho(P, q, rho)
-    return mu + float(lam) * sigma
+    """mu + lambda * sigma of rho * q; sigma (the integral C) is computed
+    only for lambda != 0, so mu_lambda(P, q, 0, rho) is mu_star(P, q, rho)."""
+    lam = float(lam)
+    mu, sigma = _at_rho(P, q, rho, sigma=lam != 0.0)
+    return _mu_lambda(mu, sigma, lam)
 
 
 def futaki(P, xi, q0, lam=0.0) -> float:
     """minus the first variation of mu_lambda at q_xi in the direction q0.
 
     Vanishes for every q0 exactly when xi is a critical point of
-    xi -> mu_lambda(q_xi).
+    xi -> mu_lambda(q_xi).  The sigma moments C and C_d are computed only
+    for lam != 0.
     """
+    lam = float(lam)
     qxi = _xi_form(P, xi)
     gear = ExpIntegrator(P, [qxi, as_pa(q0, P)])
     e = (1.0, 0.0)
-    base, along = _moments(gear, float(P.dim), e, [(0.0, (0.0, 1.0))])
+    want = lam != 0.0
+    base, along = _moments(
+        gear, float(P.dim), e, [(0.0, (0.0, 1.0))], sigma=want, dsigma=want
+    )
     _, _, [(dmu, dsigma)] = _entropy(base, [along])
-    return -(dmu + float(lam) * dsigma)
+    return -_mu_lambda(dmu, dsigma, lam)
 
 
 EntropyPoint = namedtuple(
@@ -154,7 +173,7 @@ def entropy_curve(P, q0, xi=None, lam=0.0, grid=(0.0, 5.0, 201)) -> EntropyRepor
 
     grid is (start, end, count) or an explicit sequence.  numerator and
     denominator are the boundary and interior integrals of e^(q_xi + rho q0),
-    scaled is -mu / (2 pi).
+    scaled is -mu / (2 pi).  At lam = 0 the mu_lambda column is mu itself.
     """
     if xi is None:
         xi = (0,) * P.dim
@@ -168,7 +187,7 @@ def entropy_curve(P, q0, xi=None, lam=0.0, grid=(0.0, 5.0, 201)) -> EntropyRepor
         [(A, B, C)] = _moments(gear, n, (1.0, rho))
         mu, sigma, _ = _entropy((A, B, C))
         rows.append(
-            EntropyPoint(rho, B, A, mu, sigma, mu + lam * sigma, -mu / TWO_PI)
+            EntropyPoint(rho, B, A, mu, sigma, _mu_lambda(mu, sigma, lam), -mu / TWO_PI)
         )
     return EntropyReport(rows, lam, xi)
 

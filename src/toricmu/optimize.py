@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isfinite, sqrt
 
-from .functionals import TWO_PI, _entropy, _moments, calabi
+from .functionals import TWO_PI, _entropy, _moments, _mu_lambda, calabi
 from .integrate import ExpIntegrator, ValidationFailure, _float_bits
 from .paconvex import AffineForm, as_pa
 
@@ -33,6 +33,7 @@ class _Objective:
     The moments (A, B, C) and the pair (value, gradient) of every point are
     kept for the objective's lifetime, keyed by the point's exact bits, so a
     point the line search comes back to returns the same floats for free.
+    C and C_d, which only sigma reads, are computed only for lam != 0.
     """
 
     def __init__(self, P, lam):
@@ -44,20 +45,21 @@ class _Objective:
         self.gear = ExpIntegrator(P, funcs)
         self.n = n
         self.lam = float(lam)
+        self.need_sigma = self.lam != 0.0
         self._abc_at = {}
         self._value_grad_at = {}
 
     def _abc(self, combo, key):
         abc = self._abc_at.get(key)
         if abc is None:
-            [abc] = _moments(self.gear, float(self.n), combo)
+            [abc] = _moments(self.gear, float(self.n), combo, sigma=self.need_sigma)
             self._abc_at[key] = abc
         return abc
 
     def value(self, xi):
         combo = tuple(float(c) for c in xi)
         mu, sigma, _ = _entropy(self._abc(combo, _float_bits(combo)))
-        return mu + self.lam * sigma
+        return _mu_lambda(mu, sigma, self.lam)
 
     def value_grad(self, xi):
         combo = tuple(float(c) for c in xi)
@@ -71,13 +73,21 @@ class _Objective:
             abc = self._abc_at.get(key)
             # after value() at this point only the direction moments are new
             moments = _moments(
-                self.gear, float(self.n), combo, units, base=abc is None
+                self.gear,
+                float(self.n),
+                combo,
+                units,
+                base=abc is None,
+                sigma=self.need_sigma,
+                dsigma=self.need_sigma,
             )
             if abc is None:
                 abc = self._abc_at[key] = moments.pop(0)
             mu, sigma, firsts = _entropy(abc, moments)
-            value = mu + self.lam * sigma
-            grad = tuple(dmu + self.lam * dsigma for (dmu, dsigma) in firsts)
+            value = _mu_lambda(mu, sigma, self.lam)
+            grad = tuple(
+                _mu_lambda(dmu, dsigma, self.lam) for (dmu, dsigma) in firsts
+            )
             hit = self._value_grad_at[key] = (value, grad)
         return hit[0], list(hit[1])
 
@@ -107,14 +117,15 @@ def _bfgs_ascent(obj, x0, gtol, max_iter, box):
     H = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     trace = [(tuple(x), f)]
     status = "max-iter"
-    for _ in range(max_iter):
+    for it in range(max_iter):
         gnorm = sqrt(sum(gi * gi for gi in g))
         if gnorm <= gtol:
             status = "converged"
             break
         d = [sum(H[i][j] * g[j] for j in range(n)) for i in range(n)]
         slope = sum(di * gi for di, gi in zip(d, g))
-        if slope <= 0.0:
+        reset = slope <= 0.0
+        if reset:
             # curvature model went bad; reset to steepest ascent
             H = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
             d = list(g)
@@ -146,8 +157,15 @@ def _bfgs_ascent(obj, x0, gtol, max_iter, box):
                         (1.0 + rho * uHu) * rho * s[i] * s[j]
                         - rho * (s[i] * Hu[j] + Hu[i] * s[j])
                     )
+        stalled = not reset and _float_bits(xn) == _float_bits(x)
         x, f, g = xn, fn, gn
         trace.append((tuple(x), f))
+        if stalled:
+            # the step rounded away and H is untouched: (x, f, g, H) is the
+            # state this iteration began with, and every remaining one
+            # would repeat it
+            trace.extend((tuple(x), f) for _ in range(max_iter - it - 1))
+            break
     gnorm = sqrt(sum(gi * gi for gi in g))
     if gnorm <= gtol:
         status = "converged"

@@ -244,19 +244,25 @@ def legendre_dual(fspec, P) -> PiecewiseAffineConvex:
     """Conjugate of a max-affine function back onto P.
 
     fspec is a LegendreTransform or a list of (w, c) pairs encoding
-    f(zeta) = max_j <w_j, zeta> + c_j.  The result is the lower convex
-    envelope mu -> f*(mu) as a PA function on P.
+    f(zeta) = max_j <w_j, zeta> + c_j, each w_j of length P.dim (else
+    ValueError).  The result is the lower convex envelope mu -> f*(mu) as a
+    PA function on P.
     """
     if isinstance(fspec, LegendreTransform):
         pairs = fspec.pieces()
     else:
         pairs = list(fspec)
+    n = P.dim
     pts = []
-    for (w, c) in pairs:
-        coords = _coords(w) + (-Fraction(c),)
+    for j, (w, c) in enumerate(pairs):
+        w = _coords(w)
+        if len(w) != n:
+            raise ValueError(
+                "support point %d has %d coordinates, expected %d" % (j, len(w), n)
+            )
+        coords = w + (-Fraction(c),)
         if coords not in pts:
             pts.append(coords)
-    n = P.dim
     if len(pts) == 0:
         raise EmptyPieces("empty conjugate spec")
     # rows [x, 1, value] have n + 2 pivots iff the graph points span R^(n+1);

@@ -11,8 +11,11 @@ construction to pin the incremental clip to a full rebuild, dh_cdf_clip,
 which measures a sublevel set with the package's clip and volume to pin
 the divided-difference DH CDF to them, and UncachedObjective, which
 replays the optimizer objective's arithmetic on fresh package integrators
-to pin its caches.  ddexp_full_table is a package-free oracle of a
-different kind: a verbatim copy of the scalar divided-difference kernel
+to pin its caches, futaki_all_moments, which runs the package's moment
+code with the sigma moments always on, and bfgs_ascent_every_iteration, a
+copy of the BFGS loop as it was when a stalled run spent every remaining
+iteration, run on the package's objective.  ddexp_full_table is a
+package-free oracle of a different kind: a verbatim copy of the scalar divided-difference kernel
 as it was when it still filled and squared the whole seed table, kept to
 pin the kernel that fills only the entries its answer reads to the same
 bits.  poly_moment_per_k, pa_moment_shift, boundary_pa_moment_per_k,
@@ -469,6 +472,8 @@ class UncachedObjective:
 
     The same formulas, in the same order, with a new ExpIntegrator for
     every integral, so no divided difference or point outlives one call.
+    It integrates C and C_i and forms mu + lam * sigma at every lam, 0
+    included, so it stays independent of the objective's lam == 0 path.
     """
 
     def __init__(self, P, lam):
@@ -518,6 +523,98 @@ class UncachedObjective:
             dsigma = (Ci * A - C * Ai) / (A * A) - Ai / A
             grad.append(dmu + self.lam * dsigma)
         return value, grad
+
+
+def futaki_all_moments(P, xi, q0, lam=0.0):
+    """toricmu.futaki as it was when it integrated C and C_d at every lam
+    and returned -(dmu + lam * dsigma)."""
+    from toricmu.functionals import _entropy, _moments, _xi_form
+    from toricmu.integrate import ExpIntegrator
+    from toricmu.paconvex import as_pa
+
+    qxi = _xi_form(P, xi)
+    gear = ExpIntegrator(P, [qxi, as_pa(q0, P)])
+    e = (1.0, 0.0)
+    base, along = _moments(gear, float(P.dim), e, [(0.0, (0.0, 1.0))])
+    _, _, [(dmu, dsigma)] = _entropy(base, [along])
+    return -(dmu + float(lam) * dsigma)
+
+
+def _project(x, box):
+    if box is None:
+        return list(x)
+    out = []
+    for xi, (lo, hi) in zip(x, box):
+        out.append(min(max(xi, lo), hi))
+    return out
+
+
+def _on_boundary(x, box, tol=1e-10):
+    if box is None:
+        return False
+    for xi, (lo, hi) in zip(x, box):
+        if abs(xi - lo) <= tol or abs(xi - hi) <= tol:
+            return True
+    return False
+
+
+def bfgs_ascent_every_iteration(obj, x0, gtol, max_iter, box):
+    """toricmu.optimize._bfgs_ascent as it was when a run whose step had
+    rounded away kept iterating to max_iter; returns the fields of
+    OptimizationResult as a plain tuple."""
+    n = len(x0)
+    x = _project(x0, box)
+    f, g = obj.value_grad(x)
+    H = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    trace = [(tuple(x), f)]
+    status = "max-iter"
+    for _ in range(max_iter):
+        gnorm = math.sqrt(sum(gi * gi for gi in g))
+        if gnorm <= gtol:
+            status = "converged"
+            break
+        d = [sum(H[i][j] * g[j] for j in range(n)) for i in range(n)]
+        slope = sum(di * gi for di, gi in zip(d, g))
+        if slope <= 0.0:
+            H = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+            d = list(g)
+            slope = gnorm * gnorm
+        t = 1.0
+        xn = x
+        fn = f
+        while t >= 1e-14:
+            cand = _project([x[i] + t * d[i] for i in range(n)], box)
+            fc = obj.value(cand)
+            if fc >= f + 1e-4 * t * slope:
+                xn, fn = cand, fc
+                break
+            t *= 0.5
+        if t < 1e-14:
+            break
+        fn, gn = obj.value_grad(xn)
+        s = [xn[i] - x[i] for i in range(n)]
+        u = [g[i] - gn[i] for i in range(n)]
+        su = sum(si * ui for si, ui in zip(s, u))
+        if su > 1e-14:
+            rho = 1.0 / su
+            Hu = [sum(H[i][j] * u[j] for j in range(n)) for i in range(n)]
+            uHu = sum(u[i] * Hu[i] for i in range(n))
+            for i in range(n):
+                for j in range(n):
+                    H[i][j] += (
+                        (1.0 + rho * uHu) * rho * s[i] * s[j]
+                        - rho * (s[i] * Hu[j] + Hu[i] * s[j])
+                    )
+        x, f, g = xn, fn, gn
+        trace.append((tuple(x), f))
+    gnorm = math.sqrt(sum(gi * gi for gi in g))
+    if gnorm <= gtol:
+        status = "converged"
+    if status == "converged" and _on_boundary(x, box):
+        status = "boundary-hit"
+    elif status == "max-iter" and box is not None and _on_boundary(x, box):
+        status = "boundary-hit"
+    return (tuple(x), f, gnorm, trace, status)
 
 
 def _h_complete_k(vals, k):

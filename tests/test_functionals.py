@@ -5,9 +5,12 @@ finite differences, Calabi energy algebra, and the extremal limit.
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import support
@@ -120,6 +123,72 @@ def test_futaki_matches_finite_differences():
         assert analytic == pytest.approx(approx, rel=1e-6), (xi, lam)
         checked += 1
     assert checked == 12
+
+
+def _bits(x):
+    return struct.pack("d", x)
+
+
+def _overflow_cases():
+    P5 = support.readme_pentagon()
+    return {
+        "segment <x>": (support.unit_segment(), AffineForm((1,), 0)),
+        "P5 <mu,(1,1)>": (P5, AffineForm((1, 1), 0)),
+        "P5 kink": (P5, kink_q(P5)),
+    }
+
+
+OVERFLOW_CASES = _overflow_cases()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(OVERFLOW_CASES)),
+    st.one_of(
+        st.sampled_from([0.0, 1.0, 600.0, 709.5, 710.0, 800.0, -800.0]),
+        st.floats(-1000.0, 1000.0),
+    ),
+    st.sampled_from([0.0, -0.0, 0, Fraction(0)]),
+)
+@example("segment <x>", 709.5, 0.0)
+@example("segment <x>", 800.0, 0.0)
+@example("P5 <mu,(1,1)>", 600.0, -0.0)
+def test_mu_lambda_at_zero_is_mu_star(case, rho, lam):
+    """At lambda = 0 sigma is not computed, so mu_lambda is mu_star bit for
+    bit, overflow range included, and non-finite exactly where mu_star is."""
+    P, q = OVERFLOW_CASES[case]
+    assert _bits(mu_lambda(P, q, lam, rho)) == _bits(mu_star(P, q, rho))
+
+
+def test_mu_lambda_at_zero_survives_sigma_overflow():
+    """On P5 along <mu,(1,1)> at rho = 600 the integral C overflows while mu
+    is finite; mu_lambda at lambda = 0 is mu, not nan, in mu_lambda and in
+    the entropy curve's rows."""
+    P, q = OVERFLOW_CASES["P5 <mu,(1,1)>"]
+    assert sigma_star(P, q, 600.0) == -math.inf
+    value = mu_lambda(P, q, 0.0, 600.0)
+    assert math.isfinite(value)
+    assert value == mu_star(P, q, 600.0)
+    [row] = entropy_curve(P, q, grid=[600.0])
+    assert row.sigma == -math.inf
+    assert math.isfinite(row.mu)
+    assert row.mu_lambda == row.mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(OVERFLOW_CASES)),
+    st.lists(st.floats(-800.0, 800.0), min_size=2, max_size=2),
+    st.sampled_from([0.0, -0.0, -0.5]),
+)
+def test_futaki_matches_all_moments_oracle(case, xi, lam):
+    """futaki skips C and C_d at lambda = 0 and agrees with the code that
+    integrated them wherever that code's value is finite."""
+    P, q0 = OVERFLOW_CASES[case]
+    xi = xi[: P.dim]
+    expected = oracles.futaki_all_moments(P, xi, q0, lam)
+    if math.isfinite(expected):
+        assert futaki(P, xi, q0, lam) == expected
 
 
 def test_entropy_curve_row_algebra():

@@ -18,7 +18,7 @@ from toricmu import (
     mu_star,
     normalized_df,
 )
-from toricmu.optimize import _Objective, default_seeds
+from toricmu.optimize import _bfgs_ascent, _Objective, default_seeds
 from toricmu.paconvex import AffineForm
 
 
@@ -143,8 +143,9 @@ def test_objective_gradient_is_a_fresh_list():
 
 def test_objective_kernel_calls(monkeypatch):
     """Each distinct divided difference is computed once per point: on the
-    README pentagon (3 triangles, 5 edges) the value needs 3 + 5 + 9 and
-    the gradient 10 + 18 more; a revisited point needs none."""
+    README pentagon (3 triangles, 5 edges) the value needs 3 + 5 and the
+    gradient 6 + 13 more at lam = 0, where C and C_i are skipped, and
+    3 + 5 + 9 and 10 + 18 more otherwise; a revisited point needs none."""
     calls = []
     kernel = toricmu.integrate.ddexp
 
@@ -153,18 +154,52 @@ def test_objective_kernel_calls(monkeypatch):
         return kernel(nodes)
 
     monkeypatch.setattr(toricmu.integrate, "ddexp", counting)
-    obj = _Objective(support.readme_pentagon(), 0.0)
 
     def count(call, x):
         del calls[:]
         call(x)
         return len(calls)
 
-    assert count(obj.value_grad, (0.3, -0.2)) == 45
-    assert count(obj.value, (0.1, 0.2)) == 17
-    assert count(obj.value_grad, (0.1, 0.2)) == 28
-    assert count(obj.value, (0.3, -0.2)) == 0
-    assert count(obj.value_grad, (0.3, -0.2)) == 0
+    for lam, expected in ((0.0, (27, 8, 19, 0, 0)), (-0.5, (45, 17, 28, 0, 0))):
+        obj = _Objective(support.readme_pentagon(), lam)
+        assert (
+            count(obj.value_grad, (0.3, -0.2)),
+            count(obj.value, (0.1, 0.2)),
+            count(obj.value_grad, (0.1, 0.2)),
+            count(obj.value, (0.3, -0.2)),
+            count(obj.value_grad, (0.3, -0.2)),
+        ) == expected
+
+
+@pytest.mark.parametrize("max_iter", [40, 500])
+def test_bfgs_matches_every_iteration_oracle(max_iter):
+    """Leaving a run at a step that rounds away changes no output: the P5
+    seeds (1, 0) and (0, 1) stall there, (0, 0) converges."""
+    P = support.readme_pentagon()
+    for seed in ((1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
+        obj = _Objective(P, 0.0)
+        ref = oracles.bfgs_ascent_every_iteration(
+            _Objective(P, 0.0), list(seed), 1e-8, max_iter, None
+        )
+        res = _bfgs_ascent(obj, list(seed), 1e-8, max_iter, None)
+        assert tuple(res) == ref
+
+
+def test_stalled_seed_stops_at_its_fixed_point():
+    """A stalled P5 seed evaluates the objective 66 times, not once per
+    line-search probe of every remaining iteration (14,766 times)."""
+    calls = []
+
+    class Counting(_Objective):
+        def value(self, xi):
+            calls.append(xi)
+            return _Objective.value(self, xi)
+
+    P = support.readme_pentagon()
+    res = _bfgs_ascent(Counting(P, 0.0), [1.0, 0.0], 1e-8, 500, None)
+    assert res.status == "max-iter"
+    assert len(res.trace) == 501
+    assert len(calls) < 500
 
 
 def test_normalized_df_matches_calabi():

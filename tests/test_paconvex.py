@@ -398,6 +398,22 @@ def test_legendre_dual_single_piece_and_degenerate_specs():
         legendre_dual([((1,), 3)], support.unit_segment())
 
 
+def test_legendre_dual_rejects_support_points_of_the_wrong_length():
+    """3-D support points on the unit square used to be cut to their first
+    two coordinates, which returned the piece 0."""
+    spec = [
+        ((0, 0, 0), 0),
+        ((1, 0, 0), 0),
+        ((0, 1, 0), 0),
+        ((0, 0, 1), 0),
+        ((1, 1, 1), -5),
+    ]
+    with pytest.raises(ValueError, match="has 3 coordinates, expected 2$"):
+        legendre_dual(spec, support.unit_square())
+    with pytest.raises(ValueError, match="has 1 coordinates, expected 2$"):
+        legendre_dual([((0, 0), 0), ((1, 0), 0), ((0,), 1)], support.unit_square())
+
+
 def test_legendre_fenchel_young():
     rng = random.Random(281)
     P = support.random_polytope(rng)
