@@ -6,12 +6,17 @@ described by rational moment polytopes, together with the supporting exact
 geometry: hulls, lattice-normalized measures, piecewise affine convex
 potentials, pushforward measures, Orlicz-type metrics, and monomial
 filtration spectral measures.
+
+Every argument the library cannot use, including an exact value beyond
+the float range where a float is computed from it, raises InputError (a
+ValueError).
 """
 
 from .polytope import (
     EMPTY,
     DegenerateHull,
     Facet,
+    InputError,
     LatticePolytope,
     RationalVector,
     Simplex,

@@ -11,8 +11,9 @@ Builtin polytopes: cp1, square, blowup-delta:D, donaldson.
 Builtin potentials: zero, const:C, square-qn:N, corner-flat:D.
 Rationals in files and flags are "num/den" strings.
 
-Exit codes: 0 success, 2 unusable input, 3 failed numerical validation or
-embedded tolerance check.
+Exit codes: 0 success, 2 unusable input (any toricmu.InputError: the
+library checks every argument, including exact values beyond the float
+range), 3 failed numerical validation or embedded tolerance check.
 """
 
 from __future__ import annotations
@@ -71,11 +72,7 @@ from .paconvex import (
     metric_dexp,
     metric_dp,
 )
-from .polytope import DegenerateHull, LatticePolytope, build_polytope
-
-
-class InputError(ValueError):
-    """Unusable command line input; exit code 2."""
+from .polytope import InputError, LatticePolytope, _finite, _positive_int, build_polytope
 
 
 class CheckFailure(RuntimeError):
@@ -92,50 +89,20 @@ def _fraction(text):
         raise InputError("cannot parse rational %r" % (text,)) from err
 
 
-def _positive_int(text, what):
-    try:
-        k = int(text)
-    except ValueError as err:
-        raise InputError("cannot parse integer %r" % (text,)) from err
-    if k < 1:
-        raise InputError("%s needs a positive integer, got %r" % (what, text))
-    return k
-
-
-def _finite(value, flag):
-    if not isfinite(value):
-        raise InputError("%s must be finite, got %r" % (flag, value))
-    return value
-
-
 def _vector(text):
     return tuple(_fraction(part) for part in str(text).split(","))
 
 
 def _xi(text, P):
-    """--xi as a vector of P's dimension (default the origin)."""
-    if not text:
-        return (0,) * P.dim
-    xi = _vector(text)
-    if len(xi) != P.dim:
-        raise InputError(
-            "--xi has %d coordinates, the polytope has dimension %d"
-            % (len(xi), P.dim)
-        )
-    return xi
+    """--xi as a vector (default the origin of P's dimension)."""
+    return _vector(text) if text else (0,) * P.dim
 
 
 def _grid(text):
     parts = str(text).split(":")
     if len(parts) != 3:
         raise InputError("grid must be start:end:count, got %r" % (text,))
-    try:
-        start, end, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as err:
-        raise InputError("grid must be start:end:count, got %r" % (text,)) from err
-    if count < 1:
-        raise InputError("grid count must be at least 1")
-    return _finite(start, "grid start"), _finite(end, "grid end"), count
+    return tuple(_fraction(part) for part in parts)
 
 
 # -- builtin inputs --------------------------------------------------------------
@@ -174,8 +141,7 @@ def square_qn_potential(n):
 
 def corner_flat_potential(d):
     """q_d = max(0, d t - (d - 1)) on the unit segment."""
-    d = _positive_int(d, "corner-flat")
-    return make_pa([((0,), 0), ((d,), d - 1)], unit_segment())
+    return corner_flat_filtration(d).pa
 
 
 def _load_polytope(spec) -> LatticePolytope:
@@ -197,7 +163,7 @@ def _load_polytope(spec) -> LatticePolytope:
         raise InputError("cannot read polytope %r: %s" % (spec, err)) from err
     try:
         return LatticePolytope.from_json(text)
-    except (ValueError, KeyError, DegenerateHull) as err:
+    except InputError as err:
         raise InputError("bad polytope file %r: %s" % (spec, err)) from err
 
 
@@ -224,9 +190,9 @@ def _load_q(spec, P):
         form = AffineForm.constant_form(P.dim, _fraction(param or "0"))
         return as_pa(form, P), P
     if name == "square-qn":
-        return _match_polytope(square_qn_potential(param or "2"), P)
+        return _match_polytope(square_qn_potential(_fraction(param or "2")), P)
     if name == "corner-flat":
-        return _match_polytope(corner_flat_potential(param or "2"), P)
+        return _match_polytope(corner_flat_potential(_fraction(param or "2")), P)
     try:
         with open(spec) as fh:
             data = json.load(fh)
@@ -240,7 +206,7 @@ def _load_q(spec, P):
             for piece in data["pieces"]
         ]
         return make_pa(pieces, P), P
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as err:
         raise InputError("bad potential file %r: %s" % (spec, err)) from err
 
 
@@ -307,17 +273,16 @@ def _report_rows(pairs):
 def _cmd_integrate(args):
     P = _load_polytope(args.polytope)
     q, P = _load_q(args.q, P)
-    rho = _finite(args.rho, "--rho")
-    meta = {"rho": rho, "method": args.method}
+    meta = {"rho": args.rho, "method": args.method}
     report = None
     if args.method == "auto":
         try:
-            report = cross_validate(P, q, rho=rho)
+            report = cross_validate(P, q, rho=args.rho)
         except (NearSingularDirection, NonSimpleVertex) as err:
             meta["localization"] = "skipped: %s" % err
     if report is None:
         route = "localization" if args.method == "localization" else "triangulation"
-        interior = polytope_exp_integral(P, q, rho=rho, method=route)
+        interior = polytope_exp_integral(P, q, rho=args.rho, method=route)
         pairs = [("interior_" + route, interior.value)]
     else:
         pairs = [
@@ -326,7 +291,7 @@ def _cmd_integrate(args):
         ]
     if report is None or report.boundary_triangulation is None:
         pairs.append(
-            ("boundary_triangulation", boundary_exp_integral(P, q, rho=rho).value)
+            ("boundary_triangulation", boundary_exp_integral(P, q, rho=args.rho).value)
         )
     else:
         pairs.append(("boundary_triangulation", report.boundary_triangulation))
@@ -339,8 +304,7 @@ def _cmd_integrate(args):
 def _cmd_entropy(args):
     P = _load_polytope(args.polytope)
     q, P = _load_q(args.q, P)
-    lam = _finite(args.lam, "--lambda")
-    report = entropy_curve(P, q, xi=_xi(args.xi, P), lam=lam, grid=_grid(args.grid))
+    report = entropy_curve(P, q, xi=_xi(args.xi, P), lam=args.lam, grid=_grid(args.grid))
     best = report.best()
     meta = {
         "lambda": args.lam,
@@ -357,16 +321,14 @@ def _cmd_futaki(args):
         raise InputError("futaki needs --q as the variation direction")
     q, P = _load_q(args.q, P)
     xi = _xi(args.xi, P)
-    value = futaki(P, xi, q, lam=_finite(args.lam, "--lambda"))
+    value = futaki(P, xi, q, lam=args.lam)
     rows = [{"quantity": "futaki", "value": value}]
     meta = {"lambda": args.lam, "xi": ",".join(str(c) for c in xi)}
     return rows, REPORT_COLUMNS, meta
 
 
 def _cmd_optimize(args):
-    if not (isfinite(args.lam) and args.lam <= 0.0):
-        # lambda > 0 needs a search box, which the command does not take
-        raise InputError("optimize needs a finite --lambda <= 0, got %r" % (args.lam,))
+    # the command takes no search box, so the library rejects lambda > 0
     P = _load_polytope(args.polytope)
     res = maximize_over_vectors(P, lam=args.lam)
     rows = [
@@ -395,10 +357,9 @@ def _cmd_dh(args):
     q, P = _load_q(args.q, P)
     summary = dh_summary(q)
     lo, hi = summary.support()
-    if args.grid:
-        start, end, count = _grid(args.grid)
-    else:
-        start, end, count = float(lo), float(hi), 41
+    start, end, count = _grid(args.grid) if args.grid else (lo, hi, 41)
+    start, end = _finite(start, "grid start"), _finite(end, "grid end")
+    count = _positive_int(count, "grid count")
     rows = []
     for i in range(count):
         tau = start if count == 1 else start + (end - start) * i / (count - 1)
@@ -423,12 +384,7 @@ def _cmd_metric(args):
         value = metric_dexp(q, q2)
         name = "d_exp"
     else:
-        try:
-            p = float(args.p)
-        except ValueError as err:
-            raise InputError("--p must be a number or 'exp'") from err
-        if not (isfinite(p) and p >= 1):
-            raise InputError("--p must be a finite number >= 1 or 'exp'")
+        p = _fraction(args.p)
         value = metric_dp(q, q2, p)
         name = "d_%g" % p
     return [{"quantity": name, "value": value}], REPORT_COLUMNS, {}
@@ -441,7 +397,7 @@ def _cmd_filtration(args):
         if name == "corner":
             F = corner_filtration()
         elif name == "corner-flat":
-            F = corner_flat_filtration(_positive_int(param or "2", "corner-flat"))
+            F = corner_flat_filtration(_fraction(param or "2"))
         else:
             raise InputError("unknown filtration case %r" % (case,))
     else:
@@ -451,7 +407,7 @@ def _cmd_filtration(args):
         q, P = _load_q(args.q, P)
         F = MonomialFiltration.from_pa(q)
     if args.m:
-        degrees = [_positive_int(m, "--m") for m in str(args.m).split(",")]
+        degrees = list(_vector(args.m))
     else:
         degrees = [1, 2, 4, 8, 16, 32, 64]
     rows = []
@@ -462,7 +418,7 @@ def _cmd_filtration(args):
         )
         rows.append(
             {
-                "m": m,
+                "m": nu.m,
                 "atoms": atoms,
                 "total_mass": nu.total_mass(),
                 "exp_integral": nu.exp_integral(),
@@ -642,7 +598,7 @@ def _reproduce_donaldson():
 
 
 def _reproduce_square_qn(param):
-    n = _positive_int(param or "5", "square-qn")
+    n = _fraction(param or "5")
     q = square_qn_potential(n)
     P = q.P
     b1 = boundary_pa_moment(q, 1)
@@ -667,7 +623,7 @@ def _reproduce_square_qn(param):
     zero = as_pa(None, P)
     d1 = metric_dp(q, zero, 1)
     d2 = metric_dp(q, zero, 2)
-    _require(d1 <= 1.0 / (3.0 * n) + 1e-12, "d_1 %.9g exceeds 1/(3n)" % d1)
+    _require(d1 <= 1 / (3 * n) + 1e-12, "d_1 %.9g exceeds 1/(3n)" % d1)
     _require(d2 >= 1.0 / 18.0, "d_2 %.9g below 1/18" % d2)
     rows = [
         {"quantity": "boundary_moment", "value": b1},
@@ -856,7 +812,7 @@ def run(argv) -> int:
     try:
         rows, fieldnames, meta = args.handler(args)
         _require_finite(rows, meta)
-    except (InputError, NonSimpleVertex) as err:
+    except InputError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except (

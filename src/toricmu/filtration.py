@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import exp, log, pi
+from math import log, pi
 
+from ._ddexp_py import _safe_exp
 from .functionals import mu_star
 from .paconvex import PiecewiseAffineConvex, as_pa, make_pa
-from .polytope import LatticePolytope, _positive_int, build_polytope
+from .polytope import InputError, LatticePolytope, _positive_int, build_polytope
 
 
 class NonConvergent(RuntimeError):
@@ -74,7 +75,10 @@ class SpectralMeasure:
         return sum((mass for pos, mass in self.atoms if pos >= tau), Fraction(0))
 
     def exp_integral(self, rho=1.0) -> float:
-        return sum(float(mass) * exp(-rho * float(pos)) for pos, mass in self.atoms)
+        try:
+            return sum(float(mass) * _safe_exp(-rho * float(pos)) for pos, mass in self.atoms)
+        except OverflowError:
+            raise InputError("an atom of %r is beyond the float range" % (self,)) from None
 
     def __repr__(self):
         return "SpectralMeasure(m=%s, atoms=%d)" % (self.m, len(self.atoms))
@@ -140,7 +144,7 @@ def spectral_measure(F, m, normalization="dimension") -> SpectralMeasure:
     elif normalization == "volume":
         denom = Fraction(m ** F.P.dim)
     else:
-        raise ValueError("normalization must be 'dimension' or 'volume'")
+        raise InputError("normalization must be 'dimension' or 'volume'")
     atoms = [(Fraction(w, m), Fraction(c) / denom) for w, c in counts.items()]
     return SpectralMeasure(atoms, m, normalization)
 
@@ -148,7 +152,7 @@ def spectral_measure(F, m, normalization="dimension") -> SpectralMeasure:
 def char_mu_exact(F) -> float:
     """Characteristic entropy through the generating potential, mu(q)."""
     if F.pa is None:
-        raise ValueError("filtration has no generating potential")
+        raise InputError("filtration has no generating potential")
     return mu_star(F.P, F.pa)
 
 
@@ -180,7 +184,7 @@ def char_mu_estimate(F, m_list, normalization="dimension", nu_infinity=None) -> 
     """
     ms = sorted(set(_positive_int(m, "degree") for m in m_list))
     if len(ms) < 3:
-        raise ValueError("need at least three degrees")
+        raise InputError("need at least three distinct degrees, got %r" % (ms,))
     if nu_infinity is not None:
         if isinstance(nu_infinity, SpectralMeasure):
             D = nu_infinity.exp_integral()

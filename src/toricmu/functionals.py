@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isfinite, log, pi
+from math import log, pi
 
 from .integrate import ExpIntegrator
 from .paconvex import AffineForm, _boundary_moments, _pa_moments, _variance, as_pa
-from .polytope import _positive_int
+from .polytope import InputError, _finite, _positive_int
 
 TWO_PI = 2.0 * pi
 
@@ -30,7 +30,7 @@ def _xi_form(P, xi) -> AffineForm:
     """q_xi as an exact affine form <mu, -xi>."""
     coords = tuple(Fraction(c) for c in xi)
     if len(coords) != P.dim:
-        raise ValueError("xi has wrong length")
+        raise InputError("xi has %d coordinates, P has dimension %d" % (len(coords), P.dim))
     return AffineForm(tuple(-c for c in coords), 0)
 
 
@@ -91,7 +91,7 @@ def _mu_lambda(mu, sigma, lam):
 def _at_rho(P, q, rho, sigma=True):
     """(mu, sigma) of rho * q; sigma is None unless asked for."""
     gear = ExpIntegrator(P, [as_pa(q, P)])
-    (moments,) = _moments(gear, float(P.dim), (float(rho),), sigma=sigma)
+    (moments,) = _moments(gear, float(P.dim), (_finite(rho, "rho"),), sigma=sigma)
     return _entropy(moments)[:2]
 
 
@@ -108,7 +108,7 @@ def sigma_star(P, q, rho=1.0) -> float:
 def mu_lambda(P, q, lam, rho=1.0) -> float:
     """mu + lambda * sigma of rho * q; sigma (the integral C) is computed
     only for lambda != 0, so mu_lambda(P, q, 0, rho) is mu_star(P, q, rho)."""
-    lam = float(lam)
+    lam = _finite(lam, "lam")
     mu, sigma = _at_rho(P, q, rho, sigma=lam != 0.0)
     return _mu_lambda(mu, sigma, lam)
 
@@ -120,7 +120,7 @@ def futaki(P, xi, q0, lam=0.0) -> float:
     xi -> mu_lambda(q_xi).  The sigma moments C and C_d are computed only
     for lam != 0.
     """
-    lam = float(lam)
+    lam = _finite(lam, "lam")
     qxi = _xi_form(P, xi)
     gear = ExpIntegrator(P, [qxi, as_pa(q0, P)])
     e = (1.0, 0.0)
@@ -158,9 +158,8 @@ class EntropyReport:
 
 def _parse_grid(grid):
     if isinstance(grid, (tuple, list)) and len(grid) == 3 and not hasattr(grid[2], "__len__"):
-        start, end, count = float(grid[0]), float(grid[1]), _positive_int(grid[2], "grid count")
-        if not (isfinite(start) and isfinite(end)):
-            raise ValueError("grid start and end must be finite, got %r" % (grid,))
+        start, end = _finite(grid[0], "grid start"), _finite(grid[1], "grid end")
+        count = _positive_int(grid[2], "grid count")
         if count == 1:
             return [start]
         step = (end - start) / (count - 1)
@@ -180,7 +179,7 @@ def entropy_curve(P, q0, xi=None, lam=0.0, grid=(0.0, 5.0, 201)) -> EntropyRepor
     qxi = _xi_form(P, xi)
     q0 = as_pa(q0, P)
     n = float(P.dim)
-    lam = float(lam)
+    lam = _finite(lam, "lam")
     gear = ExpIntegrator(P, [qxi, q0])
     rows = []
     for rho in _parse_grid(grid):
@@ -229,14 +228,17 @@ def calabi(P, q) -> CalabiReport:
     rho_max = -2 pi M / variance otherwise.
     """
     vol, M, variance = _exact_moments(as_pa(q, P))
-    c_na = float(-TWO_PI * M / vol - variance / (2 * vol))
-    if M >= 0 or variance == 0:
-        rho_max = 0.0
-        sup_value = 0.0
-    else:
-        rho_max = float(-TWO_PI * M / variance)
-        sup_value = float(2 * pi * pi * M * M / (vol * variance))
-    return CalabiReport(float(M), float(variance), c_na, rho_max, sup_value)
+    try:
+        c_na = float(-TWO_PI * M / vol - variance / (2 * vol))
+        if M >= 0 or variance == 0:
+            rho_max = 0.0
+            sup_value = 0.0
+        else:
+            rho_max = float(-TWO_PI * M / variance)
+            sup_value = float(2 * pi * pi * M * M / (vol * variance))
+        return CalabiReport(float(M), float(variance), c_na, rho_max, sup_value)
+    except OverflowError:
+        raise InputError("a Calabi moment of q is beyond the float range") from None
 
 
 def extremal_limit_check(P, q, rho_small=1e-3):
@@ -248,7 +250,7 @@ def extremal_limit_check(P, q, rho_small=1e-3):
     """
     rho = float(rho_small)
     if rho <= 0:
-        raise ValueError("rho_small must be positive")
+        raise InputError("rho_small must be positive")
     q = as_pa(q, P)
     n = P.dim
     lam = -1.0 / rho

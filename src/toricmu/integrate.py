@@ -36,10 +36,10 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import factorial, sqrt
+from math import factorial, hypot
 
 from ._ddexp_py import _safe_exp
-from .polytope import _coords, _dot
+from .polytope import InputError, _coords, _dot, _finite
 from .paconvex import AffineForm, as_pa, common_cells
 
 try:  # compiled kernel, with pure-Python fallback
@@ -54,7 +54,7 @@ class NearSingularDirection(ValueError):
     """Localization direction pairs too close to zero with an edge."""
 
 
-class NonSimpleVertex(ValueError):
+class NonSimpleVertex(InputError):
     """Localization met a vertex whose tangent cone is not simplicial."""
 
 
@@ -198,16 +198,21 @@ class ExpIntegrator:
 
     def _build(self):
         records = []
-        for (cell, ids) in common_cells(self.P, self.funcs):
-            pieces = [pa.pieces[i] for pa, i in zip(self.funcs, ids)]
-            for s in cell.triangulate():
-                det = abs(float(s.edge_matrix_det()))
-                if det == 0.0:
-                    continue
-                vals = [
-                    [float(piece(v)) for piece in pieces] for v in s.vertices
-                ]
-                records.append((det, vals))
+        try:
+            for (cell, ids) in common_cells(self.P, self.funcs):
+                pieces = [pa.pieces[i] for pa, i in zip(self.funcs, ids)]
+                for s in cell.triangulate():
+                    det = abs(float(s.edge_matrix_det()))
+                    if det == 0.0:
+                        continue
+                    vals = [
+                        [float(piece(v)) for piece in pieces] for v in s.vertices
+                    ]
+                    records.append((det, vals))
+        except OverflowError:
+            raise InputError(
+                "a simplex volume or a function value is beyond the float range"
+            ) from None
         self._records = records
         self._memos = [(None, None)] * len(records)
 
@@ -298,7 +303,7 @@ def _weight_terms(weight, P, q, rho):
         return funcs, [(1.0, [(float(P.dim), (float(rho),))])]
     if weight == "qsq":
         return funcs, [(1.0, [(0.0, (1.0,)), (0.0, (1.0,))])]
-    raise ValueError("unknown weight %r" % (weight,))
+    raise InputError("unknown weight %r" % (weight,))
 
 
 def _weighted_integral(kind, P, qpa, rho, weight):
@@ -323,12 +328,13 @@ def polytope_exp_integral(P, q, rho=1.0, weight=None, method="auto") -> Integral
     requires weight=None and a polytope with simple vertices.
     """
     qpa = as_pa(q, P)
+    rho = _finite(rho, "rho")
     if method not in ("auto", "triangulation", "localization"):
-        raise ValueError("unknown method %r" % (method,))
+        raise InputError("unknown method %r" % (method,))
     if method == "localization":
         if weight is not None:
-            raise ValueError("localization evaluates unweighted integrals only")
-        value, mag = _localize_integral(P, qpa, float(rho))
+            raise InputError("localization evaluates unweighted integrals only")
+        value, mag = _localize_integral(P, qpa, rho)
         return IntegralResult(value, "localization", 1e-13 * mag)
     return _weighted_integral("interior", P, qpa, rho, weight)
 
@@ -339,7 +345,7 @@ def boundary_exp_integral(P, q, rho=1.0, weight=None) -> IntegralResult:
     Facet lattice measures; evaluated by recursion to the facets in their
     exact lattice charts.
     """
-    return _weighted_integral("boundary", P, as_pa(q, P), rho, weight)
+    return _weighted_integral("boundary", P, as_pa(q, P), _finite(rho, "rho"), weight)
 
 
 # -- localization ---------------------------------------------------------------
@@ -360,7 +366,10 @@ def _vertex_pairings(P, eta):
 
 
 def _norm(vec):
-    return sqrt(sum(float(c) ** 2 for c in vec))
+    try:
+        return hypot(*map(float, vec))
+    except OverflowError:
+        raise InputError("direction %r is beyond the float range" % (vec,)) from None
 
 
 _GENERICITY = 1e-6
@@ -375,11 +384,11 @@ def _localization_data(P, eta, scale, boundary, allow_zero):
     eta = _coords(eta)
     x = float(scale)
     if x == 0.0:
-        raise ValueError("scale must be nonzero")
+        raise InputError("scale must be nonzero")
     data = _vertex_pairings(P, eta)
     neta = _norm(eta)
     if neta == 0.0:
-        raise ValueError("direction must be nonzero")
+        raise InputError("direction must be nonzero")
     zero_edges = []
     for (_, _, pairs) in data:
         for (t, mu) in pairs:
@@ -390,7 +399,7 @@ def _localization_data(P, eta, scale, boundary, allow_zero):
                     "edge %r pairs to %s with the direction" % (mu, t)
                 )
     if boundary and P.dim != 2:
-        raise ValueError("boundary localization is two-dimensional only")
+        raise InputError("boundary localization is two-dimensional only")
     return eta, x, data, zero_edges
 
 
@@ -494,7 +503,10 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
         a = x * float(_dot(v.coords, eta))
         b = x * float(_dot(v.coords, zeta))
         ea = _safe_exp(a)
-        term = (0, [ea * b ** j / factorial(j) for j in range(keep)])
+        try:
+            term = (0, [ea * b ** j / factorial(j) for j in range(keep)])
+        except OverflowError:  # b^j beyond the float range: no float series
+            return float("nan")
         if boundary:
             (t1, m1), (t2, m2) = pairs
             s1, s2 = _dot(m1, zeta), _dot(m2, zeta)
@@ -553,13 +565,16 @@ def _localize_integral(P, qpa, rho):
     mag = 0.0
     for (i, cell) in qpa.cells():
         piece = qpa.pieces[i]
-        const = float(piece.constant)
-        if rho == 0.0 or all(g == 0 for g in piece.gradient):
-            contrib = _safe_exp(rho * const) * float(cell.volume())
-        else:
-            contrib = _safe_exp(rho * const) * brion_localize_limit(
-                cell, piece.gradient, scale=rho
-            )
+        try:
+            const = float(piece.constant)
+            if rho == 0.0 or all(g == 0 for g in piece.gradient):
+                contrib = _safe_exp(rho * const) * float(cell.volume())
+            else:
+                contrib = _safe_exp(rho * const) * brion_localize_limit(
+                    cell, piece.gradient, scale=rho
+                )
+        except OverflowError:
+            raise InputError("q or a cell is beyond the float range") from None
         total += contrib
         mag += abs(contrib)
     return total, mag
@@ -606,7 +621,7 @@ def cross_validate(P, q, rho=1.0) -> CrossValidation:
     those fields are None.
     """
     qpa = as_pa(q, P)
-    rho = float(rho)
+    rho = _finite(rho, "rho")
     it = polytope_exp_integral(P, qpa, rho=rho).value
     il, _ = _localize_integral(P, qpa, rho)
     gaps = [abs(it - il) / max(abs(it), abs(il), 1e-300)]

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isfinite, sqrt
+from math import sqrt
 
 from .functionals import TWO_PI, _entropy, _moments, _mu_lambda, calabi
 from .integrate import ExpIntegrator, ValidationFailure, _float_bits
 from .paconvex import AffineForm, as_pa
+from .polytope import InputError, _finite
 
 
 class MaxIterExceeded(RuntimeError):
@@ -198,11 +199,9 @@ def maximize_over_vectors(
     MaxIterExceeded when no seed converges; otherwise returns the best run
     (its trace is monotone).
     """
-    lam = float(lam)
-    if not isfinite(lam):
-        raise ValueError("lam must be finite, got %r" % (lam,))
+    lam = _finite(lam, "lam")
     if lam > 0 and box is None:
-        raise ValueError("lam > 0 needs an explicit search box")
+        raise InputError("lam > 0 needs an explicit search box, got lam = %r" % (lam,))
     obj = _Objective(P, lam)
     if seeds is None:
         seeds = default_seeds(P.dim)
@@ -243,9 +242,7 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
     a coarse scan picks the best basin, and golden-section refines to xtol.
     Returns (x_star, value).  lam must be finite.
     """
-    lam = float(lam)
-    if not isfinite(lam):
-        raise ValueError("lam must be finite, got %r" % (lam,))
+    lam = _finite(lam, "lam")
     obj = _Objective(P, lam)
 
     def h(x):

@@ -15,22 +15,24 @@ import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, comb, factorial, isfinite, log1p, log10
+from math import ceil, comb, factorial, inf, log1p, log10
 
 from .polytope import (
     EMPTY,
     DegenerateHull,
+    InputError,
     LatticePolytope,
     RationalVector,
     _back,
     _coords,
     _dot,
     _echelon,
+    _finite,
     build_polytope,
 )
 
 
-class EmptyPieces(ValueError):
+class EmptyPieces(InputError):
     """make_pa received no pieces."""
 
 
@@ -102,7 +104,7 @@ def _as_piece(piece, dim):
     eta, lam = piece
     form = AffineForm(eta, -Fraction(lam))
     if len(form.gradient) != dim:
-        raise ValueError("piece gradient has wrong length")
+        raise InputError("piece gradient has wrong length")
     return form
 
 
@@ -128,7 +130,7 @@ class PiecewiseAffineConvex:
     def restrict_to_facet(self, facet_index):
         """Restriction to a facet of P, in that facet's lattice chart.
 
-        Raises ValueError when P is a segment (see facet_polytope)."""
+        Raises InputError when P is a segment (see facet_polytope)."""
         if facet_index not in self._facet_restrictions:
             sub, origin, basis = self.P.facet_polytope(facet_index)
             pieces = [piece.restrict(origin, basis) for piece in self.pieces]
@@ -143,7 +145,7 @@ class PiecewiseAffineConvex:
     def __rmul__(self, s):
         s = Fraction(s)
         if s < 0:
-            raise ValueError("scaling by a negative factor breaks convexity of max")
+            raise InputError("scaling by a negative factor breaks convexity of max")
         if s == 0:
             return PiecewiseAffineConvex([AffineForm.zero(self.P.dim)], self.P)
         return PiecewiseAffineConvex([s * p for p in self.pieces], self.P)
@@ -245,7 +247,7 @@ def legendre_dual(fspec, P) -> PiecewiseAffineConvex:
 
     fspec is a LegendreTransform or a list of (w, c) pairs encoding
     f(zeta) = max_j <w_j, zeta> + c_j, each w_j of length P.dim (else
-    ValueError).  The result is the lower convex envelope mu -> f*(mu) as a
+    InputError).  The result is the lower convex envelope mu -> f*(mu) as a
     PA function on P.
     """
     if isinstance(fspec, LegendreTransform):
@@ -257,7 +259,7 @@ def legendre_dual(fspec, P) -> PiecewiseAffineConvex:
     for j, (w, c) in enumerate(pairs):
         w = _coords(w)
         if len(w) != n:
-            raise ValueError(
+            raise InputError(
                 "support point %d has %d coordinates, expected %d" % (j, len(w), n)
             )
         coords = w + (-Fraction(c),)
@@ -373,25 +375,28 @@ def _simplex_power(simplex, aff: AffineForm, p):
     total = sum(terms)
     # Close values cancel.  By Jensen the sum is at least mean(g)^p / n!,
     # and rounding moves it by at most (p + 2n + 4) 2^-53 sum |terms|.
-    loss = sum(map(abs, terms)) * factorial(n) / float(sum(g) / (n + 1)) ** p
+    mean = float(sum(g) / (n + 1))
+    bound = sum(map(abs, terms)) * factorial(n)
+    jensen = mean**p
+    loss = bound / jensen if jensen else inf
     if (p + 2 * n + 4) * 2.0**-53 * loss > 1e-12:
+        # loss may be beyond the float range; its log10 is not
+        digits = log10(loss) if loss < inf else log10(bound) - p * log10(mean)
         with localcontext() as ctx:
-            ctx.prec = 20 + ceil(log10(loss))
-            terms = _power_terms(
-                weights, g, n, Decimal(p), lambda x: Decimal(x.numerator) / x.denominator
-            )
+            ctx.prec = 20 + ceil(digits)
+            terms = _power_terms(weights, g, n, Decimal(p), _decimal)
             total = float(sum(terms))
     return float(det) * float(top) ** p * total
 
 
 def _exponent(k) -> int:
-    """k as an int; ValueError unless it is an integer >= 0."""
+    """k as an int; InputError unless it is an integer >= 0."""
     try:
         k = operator.index(k)
     except TypeError:
-        raise ValueError("exact moments need an integer k, got %r" % (k,)) from None
+        raise InputError("exact moments need an integer k, got %r" % (k,)) from None
     if k < 0:
-        raise ValueError("exact moments need k >= 0, got %d" % k)
+        raise InputError("exact moments need k >= 0, got %d" % k)
     return k
 
 
@@ -501,7 +506,7 @@ class DHSummary:
 
     def moment(self, k) -> Fraction:
         if _exponent(k) > 4:
-            raise ValueError("moments tabulated for 0 <= k <= 4")
+            raise InputError("moments tabulated for 0 <= k <= 4")
         return self.moments[k]
 
     def laplace(self, rho) -> float:
@@ -524,7 +529,7 @@ def dh_summary(q: PiecewiseAffineConvex) -> DHSummary:
 
 def _check_same_polytope(q, qp):
     if q.P is not qp.P and q.P.vertices != qp.P.vertices:
-        raise ValueError("metrics need both functions on the same polytope")
+        raise InputError("metrics need both functions on the same polytope")
 
 
 def sup_abs_diff(q, qp) -> Fraction:
@@ -554,22 +559,53 @@ def _signed_regions(q, qp):
     return out
 
 
+def _power_sum(regions, p):
+    """Integral of aff^p over the (cell, aff) regions."""
+    return sum(_simplex_power(s, aff, p) for (cell, aff) in regions for s in cell.triangulate())
+
+
+def _decimal(x) -> Decimal:
+    x = Fraction(x)
+    return Decimal(x.numerator) / x.denominator
+
+
 def metric_dp(q, qp, p) -> float:
     """L^p distance (integral of |q - q'|^p)^{1/p}, for any real p >= 1.
 
     Integer p is summed exactly before the final root; any other p in
-    floats, by the same simplex identity (see _simplex_power).
+    floats, by the same simplex identity (see _simplex_power).  Where a
+    float over- or underflows on the way, the float sum is redone for
+    |q - q'| divided by its maximum and the root is taken in decimals, so
+    the result is inf only when d_p itself is beyond the float range.
     """
-    pf = float(p)
-    if not (isfinite(pf) and pf >= 1):
-        raise ValueError("p must be finite and at least 1, got %r" % (p,))
+    pf = _finite(p, "p")
+    if pf < 1:
+        raise InputError("p must be at least 1, got %s" % (p,))
     p = int(pf) if pf == int(pf) else pf
-    total = sum(
-        _simplex_power(s, aff, p)
-        for (cell, aff) in _signed_regions(q, qp)
-        for s in cell.triangulate()
-    )
-    return float(total) ** (1.0 / p)
+    regions = _signed_regions(q, qp)
+    try:
+        total = _power_sum(regions, p)
+    except OverflowError:  # a float power beyond the float range
+        total = inf
+    try:
+        d = float(total) ** (1.0 / p)
+    except OverflowError:  # an exact total beyond the float range
+        d = inf
+    if 0.0 < d < inf:
+        return d
+    top = 1
+    if isinstance(p, float):
+        top = max(aff(v) for (cell, aff) in regions for v in cell.vertices)
+        if top == 0:
+            return 0.0
+        try:
+            total = _power_sum([(cell, (1 / top) * aff) for (cell, aff) in regions], p)
+        except OverflowError:
+            raise InputError("a simplex volume is beyond the float range") from None
+    with localcontext() as ctx:
+        ctx.prec = 30
+        # float() of a Decimal beyond the float range is inf, not an error
+        return float(_decimal(top) * _decimal(total) ** (1 / Decimal(p)))
 
 
 def metric_dexp(q, qp) -> float:
@@ -584,14 +620,17 @@ def metric_dexp(q, qp) -> float:
     sup = sup_abs_diff(q, qp)
     if sup == 0:
         return 0.0
-    vol = float(q.P.volume())
     regions = _signed_regions(q, qp)
     cached = []
-    for (cell, aff) in regions:
-        for s in cell.triangulate():
-            det = abs(float(s.edge_matrix_det()))
-            vals = [float(aff(v)) for v in s.vertices]
-            cached.append((det, vals))
+    try:
+        vol = float(q.P.volume())
+        for (cell, aff) in regions:
+            for s in cell.triangulate():
+                det = abs(float(s.edge_matrix_det()))
+                vals = [float(aff(v)) for v in s.vertices]
+                cached.append((det, vals))
+    except OverflowError:
+        raise InputError("|q - q'| or a volume is beyond the float range") from None
 
     def big_g(beta):
         inv = 1.0 / beta

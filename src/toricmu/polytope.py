@@ -11,13 +11,18 @@ the boundary terms of the entropy functionals lattice-invariant.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import ceil, factorial, floor, gcd
+from math import ceil, factorial, floor, gcd, isfinite, prod
 
 
-class DegenerateHull(ValueError):
+class InputError(ValueError):
+    """An argument the library cannot use: its type, shape, or range."""
+
+
+class DegenerateHull(InputError):
     """Raised when input points do not affinely span the ambient space."""
 
 
@@ -438,7 +443,7 @@ class LatticePolytope:
         end points, which have no chart.
         """
         if self.dim == 1:
-            raise ValueError(
+            raise InputError(
                 "the facets of a segment are its end points and have no chart"
             )
         if facet_index not in self._facet_charts:
@@ -463,6 +468,8 @@ class LatticePolytope:
         for i in range(self.dim):
             vals = [scale * v.coords[i] for v in self.vertices]
             box.append(range(ceil(min(vals)), floor(max(vals)) + 1))
+        if prod(r.stop - r.start for r in box) > sys.maxsize:
+            raise InputError("the vertex box of %d P has more than 2^63 points" % scale)
         out = []
         for head in product(*box[:-1]):
             lo, hi = box[-1].start, box[-1].stop - 1
@@ -491,11 +498,20 @@ class LatticePolytope:
 
     @classmethod
     def from_json(cls, text):
-        data = json.loads(text)
-        verts = [[Fraction(c) for c in row] for row in data["vertices"]]
+        """Inverse of to_json: {"vertices": [[c, ...], ...]} with an optional
+        "dim", coordinates as numbers or "num/den" strings.  InputError for
+        any other shape."""
+        try:
+            data = json.loads(text)
+            rows = data["vertices"]
+            if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+                raise TypeError("vertices must be a list of coordinate lists")
+            verts = [[Fraction(c) for c in row] for row in rows]
+        except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as err:
+            raise InputError("not a polytope: %s: %s" % (type(err).__name__, err)) from None
         P = build_polytope(verts)
         if data.get("dim", P.dim) != P.dim:
-            raise ValueError("dim field does not match vertex length")
+            raise InputError("dim field does not match vertex length")
         return P
 
     def __repr__(self):
@@ -507,14 +523,25 @@ class LatticePolytope:
 
 
 def _positive_int(value, name) -> int:
-    """value as an int, or ValueError unless it is an integer >= 1."""
+    """value as an int, or InputError unless it is an integer >= 1."""
     try:
         k = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError("%s must be an integer >= 1, got %r" % (name, value)) from None
+        raise InputError("%s must be an integer >= 1, got %s" % (name, value)) from None
     if k != value or k < 1:
-        raise ValueError("%s must be an integer >= 1, got %r" % (name, value))
+        raise InputError("%s must be an integer >= 1, got %s" % (name, value))
     return k
+
+
+def _finite(value, name) -> float:
+    """float(value), or InputError unless that is finite."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise InputError("%s is beyond the float range" % name) from None
+    if not isfinite(x):
+        raise InputError("%s must be finite, got %r" % (name, x))
+    return x
 
 
 def _chart_coords(diffs, basis):
@@ -549,8 +576,10 @@ def build_polytope(vertices) -> LatticePolytope:
     if not pts:
         raise DegenerateHull("no points")
     n = len(pts[0])
+    if n == 0:
+        raise DegenerateHull("points have no coordinates")
     if any(len(p) != n for p in pts):
-        raise ValueError("mixed coordinate lengths")
+        raise InputError("mixed coordinate lengths")
     diffs = [_sub(p, pts[0]) for p in pts[1:]]
     # the pivot columns of the transposed differences are the greedy affine base
     _, pivots, _ = _echelon(list(zip(*diffs)), len(diffs))

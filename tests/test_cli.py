@@ -1,19 +1,26 @@
 """Command-line interface: output shapes, exit codes, file handling,
-and byte-stability.  Tests drive run() in-process; two subprocess tests
-cover the module entry points."""
+and byte-stability, plus the library's InputError contract that the single
+exit-2 clause of run() relies on.  Tests drive run() in-process; two
+subprocess tests cover the module entry points."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
+import toricmu as tm
 from toricmu import maximize_over_vectors
 from toricmu.cli import run
 
@@ -334,6 +341,172 @@ def test_unusable_input_and_non_finite_results_exit_cleanly(capsys, argv, code):
     prefix = "error: " if code == 2 else "validation failure: "
     assert captured.err.startswith(prefix)
     assert "Traceback" not in captured.err
+
+
+# Tokens for every numeric argument: each kind of unusable value, and
+# exact values near and beyond the float range.
+TOKENS = ["0", "-1", "2.5", "1/3", "nan", "inf", "1e200", "1e400", "x"]
+
+INPUT_FILES = {
+    "tetrahedron": {"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    "scalar": {"vertices": 5},
+    "list": [1, 2],
+    "dict": {"vertices": {"a": 1}},
+    "huge": {"vertices": [[0, 0], ["1e400", 0], [0, 1]]},
+    "plane": {"pieces": [{"eta": [1, 0], "lambda": "1/3"}]},
+    "steep": {"pieces": [{"eta": ["1e400", 0], "lambda": 0}]},
+}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("inputs")
+    paths = {}
+    for name, data in INPUT_FILES.items():
+        paths[name] = str(folder / (name + ".json"))
+        Path(paths[name]).write_text(json.dumps(data))
+    return paths
+
+
+@st.composite
+def command_lines(draw, files):
+    """argv over every subcommand, built from TOKENS and the input files."""
+    # half of each choice is one that some command can use
+    token = st.sampled_from(TOKENS[:4]) | st.sampled_from(TOKENS)
+
+    def named(*names):
+        return [name + ":" + t for name in names for t in TOKENS]
+
+    polytope = st.sampled_from(
+        ["cp1", "square", "donaldson", "blowup-delta:1/3", files["tetrahedron"]]
+    ) | st.sampled_from(
+        [files[k] for k in ("scalar", "list", "dict", "huge")]
+        + ["blowup-delta:" + t for t in ("0", "2.5", "1e400", "x")]
+    )
+    potential = st.sampled_from(["zero", files["plane"]]) | st.sampled_from(
+        [files["steep"]] + named("const", "square-qn", "corner-flat")
+    )
+    vector = st.lists(token, min_size=1, max_size=3).map(",".join)
+    grid = st.tuples(token, token, st.sampled_from(["0", "1", "2", "3", "-1", "x"]))
+    degrees = st.lists(st.sampled_from(["1", "2", "3", "4"]), min_size=1, max_size=4) | (
+        st.lists(st.sampled_from(["0", "1", "2", "-1", "2.5", "x"]), min_size=1, max_size=4)
+    )
+    # --p skips 1e200: the exact integer route takes O(p) Fraction steps
+    powers = st.sampled_from(["exp", "1", "2"] + [t for t in TOKENS if t != "1e200"])
+    options = {
+        "integrate": {"--q": potential, "--rho": token,
+                      "--method": st.sampled_from(["auto", "triangulation", "localization"])},
+        "entropy": {"--q": potential, "--xi": vector, "--lambda": token},
+        "futaki": {"--q": potential, "--xi": vector, "--lambda": token},
+        "optimize": {"--lambda": token},
+        "calabi": {"--q": potential},
+        "dh": {"--q": potential, "--grid": grid.map(":".join)},
+        "metric": {"--q": potential, "--q2": potential, "--p": powers},
+        "filtration": {"--q": potential},
+    }
+    command = draw(st.sampled_from(sorted(options) + ["reproduce"]))
+    if command == "reproduce":
+        # the valid cases run in test_reproduce_cases_pass
+        return ["reproduce", draw(st.sampled_from(named("square-qn", "blowup-delta") + ["x"]))]
+    argv = [command]
+    if command == "filtration" and draw(st.booleans()):
+        argv.append("--case=" + draw(st.sampled_from(["corner"] + named("corner-flat"))))
+    elif draw(st.sampled_from([True] * 9 + [False])):
+        argv.append("--polytope=" + draw(polytope))
+    for flag, values in options[command].items():
+        if draw(st.sampled_from([True] * 3 + [False])):
+            argv.append(flag + "=" + draw(values))
+    # counts of at most 3 keep every draw fast
+    if command == "entropy":
+        argv.append("--grid=" + ":".join(draw(grid)))
+    if command == "filtration":
+        argv.append("--m=" + ",".join(draw(degrees)))
+    if draw(st.booleans()):
+        argv.append("--format=json")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_exits_0_2_or_3_without_a_traceback(input_files, data):
+    argv = data.draw(command_lines(input_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out)
+    elif code == 2:
+        assert "error: " in err
+    else:
+        assert err.startswith("validation failure: ")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("integrate --polytope square --q const:1e400", 2),
+        ("entropy --polytope cp1 --xi 1e400 --grid 0:1:3", 2),
+        ("dh --polytope square --q const:1e400", 2),
+        ("calabi --polytope {huge} --q zero", 2),
+        ("filtration --case corner --m 3,2,2", 2),
+        ("integrate --polytope {scalar}", 2),
+        ("integrate --polytope {list}", 2),
+        ("integrate --polytope square --q square-qn:2 --rho 1e200", 3),
+        ("metric --polytope square --q const:1e200 --p 2", 0),
+        ("metric --polytope square --q square-qn:2 --p 1000.5", 0),
+    ],
+)
+def test_former_tracebacks_exit_cleanly(capsys, input_files, argv, code):
+    assert run(argv.format(**input_files).split()) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert math.isfinite(float(report_dict(captured.out)["d_" + argv.split()[-1]]))
+    else:
+        assert captured.err.startswith("error: " if code == 2 else "validation failure: ")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tm.entropy_curve(support.unit_square(), None, grid=(0, 1, 0)),
+        lambda: tm.entropy_curve(support.unit_square(), None, grid=(0, math.inf, 3)),
+        lambda: tm.entropy_curve(support.unit_square(), None, lam=math.nan),
+        lambda: tm.entropy_curve(support.unit_square(), None, xi=(1, 2, 3)),
+        lambda: tm.futaki(support.unit_square(), (0, 0), None, lam=math.nan),
+        lambda: tm.mu_lambda(support.unit_square(), None, math.nan),
+        lambda: tm.polytope_exp_integral(support.unit_square(), None, rho=math.inf),
+        lambda: tm.polytope_exp_integral(support.unit_square(), None, method="x"),
+        lambda: tm.boundary_exp_integral(support.unit_square(), None, rho=math.nan),
+        lambda: tm.cross_validate(support.unit_square(), None, rho=math.inf),
+        lambda: tm.maximize_over_vectors(support.unit_square(), lam=0.5),
+        lambda: tm.metric_dp(*[support.pa_from(support.unit_square(), ((0, 0), 0))] * 2, 0.5),
+        lambda: tm.sections(support.unit_square(), 0),
+        lambda: tm.char_mu_estimate(tm.corner_flat_filtration(2), [3, 2, 2]),
+        lambda: tm.make_pa([], support.unit_square()),
+        lambda: tm.build_polytope([(0, 0), (1, 1), (2, 2)]),
+        lambda: tm.legendre_dual([((1, 2, 3), 0)], support.unit_square()),
+        lambda: tm.LatticePolytope.from_json('{"vertices": 5}'),
+        lambda: tm.LatticePolytope.from_json("[1, 2]"),
+        lambda: tm.LatticePolytope.from_json('{"vertices": {"a": 1}}'),
+        lambda: tm.polytope_exp_integral(
+            support.unit_square(), tm.AffineForm((0, 0), Fraction(10) ** 400)
+        ),
+    ],
+)
+def test_library_argument_errors_are_input_errors(call):
+    with pytest.raises(tm.InputError):
+        call()
+
+
+def test_near_singular_direction_is_not_an_input_error():
+    # a numerical failure, not unusable input: the command line exits 3
+    assert not issubclass(tm.NearSingularDirection, tm.InputError)
+    with pytest.raises(tm.NearSingularDirection):
+        tm.brion_localize(support.unit_square(), (1, Fraction(1, 10**9)))
 
 
 def test_exit_code_2_on_bad_q_file(capsys, tmp_path):

@@ -491,6 +491,29 @@ def test_metric_dp_hand_values():
             metric_dp(qx, qy, bad)
 
 
+def test_metric_dp_beyond_the_float_range_on_the_way():
+    # d_p is a float although d_p^p, or a power in the simplex sums, is not
+    P = support.unit_square()
+    zero = as_pa(None, P)
+    # square-qn:2, q = max(-1/12, 23/12 - 4 (x + y)); references from
+    # 50-digit quadrature of the pushforward of x + y
+    qn = support.pa_from(P, ((0, 0), Fraction(-1, 12)), ((-4, -4), Fraction(23, 12)))
+    assert metric_dp(qn, zero, 1200) == pytest.approx(1.8918260213928221, rel=1e-14)
+    # the Jensen bound mean(g)^p of the float route underflows
+    assert metric_dp(qn, zero, 1000.5) == pytest.approx(1.887596426787799, rel=1e-14)
+    for c, p, d in (
+        (Fraction(10) ** 200, 2, 1e200),
+        (Fraction(10) ** 200, 2.5, 1e200),
+        (Fraction(1, 10), 400, 0.1),
+        (Fraction(1, 10), 400.5, 0.1),
+        (Fraction(10) ** 400, 2, math.inf),
+        (Fraction(10) ** 400, 2.5, math.inf),
+    ):
+        assert metric_dp(support.pa_from(P, ((0, 0), c)), zero, p) == pytest.approx(
+            d, rel=1e-15
+        )
+
+
 @st.composite
 def pa_pairs(draw):
     """Two potentials of 1-3 random pieces on one exact test polytope."""
