@@ -1,107 +1,117 @@
-"""Timing comparison of the compiled and pure-Python divided-difference kernels.
+"""Replay of the divided-difference kernel calls of two benchmark passes.
 
-Measures ddexp on node batches shaped like the ones the integrators produce
-(small simplex vertex sets, moderate spreads, occasional repeats), plus one
-end-to-end entropy sweep through the public API with each backend forced.
+Records every call to toricmu.integrate.ddexp made by one pass of the
+`sweep` and one pass of the `optimize` workload of perfbench at seed 1,
+then replays the recorded node lists through each kernel backend that
+imports (the pure-Python one always, the compiled one when built).  The
+replays alternate: each round times every (workload, backend) pair once,
+in an order that flips from round to round, and the report is the median
+and quartiles over the rounds.  A replay in one process is far steadier
+than timing synthetic batches: the speed of a shared machine drifts
+between stretches of a few seconds, and alternation spreads that drift
+over every pair alike.
 
-Run: python3 benchmarks/bench_kernel.py
+Only perfbench/workloads.py is read, for the op lists; nothing under
+perfbench/ is changed.
+
+Run: python3 benchmarks/bench_kernel.py [--rounds 9]
 """
 
-import random
+import argparse
+import math
+import statistics
 import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
 # import toricmu from this checkout's sources, installed or not
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from toricmu import _ddexp_py
+import workloads  # noqa: E402
+from toricmu import _ddexp_py, integrate  # noqa: E402
 
 try:
     from toricmu import _ddexp
 except ImportError:
     _ddexp = None
 
-
-def _batches(rng, count, size, spread):
-    out = []
-    for _ in range(count):
-        nodes = [rng.uniform(-spread, spread) for _ in range(size)]
-        if size > 2 and rng.random() < 0.3:
-            nodes[-1] = nodes[0]  # confluent pair
-        out.append(nodes)
-    return out
+SEED = 1
+WORKLOADS = ("sweep", "optimize")
 
 
-def _time_kernel(fn, batches, repeats):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        acc = 0.0
-        for nodes in batches:
-            acc += fn(nodes)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, acc
+def record(workload):
+    """The node lists of every kernel call of one pass, in call order."""
+    calls = []
+    kernel = integrate.ddexp
 
+    def recording(nodes):
+        calls.append(list(nodes))
+        return kernel(nodes)
 
-def bench_kernels():
-    rng = random.Random(20240917)
-    cases = [
-        ("n=3 spread 1", _batches(rng, 4000, 3, 1.0)),
-        ("n=4 spread 5", _batches(rng, 4000, 4, 5.0)),
-        ("n=6 spread 20", _batches(rng, 2000, 6, 20.0)),
-        ("n=10 spread 50", _batches(rng, 1000, 10, 50.0)),
-    ]
-    print("%-16s %12s %12s %8s" % ("case", "python [ms]", "cython [ms]", "speedup"))
-    for label, batches in cases:
-        t_py, acc_py = _time_kernel(_ddexp_py.ddexp, batches, 3)
-        if _ddexp is None:
-            print("%-16s %12.2f %12s %8s" % (label, 1e3 * t_py, "n/a", "n/a"))
-            continue
-        t_cy, acc_cy = _time_kernel(_ddexp.ddexp, batches, 3)
-        gap = abs(acc_py - acc_cy) / max(abs(acc_py), 1e-300)
-        assert gap < 1e-12, "backends disagree: rel %g" % gap
-        print(
-            "%-16s %12.2f %12.2f %7.1fx"
-            % (label, 1e3 * t_py, 1e3 * t_cy, t_py / t_cy)
-        )
-
-
-def bench_entropy_sweep():
-    import toricmu.integrate as integrate
-    from toricmu import build_polytope, entropy_curve
-    from toricmu.paconvex import AffineForm
-
-    P = build_polytope([(-1, -1), (1, -1), (1, 0), (0, 1), (-1, 1)])
-    q0 = AffineForm((1, 1), 0)
-
-    def sweep():
-        start = time.perf_counter()
-        entropy_curve(P, q0, grid=(-5.0, 5.0, 201))
-        return time.perf_counter() - start
-
-    results = {}
-    saved = integrate.ddexp
+    raw = workloads.make_raw(workload, SEED)
+    ops = workloads.ops_for(workload, raw, workloads.build(workload, raw))
+    integrate.ddexp = recording
     try:
-        for name, kernel in (
-            ("python", _ddexp_py.ddexp),
-            ("cython", None if _ddexp is None else _ddexp.ddexp),
-        ):
-            if kernel is None:
-                continue
-            integrate.ddexp = kernel
-            results[name] = min(sweep() for _ in range(3))
+        for op in ops:
+            op.call()
     finally:
-        integrate.ddexp = saved
-    print()
-    print("entropy sweep, 201 points on a pentagon:")
-    for name, t in results.items():
-        print("  %-6s %8.1f ms" % (name, 1e3 * t))
-    if "python" in results and "cython" in results:
-        print("  speedup %.1fx" % (results["python"] / results["cython"]))
+        integrate.ddexp = kernel
+    return calls
+
+
+def replay(fn, calls):
+    start = time.perf_counter()
+    for nodes in calls:
+        fn(nodes)
+    return time.perf_counter() - start
+
+
+def quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=9)
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+
+    kernels = [("python", _ddexp_py.ddexp)]
+    if _ddexp is not None:
+        kernels.append(("compiled", _ddexp.ddexp))
+    recorded = {w: record(w) for w in WORKLOADS}
+    if _ddexp is not None:
+        for w, calls in recorded.items():
+            for nodes in calls:
+                py, cy = _ddexp_py.ddexp(nodes), _ddexp.ddexp(nodes)
+                assert math.isclose(py, cy, rel_tol=1e-12) or (
+                    math.isnan(py) and math.isnan(cy)
+                ), "backends disagree on %r: %r vs %r" % (nodes, py, cy)
+
+    pairs = [(w, name, fn) for w in WORKLOADS for (name, fn) in kernels]
+    times = {(w, name): [] for (w, name, _) in pairs}
+    for r in range(args.rounds):
+        for (w, name, fn) in pairs if r % 2 == 0 else reversed(pairs):
+            times[(w, name)].append(replay(fn, recorded[w]))
+
+    print("kernel calls of one seed-%d pass, replayed %d times alternately"
+          % (SEED, args.rounds))
+    print("%-9s %8s %9s %24s" % ("workload", "calls", "backend", "median [q1-q3] ms"))
+    for (w, name, _) in pairs:
+        q1, med, q3 = (1e3 * t for t in quartiles(times[(w, name)]))
+        print("%-9s %8d %9s %10.1f [%5.1f-%5.1f]"
+              % (w, len(recorded[w]), name, med, q1, q3))
+    if _ddexp is not None:
+        for w in WORKLOADS:
+            ratios = [p / c for p, c in zip(times[(w, "python")], times[(w, "compiled")])]
+            print("%-9s python / compiled, median over rounds: %.1fx"
+                  % (w, statistics.median(ratios)))
+    return 0
 
 
 if __name__ == "__main__":
-    bench_kernels()
-    bench_entropy_sweep()
+    sys.exit(main())

@@ -34,6 +34,13 @@ whole seed table is filled and squared K - 1 times.  The last squaring
 always forms just the corner, the sum over k of B[0][k] * B[k][m-1] from
 0.0 with k ascending, as a full squaring would, so the result has the same
 bits as squaring the whole table K times.
+
+The small tables, the most common in the integrators, run straight-line
+code.  Two nodes take _ddexp2, which keeps its three table entries in
+locals from the centering to the corner.  Three and four nodes square
+with _corner3 and _corner4, whose entries are locals too.  Each entry is
+_square_upper's sum, from 0.0 with k ascending, so the bits are those of
+the loops, which still serve five or more nodes.
 """
 
 from math import exp, factorial, frexp
@@ -196,6 +203,9 @@ def _series(x):
 
 
 def _square_upper(B):
+    """B @ B for an upper-triangular B: entry (i, j) sums B[i][k] * B[k][j]
+    from 0.0 with k ascending.  ddexp squares tables of five or more nodes
+    with it; _corner3 and _corner4 repeat its sums in straight lines."""
     m = len(B)
     C = [[0.0] * m for _ in range(m)]
     for i in range(m):
@@ -219,9 +229,86 @@ def _corner_of_square(B):
     return acc
 
 
+# _corner3 and _corner4 square a 3 x 3 or 4 x 4 upper-triangular table the
+# given number of times, then return the corner of one more squaring: the
+# entries live in locals, and each is _square_upper's sum, from 0.0 with k
+# ascending, so the corner has the same bits as the loops give.
+
+
+def _corner3(B, squarings):
+    (b00, b01, b02), (_, b11, b12), (_, _, b22) = B
+    for _ in range(squarings):
+        b00, b01, b02, b11, b12, b22 = (
+            0.0 + b00 * b00,
+            0.0 + b00 * b01 + b01 * b11,
+            0.0 + b00 * b02 + b01 * b12 + b02 * b22,
+            0.0 + b11 * b11,
+            0.0 + b11 * b12 + b12 * b22,
+            0.0 + b22 * b22,
+        )
+    return 0.0 + b00 * b02 + b01 * b12 + b02 * b22
+
+
+def _corner4(B, squarings):
+    (b00, b01, b02, b03), (_, b11, b12, b13), (_, _, b22, b23), B3 = B
+    b33 = B3[3]
+    for _ in range(squarings):
+        b00, b01, b02, b03, b11, b12, b13, b22, b23, b33 = (
+            0.0 + b00 * b00,
+            0.0 + b00 * b01 + b01 * b11,
+            0.0 + b00 * b02 + b01 * b12 + b02 * b22,
+            0.0 + b00 * b03 + b01 * b13 + b02 * b23 + b03 * b33,
+            0.0 + b11 * b11,
+            0.0 + b11 * b12 + b12 * b22,
+            0.0 + b11 * b13 + b12 * b23 + b13 * b33,
+            0.0 + b22 * b22,
+            0.0 + b22 * b23 + b23 * b33,
+            0.0 + b33 * b33,
+        )
+    return 0.0 + b00 * b03 + b01 * b13 + b02 * b23 + b03 * b33
+
+
+_CORNER = {3: _corner3, 4: _corner4}
+
+
+def _depth(spread):
+    """Smallest K with spread / 2^K <= 1/2, for spread > 1/2."""
+    K = max(0, frexp(spread / 0.5)[1])
+    while spread * (0.5 ** K) > 0.5:
+        K += 1
+    return K
+
+
+def _ddexp2(a, b):
+    """exp[a, b]: ddexp's steps for two nodes, with the 2 x 2 table in locals.
+
+    At K = 1 the one squaring is the corner alone, which is the K >= 2 loop
+    run zero times."""
+    c = (0.0 + a + b) / 2  # sum([a, b]) / 2
+    h0 = a - c
+    h1 = b - c
+    spread = abs(h0)  # max(abs(h0), abs(h1)), NaN included
+    if abs(h1) > spread:
+        spread = abs(h1)
+    if not spread > 0.5:
+        return _safe_exp(c) * _series2((h0, h1))
+    K = _depth(spread)
+    eps = 0.5 ** K
+    s0 = h0 * eps
+    s1 = h1 * eps
+    b00 = exp(s0)
+    b01 = eps * _series2((s0, s1))
+    b11 = exp(s1)
+    for _ in range(K - 1):
+        b00, b01, b11 = 0.0 + b00 * b00, 0.0 + b00 * b01 + b01 * b11, 0.0 + b11 * b11
+    return _safe_exp(c) * (0.0 + b00 * b01 + b01 * b11)
+
+
 def ddexp(nodes):
     """Divided difference exp[nodes[0], ..., nodes[-1]] (order insensitive)."""
     m = len(nodes)
+    if m == 2:
+        return _ddexp2(*nodes)
     if m == 0:
         raise ValueError("need at least one node")
     if m == 1:
@@ -229,12 +316,7 @@ def ddexp(nodes):
     c = sum(nodes) / m
     h = [b - c for b in nodes]
     spread = max(map(abs, h))
-    K = 0
-    if spread > 0.5:
-        # smallest K with spread / 2^K <= 1/2
-        K = max(0, frexp(spread / 0.5)[1])
-        while spread * (0.5 ** K) > 0.5:
-            K += 1
+    K = _depth(spread) if spread > 0.5 else 0
     if K == 0:
         # eps = 1, so s = h and the answer is the one seed entry (0, m-1)
         return _safe_exp(c) * _series(h)
@@ -252,14 +334,17 @@ def ddexp(nodes):
             B[0][j] = epow[j] * _series(s[: j + 1])
         for i in range(1, last):
             B[i][last] = epow[last - i] * _series(s[i:])
-    else:
-        for i in range(m):
-            B[i][i] = exp(s[i])
-        for i in range(m):
-            for j in range(i + 1, m):
-                B[i][j] = epow[j - i] * _series(s[i : j + 1])
-        for _ in range(K - 1):
-            B = _square_upper(B)
+        return _safe_exp(c) * _corner_of_square(B)
+    for i in range(m):
+        B[i][i] = exp(s[i])
+    for i in range(m):
+        for j in range(i + 1, m):
+            B[i][j] = epow[j - i] * _series(s[i : j + 1])
+    corner = _CORNER.get(m)
+    if corner is not None:
+        return _safe_exp(c) * corner(B, K - 1)
+    for _ in range(K - 1):
+        B = _square_upper(B)
     return _safe_exp(c) * _corner_of_square(B)
 
 

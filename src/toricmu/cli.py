@@ -13,7 +13,8 @@ Rationals in files and flags are "num/den" strings.
 
 Exit codes: 0 success, 2 unusable input (any toricmu.InputError: the
 library checks every argument, including exact values beyond the float
-range), 3 failed numerical validation or embedded tolerance check.
+range; an --out path that cannot be written is one too), 3 failed
+numerical validation or embedded tolerance check.
 """
 
 from __future__ import annotations
@@ -239,8 +240,11 @@ def _emit(rows, fieldnames, meta, fmt, out):
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise InputError("cannot write %r: %s" % (out, err.strerror or err)) from None
     else:
         sys.stdout.write(text)
 
@@ -812,6 +816,7 @@ def run(argv) -> int:
     try:
         rows, fieldnames, meta = args.handler(args)
         _require_finite(rows, meta)
+        _emit(rows, fieldnames, meta, args.format, args.out)
     except InputError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
@@ -824,7 +829,6 @@ def run(argv) -> int:
     ) as err:
         print("validation failure: %s" % err, file=sys.stderr)
         return 3
-    _emit(rows, fieldnames, meta, args.format, args.out)
     return 0
 
 

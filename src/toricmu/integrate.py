@@ -36,11 +36,11 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import factorial, hypot
+from math import factorial, hypot, inf, log
 
 from ._ddexp_py import _safe_exp
 from .polytope import InputError, _coords, _dot, _finite
-from .paconvex import AffineForm, as_pa, common_cells
+from .paconvex import AffineForm, _decimal, as_pa, common_cells
 
 try:  # compiled kernel, with pure-Python fallback
     from ._ddexp import BACKEND, ddexp
@@ -165,6 +165,142 @@ def simplex_exp_integral(simplex, exponent: AffineForm, weight=None) -> float:
 # -- reusable integration contexts --------------------------------------------
 
 
+def _beyond_float_range(what):
+    return InputError("a simplex volume or %s is beyond the float range" % what)
+
+
+def _float_records(cells, what="a function value"):
+    """Float records of the simplices of (cell, pieces) pairs, in order.
+
+    Returns (records, tiny).  A record is (det, rows): det is |det(edge
+    matrix)| = n! * volume and rows[i][k] is pieces[k] at vertex i, both as
+    floats.  A simplex of exact volume 0 is skipped.  One whose volume is
+    nonzero but underflows to 0.0 goes to tiny as (log det, rows, volume)
+    for _check_tiny.  A det or value beyond the float range raises
+    InputError (what names the values).
+    """
+    records = []
+    tiny = []
+    try:
+        for cell, pieces in cells:
+            for s in cell.triangulate():
+                exact = abs(s.edge_matrix_det())
+                if exact == 0:
+                    continue
+                det = float(exact)
+                rows = [[float(piece(v)) for piece in pieces] for v in s.vertices]
+                if det == 0.0:
+                    volume = exact / factorial(len(s.vertices) - 1)
+                    log_det = log(exact.numerator) - log(exact.denominator)
+                    tiny.append((log_det, rows, volume))
+                else:
+                    records.append((det, rows))
+    except OverflowError:
+        raise _beyond_float_range(what) from None
+    return records, tiny
+
+
+# log(2^-1075), rounded down: a term below e^_LOG_TINY rounds to 0.0
+_LOG_TINY = -746.0
+
+
+def _check_tiny(tiny, exp_combo, factor_lists):
+    """InputError for a simplex of underflowed volume whose part of some
+    integral could be a nonzero float.
+
+    That part is at most det * e^(max exponent) * prod_j max |factor j|
+    over the simplex's vertices; below e^_LOG_TINY it rounds to 0.0, which
+    leaving the simplex out gives exactly.  Above it, leaving it out could
+    drop the part that dominates the integral, so the call fails instead.
+    """
+    for log_det, rows, volume in tiny:
+        top = log_det + max(_sums(exp_combo, rows))
+        for factors in factor_lists:
+            bound = top
+            for (const, coeffs) in factors:
+                peak = max(abs(const + v) for v in _sums(coeffs, rows))
+                bound += log(peak) if peak != 0.0 else -inf
+            if not bound < _LOG_TINY:
+                raise InputError(
+                    "a simplex of volume %s underflows to 0.0 in floating point"
+                    ", and its part of the integral does not"
+                    % format(_decimal(volume), ".3g")
+                )
+
+
+def _sums(coeffs, rows):
+    """[sum(c * row[k] for k, c in enumerate(coeffs)) for row in rows].
+
+    One or two coefficients are written out as 0.0 + c0*r0 + c1*r1, the
+    additions sum makes, left to right from 0.0, so the values have sum's
+    bits.  Three or more go through sum itself: from Python 3.12 on it
+    compensates its rounding, and an unrolled chain would not."""
+    if len(coeffs) == 1:
+        (c0,) = coeffs
+        return [0.0 + c0 * row[0] for row in rows]
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        return [0.0 + c0 * row[0] + c1 * row[1] for row in rows]
+    return [sum(c * row[k] for k, c in enumerate(coeffs)) for row in rows]
+
+
+def _accumulate(groups, exp_combo, factor_lists):
+    """[(value, magnitude)] per factor list over groups of float records.
+
+    A group is (records, memos, tiny); memos[r] is (bits, memo) for
+    records[r]: the divided differences of the last vertex exponents it
+    saw, replaced when their bits change.  tiny is checked by _check_tiny
+    and adds nothing.  Each group is summed from 0.0 in record order and
+    added to the totals in group order.
+    """
+    count = len(factor_lists)
+    totals = [0.0] * count
+    mags = [0.0] * count
+    factored = any(factor_lists)
+    for records, memos, tiny in groups:
+        if tiny:
+            _check_tiny(tiny, exp_combo, factor_lists)
+        part = [0.0] * count
+        part_mags = [0.0] * count
+        for r, (det, rows) in enumerate(records):
+            avals = _sums(exp_combo, rows)
+            memo = None
+            if factored:
+                bits = _float_bits(avals)
+                seen, memo = memos[r]
+                if seen != bits:
+                    memo = {}
+                    memos[r] = (bits, memo)
+            for j, factors in enumerate(factor_lists):
+                if not factors:
+                    contrib = det * ddexp(avals)
+                elif len(factors) == 1:
+                    # _simplex_weighted for one factor: vertex i alone is
+                    # key (i,), with multiplicity factorial 1
+                    [(const, coeffs)] = factors
+                    total = 0.0
+                    for i, v in enumerate(_sums(coeffs, rows)):
+                        w = const + v
+                        if w != 0.0:
+                            hit = memo.get((i,))
+                            if hit is None:
+                                hit = memo[(i,)] = (1, ddexp(avals + [avals[i]]))
+                            total += w * hit[1]
+                    contrib = det * total
+                else:
+                    fvals = [
+                        [const + v for v in _sums(coeffs, rows)]
+                        for (const, coeffs) in factors
+                    ]
+                    contrib = _simplex_weighted(det, avals, fvals, memo)
+                part[j] += contrib
+                part_mags[j] += abs(contrib)
+        for j in range(count):
+            totals[j] += part[j]
+            mags[j] += part_mags[j]
+    return list(zip(totals, mags))
+
+
 class ExpIntegrator:
     """Fixed (polytope, function list); evaluates many float combinations.
 
@@ -178,110 +314,82 @@ class ExpIntegrator:
     triangulations, and per-vertex function values are computed once, so a
     parameter sweep only pays for divided differences.
 
+    Both are one loop over float records compiled on first use: one group
+    of (det, vertex values) records for the interior, and for the boundary
+    one group per facet, built from the facet's cell complex in its lattice
+    chart.  A group is summed from 0.0 and added to the totals in facet
+    order, so no integrator is made per facet.  On a segment the boundary is
+    the two end points, whose values are also taken once.
+
     One call makes one pass over the simplices: the vertex exponents are
     computed once per simplex and every factor list is integrated from
     them.  Each simplex also keeps the divided differences of the last
     exponent it saw, checked against the exact bits of its vertex
     exponents, so the factor lists of one call, and later calls at the same
     exponent, compute each distinct divided difference once.  A new
-    exponent replaces them; facet children keep their own.  An empty
-    factor list needs one divided difference, which nothing else shares, so
-    it bypasses the memo.
+    exponent replaces them.  An empty factor list needs one divided
+    difference, which nothing else shares, so it bypasses the memo.
     """
 
     def __init__(self, P, funcs):
         self.P = P
         self.funcs = [as_pa(f, P) for f in funcs]
         self.dim = P.dim
-        self._records = None
-        self._children = None
+        self._interior = None
+        self._facets = None
 
-    def _build(self):
-        records = []
-        try:
-            for (cell, ids) in common_cells(self.P, self.funcs):
-                pieces = [pa.pieces[i] for pa, i in zip(self.funcs, ids)]
-                for s in cell.triangulate():
-                    det = abs(float(s.edge_matrix_det()))
-                    if det == 0.0:
-                        continue
-                    vals = [
-                        [float(piece(v)) for piece in pieces] for v in s.vertices
-                    ]
-                    records.append((det, vals))
-        except OverflowError:
-            raise InputError(
-                "a simplex volume or a function value is beyond the float range"
-            ) from None
-        self._records = records
-        self._memos = [(None, None)] * len(records)
+    @staticmethod
+    def _group(P, funcs):
+        records, tiny = _float_records(
+            (cell, [pa.pieces[i] for pa, i in zip(funcs, ids)])
+            for (cell, ids) in common_cells(P, funcs)
+        )
+        return records, [(None, None)] * len(records), tiny
 
     def interior(self, exp_combo, factor_lists):
         """[(value, magnitude)] per factor list; magnitude sums |contributions|."""
-        if self._records is None:
-            self._build()
+        if self._interior is None:
+            self._interior = [self._group(self.P, self.funcs)]
+        return _accumulate(self._interior, exp_combo, factor_lists)
+
+    def boundary(self, exp_combo, factor_lists):
+        """As interior(), over the boundary of P."""
+        if self._facets is None:
+            self._facets = self._facet_groups()
+        if self.dim > 1:
+            return _accumulate(self._facets, exp_combo, factor_lists)
         totals = [0.0] * len(factor_lists)
         mags = [0.0] * len(factor_lists)
-        factored = any(factor_lists)
-        memos = self._memos
-        for r, (det, vals) in enumerate(self._records):
-            avals = [
-                sum(c * row[k] for k, c in enumerate(exp_combo)) for row in vals
-            ]
-            memo = None
-            if factored:
-                bits = _float_bits(avals)
-                seen, memo = memos[r]
-                if seen != bits:
-                    memo = {}
-                    memos[r] = (bits, memo)
+        ends = self._facets
+        for row, a in zip(ends, _sums(exp_combo, ends)):
+            ea = _safe_exp(a)
             for j, factors in enumerate(factor_lists):
-                if factors:
-                    fvals = [
-                        [
-                            const + sum(c * row[k] for k, c in enumerate(coeffs))
-                            for row in vals
-                        ]
-                        for (const, coeffs) in factors
-                    ]
-                    contrib = _simplex_weighted(det, avals, fvals, memo)
-                else:
-                    contrib = det * ddexp(avals)
+                w = 1.0
+                for (const, coeffs) in factors:
+                    w *= const + _sums(coeffs, [row])[0]
+                contrib = w * ea
                 totals[j] += contrib
                 mags[j] += abs(contrib)
         return list(zip(totals, mags))
 
-    def boundary(self, exp_combo, factor_lists):
-        """As interior(), over the boundary of P."""
-        totals = [0.0] * len(factor_lists)
-        mags = [0.0] * len(factor_lists)
+    def _facet_groups(self):
+        """Per facet, a record group in the facet's chart; on a segment,
+        the value row of each end point."""
+        P = self.P
         if self.dim == 1:
-            for f in self.P.facets:
-                v = self.P.vertices[f.vertex_indices[0]]
-                row = [float(pa(v)) for pa in self.funcs]
-                ea = _safe_exp(sum(c * row[k] for k, c in enumerate(exp_combo)))
-                for j, factors in enumerate(factor_lists):
-                    w = 1.0
-                    for (const, coeffs) in factors:
-                        w *= const + sum(c * row[k] for k, c in enumerate(coeffs))
-                    contrib = w * ea
-                    totals[j] += contrib
-                    mags[j] += abs(contrib)
-            return list(zip(totals, mags))
-        if self._children is None:
-            self._children = []
-            for i in range(len(self.P.facets)):
-                restricted = [pa.restrict_to_facet(i) for pa in self.funcs]
-                if restricted:
-                    sub = restricted[0].P
-                else:
-                    sub, _, _ = self.P.facet_polytope(i)
-                self._children.append(ExpIntegrator(sub, restricted))
-        for child in self._children:
-            for j, (t, m) in enumerate(child.interior(exp_combo, factor_lists)):
-                totals[j] += t
-                mags[j] += m
-        return list(zip(totals, mags))
+            try:
+                return [
+                    [float(pa(P.vertices[f.vertex_indices[0]])) for pa in self.funcs]
+                    for f in P.facets
+                ]
+            except OverflowError:
+                raise _beyond_float_range("a function value") from None
+        groups = []
+        for i in range(len(P.facets)):
+            restricted = [pa.restrict_to_facet(i) for pa in self.funcs]
+            sub = restricted[0].P if restricted else P.facet_polytope(i)[0]
+            groups.append(self._group(sub, restricted))
+        return groups
 
 
 # -- public integral drivers ---------------------------------------------------

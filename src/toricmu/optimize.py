@@ -244,6 +244,8 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
     """
     lam = _finite(lam, "lam")
     obj = _Objective(P, lam)
+    # x * c for an exact c is x * float(c): convert eta once
+    eta = [float(c) for c in eta]
 
     def h(x):
         return obj.value(tuple(x * c for c in eta))

@@ -615,25 +615,22 @@ def metric_dexp(q, qp) -> float:
     bisection; the defining integral at the returned beta lies in
     [1 - 1e-8, 1].
     """
-    from .integrate import simplex_exp_from_values
+    from .integrate import _check_tiny, _float_records, simplex_exp_from_values
 
     sup = sup_abs_diff(q, qp)
     if sup == 0:
         return 0.0
-    regions = _signed_regions(q, qp)
-    cached = []
+    regions = [(cell, [aff]) for (cell, aff) in _signed_regions(q, qp)]
+    records, tiny = _float_records(regions, "|q - q'|")
+    cached = [(det, [v for (v,) in rows]) for (det, rows) in records]
     try:
         vol = float(q.P.volume())
-        for (cell, aff) in regions:
-            for s in cell.triangulate():
-                det = abs(float(s.edge_matrix_det()))
-                vals = [float(aff(v)) for v in s.vertices]
-                cached.append((det, vals))
     except OverflowError:
-        raise InputError("|q - q'| or a volume is beyond the float range") from None
+        raise InputError("the volume of P is beyond the float range") from None
 
     def big_g(beta):
         inv = 1.0 / beta
+        _check_tiny(tiny, (inv,), [[]])
         total = 0.0
         for (det, vals) in cached:
             total += simplex_exp_from_values(det, [v * inv for v in vals])

@@ -14,7 +14,9 @@ replays the optimizer objective's arithmetic on fresh package integrators
 to pin its caches, futaki_all_moments, which runs the package's moment
 code with the sigma moments always on, and bfgs_ascent_every_iteration, a
 copy of the BFGS loop as it was when a stalled run spent every remaining
-iteration, run on the package's objective.  ddexp_full_table is a
+iteration, run on the package's objective, and ExpIntegratorPerFacet, a
+copy of the integrator as it was when each facet had a child integrator,
+run on the package's cells and kernel.  ddexp_full_table is a
 package-free oracle of a different kind: a verbatim copy of the scalar divided-difference kernel
 as it was when it still filled and squared the whole seed table, kept to
 pin the kernel that fills only the entries its answer reads to the same
@@ -538,6 +540,146 @@ def futaki_all_moments(P, xi, q0, lam=0.0):
     base, along = _moments(gear, float(P.dim), e, [(0.0, (0.0, 1.0))])
     _, _, [(dmu, dsigma)] = _entropy(base, [along])
     return -(dmu + float(lam) * dsigma)
+
+
+def _oracle_divided_difference(avals, key, memo):
+    hit = memo.get(key)
+    if hit is None:
+        from toricmu import integrate
+
+        alph = 1
+        run = 1
+        for a, b in zip(key, key[1:]):
+            run = run + 1 if a == b else 1
+            alph *= run
+        hit = memo[key] = (
+            alph,
+            integrate.ddexp(list(avals) + [avals[i] for i in key]),
+        )
+    return hit
+
+
+def _oracle_simplex_weighted(det, avals, factor_vals, memo):
+    m = len(avals)
+    coeff = {}
+    for tup in product(range(m), repeat=len(factor_vals)):
+        w = 1.0
+        for vals, idx in zip(factor_vals, tup):
+            w *= vals[idx]
+        if w != 0.0:
+            key = tuple(sorted(tup))
+            coeff[key] = coeff.get(key, 0.0) + w
+    total = 0.0
+    for key, w in coeff.items():
+        if w == 0.0:
+            continue
+        alph, dd = _oracle_divided_difference(avals, key, memo)
+        total += w * alph * dd
+    return det * total
+
+
+def _oracle_float_bits(values):
+    import struct
+
+    return struct.pack("%dd" % len(values), *values)
+
+
+class ExpIntegratorPerFacet:
+    """toricmu.integrate.ExpIntegrator as it was when its boundary made one
+    child integrator per facet and called its interior() on every call, and
+    a segment's boundary took its end-point values in Fractions on every
+    call; it calls the package's kernel as integrate.ddexp."""
+
+    def __init__(self, P, funcs):
+        from toricmu.paconvex import as_pa
+
+        self.P = P
+        self.funcs = [as_pa(f, P) for f in funcs]
+        self.dim = P.dim
+        self._records = None
+        self._children = None
+
+    def _build(self):
+        from toricmu.paconvex import common_cells
+
+        records = []
+        for (cell, ids) in common_cells(self.P, self.funcs):
+            pieces = [pa.pieces[i] for pa, i in zip(self.funcs, ids)]
+            for s in cell.triangulate():
+                det = abs(float(s.edge_matrix_det()))
+                if det == 0.0:
+                    continue
+                vals = [[float(piece(v)) for piece in pieces] for v in s.vertices]
+                records.append((det, vals))
+        self._records = records
+        self._memos = [(None, None)] * len(records)
+
+    def interior(self, exp_combo, factor_lists):
+        from toricmu import integrate
+
+        if self._records is None:
+            self._build()
+        totals = [0.0] * len(factor_lists)
+        mags = [0.0] * len(factor_lists)
+        factored = any(factor_lists)
+        memos = self._memos
+        for r, (det, vals) in enumerate(self._records):
+            avals = [
+                sum(c * row[k] for k, c in enumerate(exp_combo)) for row in vals
+            ]
+            memo = None
+            if factored:
+                bits = _oracle_float_bits(avals)
+                seen, memo = memos[r]
+                if seen != bits:
+                    memo = {}
+                    memos[r] = (bits, memo)
+            for j, factors in enumerate(factor_lists):
+                if factors:
+                    fvals = [
+                        [
+                            const + sum(c * row[k] for k, c in enumerate(coeffs))
+                            for row in vals
+                        ]
+                        for (const, coeffs) in factors
+                    ]
+                    contrib = _oracle_simplex_weighted(det, avals, fvals, memo)
+                else:
+                    contrib = det * integrate.ddexp(avals)
+                totals[j] += contrib
+                mags[j] += abs(contrib)
+        return list(zip(totals, mags))
+
+    def boundary(self, exp_combo, factor_lists):
+        totals = [0.0] * len(factor_lists)
+        mags = [0.0] * len(factor_lists)
+        if self.dim == 1:
+            for f in self.P.facets:
+                v = self.P.vertices[f.vertex_indices[0]]
+                row = [float(pa(v)) for pa in self.funcs]
+                ea = _safe_exp(sum(c * row[k] for k, c in enumerate(exp_combo)))
+                for j, factors in enumerate(factor_lists):
+                    w = 1.0
+                    for (const, coeffs) in factors:
+                        w *= const + sum(c * row[k] for k, c in enumerate(coeffs))
+                    contrib = w * ea
+                    totals[j] += contrib
+                    mags[j] += abs(contrib)
+            return list(zip(totals, mags))
+        if self._children is None:
+            self._children = []
+            for i in range(len(self.P.facets)):
+                restricted = [pa.restrict_to_facet(i) for pa in self.funcs]
+                if restricted:
+                    sub = restricted[0].P
+                else:
+                    sub, _, _ = self.P.facet_polytope(i)
+                self._children.append(ExpIntegratorPerFacet(sub, restricted))
+        for child in self._children:
+            for j, (t, m) in enumerate(child.interior(exp_combo, factor_lists)):
+                totals[j] += t
+                mags[j] += m
+        return list(zip(totals, mags))
 
 
 def _project(x, box):

@@ -637,3 +637,30 @@ def test_package_main_help():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: toricmu")
+
+
+def test_unwritable_out_path_exits_2(capsys, tmp_path):
+    """--out under a missing folder is an input error, not a traceback."""
+    target = tmp_path / "missing" / "out.csv"
+    code = run(["integrate", "--polytope", "square", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ")
+    assert "Traceback" not in captured.err
+    assert not target.parent.exists()
+
+
+def test_square_qn_metric_underflow_exits_2(capsys):
+    """d_exp of square-qn:N is about N / (2 ln N): at N = 1e100 it is
+    printed; at N = 1e200 the spike's simplices have volume about 1e-400,
+    below the float range, and the run stops with an input error instead of
+    printing a d_exp that leaves them out."""
+    code, out = invoke(capsys, "reproduce", "square-qn:1e100")
+    assert code == 0
+    assert float(report_dict(out)["d_exp"]) == pytest.approx(2.1149048555e97, rel=1e-9)
+    assert run(["reproduce", "square-qn:1e200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a simplex of volume ")
+    assert "underflows to 0.0" in captured.err

@@ -8,6 +8,7 @@ hand-derived product formulas and quadrature oracles pin absolute values.
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ import oracles
 import support
 from toricmu import (
     ExpIntegrator,
+    InputError,
     NearSingularDirection,
     boundary_exp_integral,
     brion_localize,
@@ -28,7 +30,7 @@ from toricmu import (
     simplex_exp_integral,
 )
 from toricmu.integrate import simplex_exp_from_values
-from toricmu.paconvex import AffineForm, as_pa
+from toricmu.paconvex import AffineForm, PiecewiseAffineConvex, as_pa, make_pa
 from toricmu.polytope import Simplex
 
 E = math.e
@@ -364,3 +366,85 @@ def test_memoized_integrator_equals_fresh():
         _assert_calls_equal_fresh(P, forms, exponents[1:3])
 
     exact_inputs()
+
+
+def _pair_bits(pairs):
+    """The exact bits of [(value, magnitude)] results."""
+    return [struct.pack("<2d", value, mag) for (value, mag) in pairs]
+
+
+FLOAT_COEFFICIENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]) | st.floats(
+    -3.0, 3.0
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(support.exact_polytopes(), st.data())
+def test_flat_integrator_bit_identical_to_per_facet_children(P, data):
+    """The flat record groups give the bits of the integrator that made a
+    child integrator per facet (oracles.ExpIntegratorPerFacet): on 1-D, 2-D
+    and 3-D polytopes, for 1-3 PA functions, factor lists of 0-2 factors,
+    and calls that come back to an exponent the memos hold."""
+    count = data.draw(st.integers(1, 3), label="functions")
+    coefficient = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+    funcs = []
+    for _ in range(count):
+        pieces = [
+            AffineForm(
+                tuple(data.draw(coefficient) for _ in range(P.dim)),
+                data.draw(coefficient),
+            )
+            for _ in range(data.draw(st.integers(1, 2), label="pieces"))
+        ]
+        funcs.append(make_pa(pieces, P))
+    combo = st.tuples(*[FLOAT_COEFFICIENTS] * count)
+    factor = st.tuples(FLOAT_COEFFICIENTS, combo)
+    factor_lists = st.lists(st.lists(factor, max_size=2), min_size=1, max_size=3)
+    exponents = data.draw(st.lists(combo, min_size=1, max_size=2), label="exponents")
+    flat = ExpIntegrator(P, funcs)
+    children = oracles.ExpIntegratorPerFacet(P, funcs)
+    for _ in range(4):
+        e = data.draw(st.sampled_from(exponents), label="exponent")
+        lists = data.draw(factor_lists, label="factor lists")
+        for kind in ("interior", "boundary"):
+            got = getattr(flat, kind)(e, lists)
+            want = getattr(children, kind)(e, lists)
+            assert _pair_bits(got) == _pair_bits(want), (kind, e, lists)
+
+
+def test_segment_boundary_evaluates_end_points_once(monkeypatch):
+    """A segment's boundary takes its end-point values in Fractions on its
+    first call only."""
+    calls = []
+    call = PiecewiseAffineConvex.__call__
+
+    def counting(self, point):
+        calls.append(point)
+        return call(self, point)
+
+    monkeypatch.setattr(PiecewiseAffineConvex, "__call__", counting)
+    P = support.unit_segment()
+    gear = ExpIntegrator(P, [AffineForm((1,), 0), AffineForm((-2,), Fraction(1, 3))])
+    first = gear.boundary((0.5, 1.0), [[], [(1.0, (0.0, 1.0))]])
+    assert len(calls) == 4
+    del calls[:]
+    assert gear.boundary((0.5, 1.0), [[], [(1.0, (0.0, 1.0))]]) == first
+    gear.boundary((-2.0, 0.25), [[(0.0, (1.0, 1.0)), (2.0, (0.0, 1.0))]])
+    assert calls == []
+
+
+def test_underflowed_simplex_volume_raises_where_it_counts():
+    """A simplex whose exact volume is nonzero but below the float range
+    adds nothing while its part of the integral rounds to 0.0 anyway, and
+    raises once that part could be a nonzero float."""
+    tiny = Fraction(1, 10**200)
+    P = build_polytope([(0, 0), (tiny, 0), (0, tiny)])
+    assert polytope_exp_integral(P, None).value == 0.0
+    assert boundary_exp_integral(P, None).value > 0.0
+    steep = AffineForm((0, 0), 500)  # e^500 * 5e-401 is about 7e-184
+    with pytest.raises(InputError, match="volume 5e-401 underflows"):
+        polytope_exp_integral(P, steep)
+    gear = ExpIntegrator(P, [steep])
+    assert gear.interior((0.1,), [[]]) == [(0.0, 0.0)]
+    with pytest.raises(InputError, match="underflows"):
+        gear.interior((0.1,), [[(1e200, (0.0,))]])

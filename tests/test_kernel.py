@@ -4,8 +4,9 @@ The kernel feeds every integral in the package, so it gets the heaviest
 randomized coverage.  Expected values come from oracles.mp_ddexp, an
 independent confluent-recurrence implementation in mpmath.  The Python
 kernel is also pinned bit for bit to oracles.ddexp_full_table, the same
-algorithm computing its whole seed table, and its straight-line series to
-the generic series loop _dd_series.
+algorithm computing its whole seed table, its straight-line series to
+the generic series loop _dd_series, and its straight-line squarings of
+small tables to _square_upper.
 """
 
 import math
@@ -257,3 +258,60 @@ def test_straight_line_series_bit_identical_to_loop(x):
     """The unrolled series for 2-5 nodes make the same float operations as
     the generic _dd_series loop, and stop at the same term."""
     assert _bits(_ddexp_py._STRAIGHT[len(x)](x)) == _bits(_ddexp_py._dd_series(x))
+
+
+@st.composite
+def squared_nodes(draw):
+    """2-5 nodes whose spread takes the kernel to scaling depth K = 0..12,
+    with repeated nodes and signed zeros."""
+    m = draw(st.integers(2, 5))
+    K = draw(st.integers(0, 12))
+    spread = draw(st.sampled_from([0.5, HALF_UP]) | st.floats(0.25, 0.5)) * 2.0**K
+    base = draw(st.sampled_from([0.0, -0.0, 1.5, -30.0, 700.0]))
+    nodes = [
+        base + spread * u
+        for u in draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    ]
+    for i in range(m):
+        pick = draw(st.sampled_from(["keep"] * 4 + ["repeat", "zero", "negzero"]))
+        if pick == "repeat":
+            nodes[i] = nodes[draw(st.integers(0, m - 1))]
+        elif pick != "keep":
+            nodes[i] = 0.0 if pick == "zero" else -0.0
+    return nodes
+
+
+@settings(max_examples=600, deadline=None)
+@given(squared_nodes())
+@example([0.0, -0.0])
+@example([-0.0, -0.0])
+@example([3000.0, -1000.0])
+@example([1.0, 1.0])
+@example([-0.0, 2047.0, -0.0, 2047.0])
+@example([0.0, -0.0, 5.0, -5.0, 0.0])
+def test_two_node_and_straight_line_squarings_match_generic_path(nodes):
+    """The two-node path and the straight-line squarings of 3 x 3 and 4 x 4
+    tables give the bits of the generic path, which squares the whole table
+    with _square_upper (oracles.ddexp_full_table)."""
+    assert _bits(_ddexp_py.ddexp(nodes)) == _bits(oracles.ddexp_full_table(nodes))
+
+
+def _upper_tables(m):
+    entry = st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(-2.0, 2.0)
+    return st.lists(entry, min_size=m * m, max_size=m * m).map(
+        lambda flat: [
+            [flat[i * m + j] if j >= i else 0.0 for j in range(m)] for i in range(m)
+        ]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 4).flatmap(_upper_tables), st.integers(0, 11))
+def test_straight_line_corner_matches_square_upper(B, squarings):
+    """_corner3 and _corner4 square in the order _square_upper does: each
+    entry from 0.0, adding B[i][k] * B[k][j] with k ascending."""
+    table = B
+    for _ in range(squarings):
+        table = _ddexp_py._square_upper(table)
+    expected = _ddexp_py._corner_of_square(table)
+    assert _bits(_ddexp_py._CORNER[len(B)](B, squarings)) == _bits(expected)
