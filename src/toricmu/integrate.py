@@ -18,12 +18,14 @@ Localization route: the vertex sum
     int_P e^(<mu, xi>) dmu = (-1)^n sum_v e^(<v, xi>) index(v) /
         prod_i <mu_{v,i}, xi>
 
-over simple vertices with inward primitive edge generators mu_{v,i}, plus a
-two-dimensional boundary variant.  Directions pairing to an exact rational
-zero with some edge are evaluated as analytic limits: the direction is
-perturbed to xi + t*zeta with a generic rational zeta, each vertex term is
-expanded as a truncated Laurent series in t, the negative powers cancel in
-the sum and the t^0 coefficient is the limit.  Directions that are merely
+over simple vertices with inward primitive edge generators mu_{v,i}.  The
+boundary integral is the same sum on every facet in its lattice chart; a
+segment's facets are points, each contributing e^(value there).
+Directions pairing to an exact rational zero with some edge are evaluated
+as analytic limits: the direction is perturbed to xi + t*zeta with a
+generic rational zeta, each vertex term times t^zmax is expanded as a
+truncated power series in t, the powers below t^zmax cancel in the sum and
+the t^zmax coefficient is the limit.  Directions that are merely
 near-singular in floating point raise NearSingularDirection instead.
 
 Both routes share the kernel's overflow convention: an exponential whose
@@ -88,11 +90,6 @@ class IntegralResult:
 
 
 # -- simplex kernels ----------------------------------------------------------
-
-
-def simplex_exp_from_values(det, exp_values):
-    """det * exp[values]; det is |det(edge matrix)| = n! * volume."""
-    return det * ddexp(exp_values)
 
 
 def _float_bits(values):
@@ -172,9 +169,9 @@ def _beyond_float_range(what):
 def _float_records(cells, what="a function value"):
     """Float records of the simplices of (cell, pieces) pairs, in order.
 
-    Returns (records, tiny).  A record is (det, rows): det is |det(edge
-    matrix)| = n! * volume and rows[i][k] is pieces[k] at vertex i, both as
-    floats.  A simplex of exact volume 0 is skipped.  One whose volume is
+    Returns one group for _accumulate: (records, memos, tiny), the memos
+    empty.  A record is (det, rows): det is |det(edge matrix)| = n! *
+    volume and rows[i][k] is pieces[k] at vertex i, both as floats.  A simplex of exact volume 0 is skipped.  One whose volume is
     nonzero but underflows to 0.0 goes to tiny as (log det, rows, volume)
     for _check_tiny.  A det or value beyond the float range raises
     InputError (what names the values).
@@ -197,7 +194,7 @@ def _float_records(cells, what="a function value"):
                     records.append((det, rows))
     except OverflowError:
         raise _beyond_float_range(what) from None
-    return records, tiny
+    return records, [(None, None)] * len(records), tiny
 
 
 # log(2^-1075), rounded down: a term below e^_LOG_TINY rounds to 0.0
@@ -319,7 +316,8 @@ class ExpIntegrator:
     one group per facet, built from the facet's cell complex in its lattice
     chart.  A group is summed from 0.0 and added to the totals in facet
     order, so no integrator is made per facet.  On a segment the boundary is
-    the two end points, whose values are also taken once.
+    the two end points, whose values are also taken once, as one row each:
+    groups over their POINT charts give the same sum in more steps.
 
     One call makes one pass over the simplices: the vertex exponents are
     computed once per simplex and every factor list is integrated from
@@ -340,11 +338,10 @@ class ExpIntegrator:
 
     @staticmethod
     def _group(P, funcs):
-        records, tiny = _float_records(
+        return _float_records(
             (cell, [pa.pieces[i] for pa, i in zip(funcs, ids)])
             for (cell, ids) in common_cells(P, funcs)
         )
-        return records, [(None, None)] * len(records), tiny
 
     def interior(self, exp_combo, factor_lists):
         """[(value, magnitude)] per factor list; magnitude sums |contributions|."""
@@ -395,36 +392,31 @@ class ExpIntegrator:
 # -- public integral drivers ---------------------------------------------------
 
 
-def _weight_terms(weight, P, q, rho):
-    """Normalize a weight spec to (funcs, [(scalar, [factor combos])]).
+def _weight_factors(weight, P, q, rho):
+    """Normalize a weight spec to (funcs, factor list).
 
     Accepted: None, an AffineForm, and the strings "entropy" ((n + rho*q))
     and "qsq" (q^2).
     """
     funcs = [q]
     if weight is None:
-        return funcs, [(1.0, [])]
+        return funcs, []
     if isinstance(weight, AffineForm):
         funcs.append(weight)
-        return funcs, [(1.0, [(0.0, (0.0, 1.0))])]
+        return funcs, [(0.0, (0.0, 1.0))]
     if weight == "entropy":
-        return funcs, [(1.0, [(float(P.dim), (float(rho),))])]
+        return funcs, [(float(P.dim), (float(rho),))]
     if weight == "qsq":
-        return funcs, [(1.0, [(0.0, (1.0,)), (0.0, (1.0,))])]
+        return funcs, [(0.0, (1.0,)), (0.0, (1.0,))]
     raise InputError("unknown weight %r" % (weight,))
 
 
 def _weighted_integral(kind, P, qpa, rho, weight):
     """The triangulation route of both public drivers: one integrator call."""
-    funcs, terms = _weight_terms(weight, P, qpa, rho)
+    funcs, factors = _weight_factors(weight, P, qpa, rho)
     gear = ExpIntegrator(P, funcs)
     exp_combo = (float(rho),) + (0.0,) * (len(gear.funcs) - 1)
-    parts = getattr(gear, kind)(exp_combo, [combos for (_, combos) in terms])
-    total = 0.0
-    mag = 0.0
-    for (scalar, _), (t, m) in zip(terms, parts):
-        total += scalar * t
-        mag += abs(scalar) * m
+    [(total, mag)] = getattr(gear, kind)(exp_combo, [factors])
     return IntegralResult(total, "triangulation", 1e-14 * mag * (P.dim + 2))
 
 
@@ -442,7 +434,7 @@ def polytope_exp_integral(P, q, rho=1.0, weight=None, method="auto") -> Integral
     if method == "localization":
         if weight is not None:
             raise InputError("localization evaluates unweighted integrals only")
-        value, mag = _localize_integral(P, qpa, rho)
+        value, mag = _localize_integral(qpa, rho)
         return IntegralResult(value, "localization", 1e-13 * mag)
     return _weighted_integral("interior", P, qpa, rho, weight)
 
@@ -483,7 +475,7 @@ def _norm(vec):
 _GENERICITY = 1e-6
 
 
-def _localization_data(P, eta, scale, boundary, allow_zero):
+def _localization_data(P, eta, scale, allow_zero):
     """Checked inputs of a vertex sum: (eta, x, vertex pairings, zero edges).
 
     Pairings below the genericity threshold raise NearSingularDirection;
@@ -506,22 +498,11 @@ def _localization_data(P, eta, scale, boundary, allow_zero):
                 raise NearSingularDirection(
                     "edge %r pairs to %s with the direction" % (mu, t)
                 )
-    if boundary and P.dim != 2:
-        raise InputError("boundary localization is two-dimensional only")
     return eta, x, data, zero_edges
 
 
-def _vertex_sum(n, eta, x, data, boundary):
+def _vertex_sum(n, eta, x, data):
     """The Brion vertex sum over checked data with no zero pairing."""
-    if boundary:
-        total = 0.0
-        for (v, _, pairs) in data:
-            (t1, _), (t2, _) = pairs
-            t1f, t2f = float(t1) * x, float(t2) * x
-            total -= (
-                _safe_exp(x * float(_dot(v.coords, eta))) * (t1f + t2f) / (t1f * t2f)
-            )
-        return total
     sign = -1.0 if n % 2 else 1.0
     total = 0.0
     for (v, index, pairs) in data:
@@ -536,35 +517,28 @@ def brion_localize(P, eta, scale=1.0, boundary=False) -> float:
     """Vertex-sum evaluation of int e^(<mu, scale*eta>) over P (or its boundary).
 
     eta must be exact rational; scale is a float.  Raises
-    NearSingularDirection when any edge pairing falls below the genericity
-    threshold 1e-6 * |eta| * |mu| (exact zeros included); polytope_exp_integral
-    with method="localization" additionally handles the exact-zero case by an
-    analytic limit.
+    NearSingularDirection when any edge pairing of P falls below the
+    genericity threshold 1e-6 * |eta| * |mu| (exact zeros included);
+    polytope_exp_integral with method="localization" additionally handles
+    the exact-zero case by an analytic limit.  The boundary, in any
+    dimension, sums the vertex formula over the facets in their lattice
+    charts (see _boundary_localize).
     """
-    eta, x, data, _ = _localization_data(P, eta, scale, boundary, False)
-    return _vertex_sum(P.dim, eta, x, data, boundary)
+    eta, x, data, _ = _localization_data(P, eta, scale, False)
+    if boundary:
+        return _boundary_localize(as_pa(AffineForm(eta), P), x)
+    return _vertex_sum(P.dim, eta, x, data)
 
 
-# truncated Laurent series: (lead power, coefficient list)
-
-
-def _ser_mul(a, b, keep):
-    la, ca = a
-    lb, cb = b
-    out = [0.0] * min(keep, len(ca) + len(cb) - 1)
-    for i, xi in enumerate(ca):
+def _ser_mul(a, b):
+    """The first len(a) coefficients of the power series a * b."""
+    out = [0.0] * len(a)
+    for i, xi in enumerate(a):
         if xi == 0.0:
             continue
-        top = min(len(out) - i, len(cb))
-        for j in range(top):
-            out[i + j] += xi * cb[j]
-    return (la + lb, out)
-
-
-def _ser_coeff(a, power):
-    lead, c = a
-    i = power - lead
-    return c[i] if 0 <= i < len(c) else 0.0
+        for j in range(min(len(out) - i, len(b))):
+            out[i + j] += xi * b[j]
+    return out
 
 
 _AUX_SEEDS = (
@@ -588,75 +562,63 @@ def _aux_direction(n, zero_edges):
 def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
     """Localization that resolves exact rational zero pairings by a limit.
 
-    Replaces the direction by eta + t*zeta and expands every vertex term as
-    a truncated Laurent series in t; the negative powers cancel across
-    vertices and the t^0 coefficient of the sum is the analytic limit.
+    Replaces the direction by eta + t*zeta.  A vertex term with z zero
+    pairings has a pole of order z at t = 0, so each term times t^zmax
+    (zmax the largest z) is a power series in t, kept to zmax + 1
+    coefficients; the ones below t^zmax cancel across vertices and the
+    t^zmax coefficient of the sum is the analytic limit.
     NearSingularDirection is still raised for pairings that are small in
-    floating point without being exactly zero.
+    floating point without being exactly zero.  The boundary, in any
+    dimension, sums the interior formula over the facet charts (see
+    _boundary_localize), after the same checks on P.
     """
-    eta, x, data, zero_edges = _localization_data(P, eta, scale, boundary, True)
+    eta, x, data, zero_edges = _localization_data(P, eta, scale, True)
+    if boundary:
+        return _boundary_localize(as_pa(AffineForm(eta), P), x)
     n = P.dim
     if not zero_edges:
-        return _vertex_sum(n, eta, x, data, boundary)
+        return _vertex_sum(n, eta, x, data)
 
     zeta = _aux_direction(n, zero_edges)
-    zmax = 0
-    for (_, _, pairs) in data:
-        zmax = max(zmax, sum(1 for (t, _) in pairs if t == 0))
-    keep = zmax + 4
-
-    total = (0, [0.0])
-    magnitude = {}
-    for (v, index, pairs) in data:
+    zeros = [sum(1 for (t, _) in pairs if t == 0) for (_, _, pairs) in data]
+    zmax = max(zeros)
+    sign = -1.0 if n % 2 else 1.0
+    total = [0.0] * (zmax + 1)
+    magnitude = [0.0] * zmax
+    for (v, index, pairs), z in zip(data, zeros):
         a = x * float(_dot(v.coords, eta))
         b = x * float(_dot(v.coords, zeta))
         ea = _safe_exp(a)
         try:
-            term = (0, [ea * b ** j / factorial(j) for j in range(keep)])
+            # e^(a + b t) t^(zmax - z): the z zero pairings below bring
+            # it down to the term times t^zmax
+            term = [0.0] * (zmax - z) + [ea * b ** j / factorial(j) for j in range(z + 1)]
         except OverflowError:  # b^j beyond the float range: no float series
             return float("nan")
-        if boundary:
-            (t1, m1), (t2, m2) = pairs
-            s1, s2 = _dot(m1, zeta), _dot(m2, zeta)
-            num = (0, [float(t1 + t2), float(s1 + s2)])
-            term = _ser_mul(term, num, keep)
-            for (t, s) in ((t1, s1), (t2, s2)):
-                term = _ser_mul(term, _inv_linear(t, s, 1.0, keep), keep)
-            term = _ser_mul(term, (0, [-1.0 / x]), keep)
-        else:
-            sign = -1.0 if n % 2 else 1.0
-            term = _ser_mul(term, (0, [sign * index]), keep)
-            for (t, mu) in pairs:
-                s = _dot(mu, zeta)
-                term = _ser_mul(term, _inv_linear(t, s, x, keep), keep)
-        lead, coeffs = term
-        tl, tc = total
-        newlead = min(lead, tl)
-        width = max(lead + len(coeffs), tl + len(tc)) - newlead
-        merged = [0.0] * width
-        for i, c in enumerate(tc):
-            merged[tl - newlead + i] += c
-        for i, c in enumerate(coeffs):
-            merged[lead - newlead + i] += c
-            p = lead + i
-            if p < 0:
-                magnitude[p] = magnitude.get(p, 0.0) + abs(c)
-        total = (newlead, merged)
+        term = _ser_mul(term, [sign * index])
+        for (t, mu) in pairs:
+            s = _dot(mu, zeta)
+            if t == 0:
+                term = _ser_mul(term, [1.0 / (x * float(s))])
+            else:
+                term = _ser_mul(term, _inv_linear(t, s, x, zmax + 1))
+        for k, c in enumerate(term):
+            total[k] += c
+        for k in range(zmax):
+            magnitude[k] += abs(term[k])
 
-    for p, msum in magnitude.items():
-        residue = _ser_coeff(total, p)
-        if abs(residue) > 1e-8 * (msum + 1e-300):
+    for k, msum in enumerate(magnitude):
+        if abs(total[k]) > 1e-8 * (msum + 1e-300):
             raise ValidationFailure(
                 "Laurent coefficient at t^%d failed to cancel (%.3g of %.3g)"
-                % (p, residue, msum)
+                % (k - zmax, total[k], msum)
             )
-    return _ser_coeff(total, 0)
+    return total[zmax]
 
 
 def _inv_linear(t, s, x, keep):
-    """Series of 1 / (x * (t + tau * s)) in tau, exact zero t allowed."""
-    if t == 0:
-        return (-1, [1.0 / (x * float(s))])
+    """keep coefficients of the series of 1 / (x * (t + tau * s)) in tau,
+    for t != 0."""
     base = 1.0 / (x * float(t))
     ratio = -float(s) / float(t)
     coeffs = []
@@ -664,10 +626,20 @@ def _inv_linear(t, s, x, keep):
     for _ in range(keep):
         coeffs.append(acc)
         acc *= ratio
-    return (0, coeffs)
+    return coeffs
 
 
-def _localize_integral(P, qpa, rho):
+def _boundary_localize(qpa, rho):
+    """Boundary integral of e^(rho q): _localize_integral on each facet
+    in its lattice chart, where a zero facet direction integrates as a
+    constant (and a segment's end point is POINT, of volume 1)."""
+    total = 0.0
+    for i in range(len(qpa.P.facets)):
+        total += _localize_integral(qpa.restrict_to_facet(i), rho)[0]
+    return total
+
+
+def _localize_integral(qpa, rho):
     """Interior integral of e^(rho q) via per-cell vertex localization."""
     total = 0.0
     mag = 0.0
@@ -721,27 +693,24 @@ _VALIDATION_TOL = 1e-7
 
 
 def cross_validate(P, q, rho=1.0) -> CrossValidation:
-    """Evaluate interior (and where available boundary) integrals both ways.
+    """Evaluate interior (and for affine q boundary) integrals both ways.
 
     Raises ValidationFailure when the relative gap exceeds 1e-7.  The
-    boundary comparison runs when P is 2-dimensional and q is globally
-    affine (the regime where the boundary vertex formula applies); otherwise
-    those fields are None.
+    boundary comparison runs, in any dimension, when q is a single affine
+    piece; for a piecewise q those fields are None.
     """
     qpa = as_pa(q, P)
     rho = _finite(rho, "rho")
     it = polytope_exp_integral(P, qpa, rho=rho).value
-    il, _ = _localize_integral(P, qpa, rho)
+    il, _ = _localize_integral(qpa, rho)
     gaps = [abs(it - il) / max(abs(it), abs(il), 1e-300)]
     bt = bl = None
-    if P.dim == 2 and len(qpa.pieces) == 1 and rho != 0.0:
-        piece = qpa.pieces[0]
-        if any(g != 0 for g in piece.gradient):
-            bt = boundary_exp_integral(P, qpa, rho=rho).value
-            bl = _safe_exp(rho * float(piece.constant)) * brion_localize_limit(
-                P, piece.gradient, scale=rho, boundary=True
-            )
-            gaps.append(abs(bt - bl) / max(abs(bt), abs(bl), 1e-300))
+    # a piecewise q is left out: localizing its facet cells made the 40
+    # cross-validations of perfbench's sweep about 60% slower
+    if len(qpa.pieces) == 1:
+        bt = boundary_exp_integral(P, qpa, rho=rho).value
+        bl = _boundary_localize(qpa, rho)
+        gaps.append(abs(bt - bl) / max(abs(bt), abs(bl), 1e-300))
     rel_gap = max(gaps)
     passed = rel_gap <= _VALIDATION_TOL
     report = CrossValidation(it, il, bt, bl, rel_gap, passed)

@@ -128,9 +128,8 @@ class PiecewiseAffineConvex:
         return list(self._cells)
 
     def restrict_to_facet(self, facet_index):
-        """Restriction to a facet of P, in that facet's lattice chart.
-
-        Raises InputError when P is a segment (see facet_polytope)."""
+        """Restriction to a facet of P, in that facet's lattice chart (on a
+        segment, the value at the end point, on POINT; see facet_polytope)."""
         if facet_index not in self._facet_restrictions:
             sub, origin, basis = self.P.facet_polytope(facet_index)
             pieces = [piece.restrict(origin, basis) for piece in self.pieces]
@@ -326,10 +325,7 @@ def _pa_moments(q, k):
 
 def _boundary_moments(q, k):
     """[integral of q^p over the boundary, p = 0..k], in one pass per facet."""
-    if q.P.dim == 1:  # the two facets are the two end points
-        parts = [[q(v) ** p for p in range(k + 1)] for v in q.P.vertices]
-    else:
-        parts = [_pa_moments(q.restrict_to_facet(i), k) for i in range(len(q.P.facets))]
+    parts = [_pa_moments(q.restrict_to_facet(i), k) for i in range(len(q.P.facets))]
     return [sum(col, Fraction(0)) for col in zip(*parts)]
 
 
@@ -615,25 +611,20 @@ def metric_dexp(q, qp) -> float:
     bisection; the defining integral at the returned beta lies in
     [1 - 1e-8, 1].
     """
-    from .integrate import _check_tiny, _float_records, simplex_exp_from_values
+    from .integrate import _accumulate, _float_records
 
     sup = sup_abs_diff(q, qp)
     if sup == 0:
         return 0.0
     regions = [(cell, [aff]) for (cell, aff) in _signed_regions(q, qp)]
-    records, tiny = _float_records(regions, "|q - q'|")
-    cached = [(det, [v for (v,) in rows]) for (det, rows) in records]
+    groups = [_float_records(regions, "|q - q'|")]
     try:
         vol = float(q.P.volume())
     except OverflowError:
         raise InputError("the volume of P is beyond the float range") from None
 
     def big_g(beta):
-        inv = 1.0 / beta
-        _check_tiny(tiny, (inv,), [[]])
-        total = 0.0
-        for (det, vals) in cached:
-            total += simplex_exp_from_values(det, [v * inv for v in vals])
+        [(total, _)] = _accumulate(groups, (1.0 / beta,), [[]])
         return total - vol
 
     lo = 1e-14

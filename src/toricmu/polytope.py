@@ -207,7 +207,7 @@ def _kernel_basis_int(u):
             if q != 0:
                 pair[j] -= q * pair[piv]
                 cols[j] = [cols[j][i] - q * cols[piv][i] for i in range(n)]
-    basis = [tuple(cols[j]) for j in range(n) if pair[j] == 0]
+    basis = tuple(tuple(cols[j]) for j in range(n) if pair[j] == 0)
     assert len(basis) == n - 1
     return basis
 
@@ -263,10 +263,7 @@ class Simplex:
         return _det(rows)
 
     def normalized_volume(self) -> Fraction:
-        n = self.dim
-        if n == 0:
-            return Fraction(1)
-        return abs(self.edge_matrix_det()) / factorial(n)
+        return abs(self.edge_matrix_det()) / factorial(self.dim)
 
     def __repr__(self):
         return "Simplex(%r)" % (self.vertices,)
@@ -318,10 +315,9 @@ class LatticePolytope:
 
         Equals the Lebesgue measure of the facet pulled back through an
         integer basis of the facet's own lattice, so it is invariant under
-        GL(n, Z) and translation.
+        GL(n, Z) and translation.  A segment's facets are points of
+        measure 1.
         """
-        if self.dim == 1:
-            return Fraction(1)
         sub, _, _ = self.facet_polytope(facet_index)
         return sub.volume()
 
@@ -437,21 +433,17 @@ class LatticePolytope:
 
         Returns (sub_polytope, origin, basis) where points of the facet are
         origin + basis @ y.  The chart maps the facet lattice onto Z^{n-1},
-        so sub-polytope volume equals the facet's lattice measure.
-
-        Raises ValueError on a 1-D polytope: the facets of a segment are its
-        end points, which have no chart.
+        so sub-polytope volume equals the facet's lattice measure.  On a
+        segment a facet is an end point: the chart is (POINT, end point, ()).
         """
-        if self.dim == 1:
-            raise InputError(
-                "the facets of a segment are its end points and have no chart"
-            )
         if facet_index not in self._facet_charts:
             f = self.facets[facet_index]
             basis = _kernel_basis_int(f.normal)
             origin = self.vertices[f.vertex_indices[0]]
-            diffs = [_sub(self.vertices[vi].coords, origin.coords) for vi in f.vertex_indices]
-            sub = build_polytope(_chart_coords(diffs, basis))
+            sub = POINT
+            if basis:
+                diffs = [_sub(self.vertices[vi].coords, origin.coords) for vi in f.vertex_indices]
+                sub = build_polytope(_chart_coords(diffs, basis))
             self._facet_charts[facet_index] = (sub, origin, basis)
         return self._facet_charts[facet_index]
 
@@ -463,6 +455,8 @@ class LatticePolytope:
         integer range cut out by the facets <p, u> <= floor(scale * b).
         """
         scale = _positive_int(scale, "scale")
+        if self.dim == 0:  # the one point of R^0
+            return [()]
         rows = [(f.normal, floor(scale * f.offset)) for f in self.facets]
         box = []
         for i in range(self.dim):
@@ -520,6 +514,10 @@ class LatticePolytope:
             len(self.vertices),
             len(self.facets),
         )
+
+
+# The 0-dimensional polytope: the chart of a segment's end point.
+POINT = LatticePolytope(0, [RationalVector(())], [])
 
 
 def _positive_int(value, name) -> int:
@@ -702,8 +700,6 @@ def _vertex_cones(verts, facets, n):
 
 def _triangulate(P):
     n = P.dim
-    if n == 1:
-        return [Simplex(P.vertices)]
     if len(P.vertices) == n + 1:
         return [Simplex(P.vertices)]
     apex = P.vertices[0]

@@ -12,7 +12,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,9 +29,9 @@ from toricmu import (
     polytope_exp_integral,
     simplex_exp_integral,
 )
-from toricmu.integrate import simplex_exp_from_values
+from toricmu.integrate import _accumulate
 from toricmu.paconvex import AffineForm, PiecewiseAffineConvex, as_pa, make_pa
-from toricmu.polytope import Simplex
+from toricmu.polytope import POINT, Simplex
 
 E = math.e
 
@@ -46,18 +46,6 @@ def test_simplex_exp_standard_triangle():
     assert simplex_exp_integral(s, AffineForm((0, 0), 0)) == pytest.approx(
         0.5, rel=1e-13
     )
-
-
-def test_simplex_exp_from_values():
-    assert simplex_exp_from_values(1.0, [0.0, 0.0, 0.0]) == pytest.approx(0.5)
-    assert simplex_exp_from_values(1.0, [1.0, 1.0, 1.0]) == pytest.approx(E / 2)
-    rng = random.Random(12)
-    for _ in range(30):
-        vals = [rng.uniform(-4, 4) for _ in range(rng.randint(2, 6))]
-        det = rng.uniform(0.1, 3.0)
-        assert simplex_exp_from_values(det, vals) == pytest.approx(
-            det * oracles.mp_ddexp(vals), rel=1e-12
-        )
 
 
 def test_square_product_formulas():
@@ -186,11 +174,11 @@ def test_brion_nongeneric_raises_and_limit_resolves():
         (support.unit_square, (1, 1e-9), 1.0, False, NearSingularDirection, "pairs"),
         (
             lambda: build_polytope(support.UNIT_CUBE),
-            (1, 2, 3),
+            (1, 2, 1e-9),
             1.0,
             True,
-            ValueError,
-            "two-dimensional only",
+            NearSingularDirection,
+            "pairs",
         ),
     ],
 )
@@ -200,6 +188,22 @@ def test_localization_input_checks(make_P, eta, scale, boundary, error, message)
     for localize in (brion_localize, brion_localize_limit):
         with pytest.raises(error, match=message):
             localize(P, eta, scale=scale, boundary=boundary)
+
+
+def test_boundary_localization_unit_cube():
+    """On the unit cube the boundary of e^(<mu, eta>) is a sum of products
+    over the six faces, generic or along an axis."""
+    P = build_polytope(support.UNIT_CUBE)
+    e1, e2, e3 = E - 1, (E**2 - 1) / 2, (E**3 - 1) / 3
+    generic = (1 + E) * e2 * e3 + (1 + E**2) * e1 * e3 + (1 + E**3) * e1 * e2
+    for localize in (brion_localize, brion_localize_limit):
+        assert localize(P, (1, 2, 3), boundary=True) == pytest.approx(generic, rel=1e-12)
+    axis = 1 + E + 4 * e1
+    assert brion_localize_limit(P, (1, 0, 0), boundary=True) == pytest.approx(
+        axis, rel=1e-12
+    )
+    with pytest.raises(NearSingularDirection):
+        brion_localize(P, (1, 0, 0), boundary=True)
 
 
 def test_brion_matches_triangulation_random():
@@ -272,6 +276,54 @@ def test_cross_validate_random():
         assert report.boundary_triangulation == pytest.approx(
             report.boundary_localization, rel=1e-9
         )
+
+
+def _directions(P):
+    """Directions of P.dim coordinates: small rationals, the coordinate
+    axes, and the facet normals, whose pairings with the edges of their
+    facets are exact zeros."""
+    axes = [tuple(int(i == j) for j in range(P.dim)) for i in range(P.dim)]
+    small = st.tuples(*[st.integers(-8, 8).map(lambda k: Fraction(k, 4))] * P.dim)
+    return small | st.sampled_from(axes + [f.normal for f in P.facets])
+
+
+@settings(max_examples=150, deadline=None)
+@given(support.exact_polytopes(), st.data())
+def test_boundary_localization_matches_triangulation(P, data):
+    """Boundary localization, the vertex formula summed over the facet
+    charts, agrees with the triangulation route in one, two and three
+    dimensions, with exact-zero facet directions among the draws; so does
+    the boundary comparison of cross_validate."""
+    eta = data.draw(_directions(P), label="eta")
+    x = data.draw(st.sampled_from([1.0, 0.5, -0.8, 2.0]), label="scale")
+    const = data.draw(st.integers(-4, 4).map(lambda k: Fraction(k, 4)), label="const")
+    want = boundary_exp_integral(P, AffineForm(eta, 0), rho=x).value
+    if any(c != 0 for c in eta):
+        got = brion_localize_limit(P, eta, scale=x, boundary=True)
+        assert got == pytest.approx(want, rel=1e-9)
+    report = cross_validate(P, AffineForm(eta, const), rho=x)
+    assert report.boundary_localization == pytest.approx(
+        report.boundary_triangulation, rel=1e-9
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(support.exact_polytopes(), st.data())
+def test_localization_matches_laurent_oracle(P, data):
+    """The interior limit in plain power series has the bits of the Laurent
+    series limit (oracles.brion_localize_laurent) in every dimension, and on
+    polygons boundary localization through the facet charts agrees with the
+    old two-dimensional boundary formula to rel 1e-12."""
+    eta = data.draw(_directions(P), label="eta")
+    assume(any(c != 0 for c in eta))
+    x = data.draw(st.sampled_from([1.0, 0.5, -0.8, 2.0]), label="scale")
+    got = brion_localize_limit(P, eta, scale=x)
+    want = oracles.brion_localize_laurent(P, eta, scale=x)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
+    if P.dim == 2:
+        got = brion_localize_limit(P, eta, scale=x, boundary=True)
+        want = oracles.brion_localize_laurent(P, eta, scale=x, boundary=True)
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_cross_validate_nongeneric_direction():
@@ -410,6 +462,46 @@ def test_flat_integrator_bit_identical_to_per_facet_children(P, data):
             got = getattr(flat, kind)(e, lists)
             want = getattr(children, kind)(e, lists)
             assert _pair_bits(got) == _pair_bits(want), (kind, e, lists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_segment_end_point_rows_match_point_charts(data):
+    """A segment's boundary reads each end point's values from a row taken
+    once.  The same integral as _accumulate over the end points' POINT charts
+    has the same bits for factor lists of 0 or 1 factors, and is within 4
+    ulps for 2 factors, whose confluent divided difference exp[a, a, a] = e^a/2
+    rounds apart from the product the rows make."""
+    lo, hi = sorted(data.draw(st.lists(support.quarter, min_size=2, max_size=2, unique=True)))
+    P = build_polytope([(lo,), (hi,)])
+    count = data.draw(st.integers(1, 3), label="functions")
+    coefficient = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+    funcs = [
+        make_pa(
+            [
+                AffineForm((data.draw(coefficient),), data.draw(coefficient))
+                for _ in range(data.draw(st.integers(1, 2), label="pieces"))
+            ],
+            P,
+        )
+        for _ in range(count)
+    ]
+    combo = st.tuples(*[FLOAT_COEFFICIENTS] * count)
+    factors = data.draw(
+        st.lists(st.tuples(FLOAT_COEFFICIENTS, combo), max_size=2), label="factors"
+    )
+    e = data.draw(combo, label="exponent")
+    groups = [
+        ExpIntegrator._group(POINT, [pa.restrict_to_facet(i) for pa in funcs])
+        for i in range(len(P.facets))
+    ]
+    [got] = ExpIntegrator(P, funcs).boundary(e, [factors])
+    [want] = _accumulate(groups, e, [factors])
+    if len(factors) < 2:
+        assert _pair_bits([got]) == _pair_bits([want])
+    else:
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b)))
 
 
 def test_segment_boundary_evaluates_end_points_once(monkeypatch):

@@ -37,7 +37,7 @@ from toricmu import (
 )
 from toricmu import paconvex
 from toricmu.paconvex import AffineForm, EmptyPieces, _simplex_power, as_pa
-from toricmu.polytope import DegenerateHull, Simplex
+from toricmu.polytope import POINT, DegenerateHull, Simplex
 
 
 def kink_q(P=None):
@@ -198,14 +198,37 @@ def test_restrict_to_facet_consistent():
             assert restricted(y) == q(point)
 
 
-def test_segment_facets_have_no_chart():
+def test_segment_facets_are_point_charts():
+    """A segment's facet is its end point, in the chart (POINT, end point, ())
+    of lattice measure 1, and q restricts to its value there."""
     P = build_polytope([(0,), (2,)])
-    q = make_pa([((1,), 0)], P)
-    for i in range(len(P.facets)):
-        with pytest.raises(ValueError, match="end points"):
-            P.facet_polytope(i)
-        with pytest.raises(ValueError, match="end points"):
-            q.restrict_to_facet(i)
+    q = make_pa([((1,), 0), ((-2,), Fraction(1, 3))], P)
+    for i, f in enumerate(P.facets):
+        end = P.vertices[f.vertex_indices[0]]
+        assert P.facet_polytope(i) == (POINT, end, ())
+        assert P.facet_measure(i) == 1
+        restricted = q.restrict_to_facet(i)
+        assert restricted.P is POINT
+        assert restricted(()) == q(end)
+        assert restricted.pieces == tuple(
+            AffineForm((), piece(end)) for piece in q.pieces
+        )
+    assert POINT.lattice_points() == [()]
+    assert POINT.volume() == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_segment_boundary_moments_match_end_points(data):
+    """Boundary moments over a segment's POINT charts equal the sums over its
+    end points (oracles.boundary_moments_end_points) exactly."""
+    quarter = support.quarter
+    lo, hi = sorted(data.draw(st.lists(quarter, min_size=2, max_size=2, unique=True)))
+    P = build_polytope([(lo,), (hi,)])
+    pieces = data.draw(st.lists(st.tuples(quarter, quarter), min_size=1, max_size=3))
+    q = make_pa([((g,), -c) for g, c in pieces], P)
+    k = data.draw(st.integers(0, 4))
+    assert paconvex._boundary_moments(q, k) == oracles.boundary_moments_end_points(q, k)
 
 
 def test_dh_cdf_linear_example():
