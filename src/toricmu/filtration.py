@@ -10,19 +10,24 @@ recovered from the exponential moments through
 
 Filtrations generated by a convex PA potential q (weights floor(-m q(p/m)))
 have nu_inf equal to the (normalized) pushforward measure of q, and their
-characteristic entropy equals mu(q); both routes are provided.
+characteristic entropy equals mu(q); both routes are provided.  Their
+weights are integer arithmetic: with D the lcm of the denominators of every
+piece's gradient and constant, floor(-m q(p/m)) is the floor division by D
+of -max_k(<D g_k, p> + m D c_k).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import log, pi
+from math import lcm, log, pi
+from numbers import Rational
+from operator import mul
 
 from ._ddexp_py import _safe_exp
 from .functionals import mu_star
 from .paconvex import PiecewiseAffineConvex, as_pa, make_pa
-from .polytope import InputError, LatticePolytope, _positive_int, build_polytope
+from .polytope import InputError, LatticePolytope, _finite, _positive_int, build_polytope
 
 
 class NonConvergent(RuntimeError):
@@ -71,10 +76,14 @@ class SpectralMeasure:
 
     def cdf(self, tau) -> Fraction:
         """Mass of [tau, infinity), matching the pushforward convention."""
+        # a float must be finite; exact input compares exactly, however large
+        if not isinstance(tau, (Rational, str)):
+            _finite(tau, "tau")
         tau = Fraction(tau)
         return sum((mass for pos, mass in self.atoms if pos >= tau), Fraction(0))
 
     def exp_integral(self, rho=1.0) -> float:
+        rho = _finite(rho, "rho")
         try:
             return sum(float(mass) * _safe_exp(-rho * float(pos)) for pos, mass in self.atoms)
         except OverflowError:
@@ -102,17 +111,22 @@ class MonomialFiltration:
 
     @classmethod
     def from_pa(cls, q, name=None):
+        """Weights floor(-m q(p/m)) of the potential q, from one row of
+        integers (D g_k, D c_k) per piece (see the module docstring)."""
         q = as_pa(q, q.P)
+        D = lcm(*(x.denominator for f in q.pieces for x in f.gradient + (f.constant,)))
+        rows = [
+            (tuple(int(g * D) for g in f.gradient), int(f.constant * D)) for f in q.pieces
+        ]
 
         def weight_fn(point, m):
-            scaled = tuple(Fraction(c, m) for c in point)
-            val = -m * q(scaled)
-            return int(val // 1)
+            return (-max(sum(map(mul, g, point)) + m * c for g, c in rows)) // D
 
         return cls(q.P, weight_fn, pa=q, limit_pa=q, name=name)
 
     def weights(self, m):
-        return [self.weight_fn(p, m) for p in sections(self.P, m)]
+        basis = sections(self.P, m)
+        return [self.weight_fn(p, basis.m) for p in basis]
 
     def limit_exp_integral(self, normalization="dimension"):
         """int e^{-t} dnu_inf when the limit measure is known, else None."""
@@ -136,15 +150,12 @@ def spectral_measure(F, m, normalization="dimension") -> SpectralMeasure:
     probability measure), "volume" divides by m^n (nu_m converges to the
     unnormalized pushforward measure).
     """
+    if normalization not in ("dimension", "volume"):
+        raise InputError("normalization must be 'dimension' or 'volume'")
     basis = sections(F.P, m)
     m = basis.m
     counts = Counter(F.weight_fn(p, m) for p in basis)
-    if normalization == "dimension":
-        denom = Fraction(len(basis))
-    elif normalization == "volume":
-        denom = Fraction(m ** F.P.dim)
-    else:
-        raise InputError("normalization must be 'dimension' or 'volume'")
+    denom = Fraction(len(basis) if normalization == "dimension" else m ** F.P.dim)
     atoms = [(Fraction(w, m), Fraction(c) / denom) for w, c in counts.items()]
     return SpectralMeasure(atoms, m, normalization)
 

@@ -41,7 +41,7 @@ from itertools import product as _iproduct
 from math import factorial, hypot, inf, log
 
 from ._ddexp_py import _safe_exp
-from .polytope import InputError, _coords, _dot, _finite
+from .polytope import InputError, _dot, _finite
 from .paconvex import AffineForm, _decimal, as_pa, common_cells
 
 try:  # compiled kernel, with pure-Python fallback
@@ -476,12 +476,15 @@ _GENERICITY = 1e-6
 
 
 def _localization_data(P, eta, scale, allow_zero):
-    """Checked inputs of a vertex sum: (eta, x, vertex pairings, zero edges).
+    """Checked inputs of a vertex sum: (exponent, x, vertex pairings, zero
+    edges), the exponent an AffineForm (eta itself, or the direction eta
+    with constant 0).
 
     Pairings below the genericity threshold raise NearSingularDirection;
     with allow_zero, exact zeros are collected in zero edges instead.
     """
-    eta = _coords(eta)
+    form = eta if isinstance(eta, AffineForm) else AffineForm(eta)
+    eta = form.gradient
     x = float(scale)
     if x == 0.0:
         raise InputError("scale must be nonzero")
@@ -498,10 +501,10 @@ def _localization_data(P, eta, scale, allow_zero):
                 raise NearSingularDirection(
                     "edge %r pairs to %s with the direction" % (mu, t)
                 )
-    return eta, x, data, zero_edges
+    return form, x, data, zero_edges
 
 
-def _vertex_sum(n, eta, x, data):
+def _vertex_sum(n, form, x, data):
     """The Brion vertex sum over checked data with no zero pairing."""
     sign = -1.0 if n % 2 else 1.0
     total = 0.0
@@ -509,14 +512,17 @@ def _vertex_sum(n, eta, x, data):
         denom = 1.0
         for (t, _) in pairs:
             denom *= x * float(t)
-        total += _safe_exp(x * float(_dot(v.coords, eta))) * index / denom
+        total += _safe_exp(x * float(form(v))) * index / denom
     return sign * total
 
 
 def brion_localize(P, eta, scale=1.0, boundary=False) -> float:
     """Vertex-sum evaluation of int e^(<mu, scale*eta>) over P (or its boundary).
 
-    eta must be exact rational; scale is a float.  Raises
+    eta must be exact rational; scale is a float.  An AffineForm eta adds
+    its constant c to the exponent, e^(scale (<mu, eta> + c)), exactly in
+    every vertex term, which stays finite far from the origin where
+    e^(scale c) alone would not.  Raises
     NearSingularDirection when any edge pairing of P falls below the
     genericity threshold 1e-6 * |eta| * |mu| (exact zeros included);
     polytope_exp_integral with method="localization" additionally handles
@@ -524,10 +530,10 @@ def brion_localize(P, eta, scale=1.0, boundary=False) -> float:
     dimension, sums the vertex formula over the facets in their lattice
     charts (see _boundary_localize).
     """
-    eta, x, data, _ = _localization_data(P, eta, scale, False)
+    form, x, data, _ = _localization_data(P, eta, scale, False)
     if boundary:
-        return _boundary_localize(as_pa(AffineForm(eta), P), x)
-    return _vertex_sum(P.dim, eta, x, data)
+        return _boundary_localize(as_pa(form, P), x)
+    return _vertex_sum(P.dim, form, x, data)
 
 
 def _ser_mul(a, b):
@@ -568,16 +574,17 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
     coefficients; the ones below t^zmax cancel across vertices and the
     t^zmax coefficient of the sum is the analytic limit.
     NearSingularDirection is still raised for pairings that are small in
-    floating point without being exactly zero.  The boundary, in any
+    floating point without being exactly zero.  eta may be an AffineForm,
+    as in brion_localize.  The boundary, in any
     dimension, sums the interior formula over the facet charts (see
     _boundary_localize), after the same checks on P.
     """
-    eta, x, data, zero_edges = _localization_data(P, eta, scale, True)
+    form, x, data, zero_edges = _localization_data(P, eta, scale, True)
     if boundary:
-        return _boundary_localize(as_pa(AffineForm(eta), P), x)
+        return _boundary_localize(as_pa(form, P), x)
     n = P.dim
     if not zero_edges:
-        return _vertex_sum(n, eta, x, data)
+        return _vertex_sum(n, form, x, data)
 
     zeta = _aux_direction(n, zero_edges)
     zeros = [sum(1 for (t, _) in pairs if t == 0) for (_, _, pairs) in data]
@@ -586,7 +593,7 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
     total = [0.0] * (zmax + 1)
     magnitude = [0.0] * zmax
     for (v, index, pairs), z in zip(data, zeros):
-        a = x * float(_dot(v.coords, eta))
+        a = x * float(form(v))
         b = x * float(_dot(v.coords, zeta))
         ea = _safe_exp(a)
         try:
@@ -646,13 +653,13 @@ def _localize_integral(qpa, rho):
     for (i, cell) in qpa.cells():
         piece = qpa.pieces[i]
         try:
-            const = float(piece.constant)
             if rho == 0.0 or all(g == 0 for g in piece.gradient):
-                contrib = _safe_exp(rho * const) * float(cell.volume())
+                contrib = _safe_exp(rho * float(piece.constant)) * float(cell.volume())
             else:
-                contrib = _safe_exp(rho * const) * brion_localize_limit(
-                    cell, piece.gradient, scale=rho
-                )
+                # the piece's constant enters every vertex exponent exactly:
+                # far from the origin a factor e^(rho c) would underflow to
+                # 0 while the vertex sum of the gradient alone overflows
+                contrib = brion_localize_limit(cell, piece, scale=rho)
         except OverflowError:
             raise InputError("q or a cell is beyond the float range") from None
         total += contrib

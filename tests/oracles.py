@@ -36,6 +36,10 @@ package-free verbatim copies of the geometry layer's exact linear algebra
 as it was when each kind of system had its own elimination loop, normals
 came from Laplace minors and facet charts from a search over row subsets;
 they pin the one forward elimination to the same Fractions.
+pa_weight_fn_fractions is a verbatim copy of the weight closure of
+MonomialFiltration.from_pa as it was when every weight took Fraction
+coordinates and the max over the pieces; it runs on the package's PA
+functions and pins the integer weights to the same values.
 """
 
 import math
@@ -1177,3 +1181,17 @@ def _vertex_cones(verts, facets, n):
         idx = abs(_det(gens))
         cones.append(VertexCone(gens, idx))
     return tuple(cones), tuple(nonsimple)
+
+
+# -- filtration weights as they were in Fraction arithmetic --------------------
+
+
+def pa_weight_fn_fractions(q):
+    """weight_fn(point, m) = floor(-m q(point / m)) in Fractions."""
+
+    def weight_fn(point, m):
+        scaled = tuple(Fraction(c, m) for c in point)
+        val = -m * q(scaled)
+        return int(val // 1)
+
+    return weight_fn

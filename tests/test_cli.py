@@ -233,6 +233,47 @@ def test_filtration_estimate_meta(capsys):
     assert est == pytest.approx(-4 * math.pi * (E - 1), rel=1e-4)
 
 
+# toricmu filtration --case corner-flat:5 --format json, as the weights
+# gave it in Fraction arithmetic
+_CORNER_FLAT_5 = {
+    "columns": ["m", "atoms", "total_mass", "exp_integral"],
+    "meta": {
+        "char_mu_estimate": "-7.605977067255263",
+        "char_mu_exact": "-20.42803629951766",
+        "name": "corner-flat:5",
+        "normalization": "dimension",
+    },
+    "rows": [
+        ["1", "-1:1/2;0:1/2", "1", "1.8591409142295225"],
+        ["2", "-1:1/3;0:2/3", "1", "1.5727606094863482"],
+        ["4", "-1:1/5;0:4/5", "1", "1.343656365691809"],
+        ["8", "-1:1/9;-3/8:1/9;0:7/9", "1", "1.2414748047863606"],
+        ["16", "-1:1/17;-11/16:1/17;-3/8:1/17;-1/16:1/17;0:13/17", "1", "1.1897944218574938"],
+        [
+            "32",
+            "-1:1/33;-27/32:1/33;-11/16:1/33;-17/32:1/33;-3/8:1/33;-7/32:1/33;"
+            "-1/16:1/33;0:26/33",
+            "1",
+            "1.1665803709536064",
+        ],
+        [
+            "64",
+            "-1:1/65;-59/64:1/65;-27/32:1/65;-49/64:1/65;-11/16:1/65;-39/64:1/65;"
+            "-17/32:1/65;-29/64:1/65;-3/8:1/65;-19/64:1/65;-7/32:1/65;-9/64:1/65;"
+            "-1/16:1/65;0:4/5",
+            "1",
+            "1.1549328034395148",
+        ],
+    ],
+}
+
+
+def test_filtration_corner_flat_output_pinned(capsys):
+    code, out = invoke(capsys, "filtration", "--case", "corner-flat:5", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == _CORNER_FLAT_5
+
+
 def test_filtration_flat_exact_meta(capsys):
     code, out = invoke(
         capsys,

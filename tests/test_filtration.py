@@ -5,20 +5,27 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import support
 from toricmu import (
+    InputError,
     MonomialFiltration,
     NonConvergent,
+    build_polytope,
     corner_filtration,
     corner_flat_filtration,
     char_mu_estimate,
     char_mu_exact,
     check_superadditive,
+    make_pa,
     mu_star,
     sections,
     spectral_measure,
 )
+from toricmu.cli import square_qn_potential
 from toricmu.filtration import unit_segment
 
 E = math.e
@@ -66,6 +73,23 @@ def test_volume_normalization_mass():
         assert nu.total_mass() == Fraction(m + 1, m)
     with pytest.raises(ValueError):
         spectral_measure(F, 5, normalization="lebesgue")
+    weighed = []
+    counted = MonomialFiltration(support.unit_square(), lambda p, m: weighed.append(p) or 0)
+    with pytest.raises(InputError):
+        spectral_measure(counted, 200, normalization="bogus")
+    assert weighed == []  # checked before any lattice point is enumerated
+
+
+def test_spectral_measure_arguments_must_be_finite():
+    nu = spectral_measure(corner_filtration(), 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError):
+            nu.cdf(bad)
+        with pytest.raises(InputError):
+            nu.exp_integral(bad)
+    assert nu.cdf(10 ** 400) == 0  # an exact tau needs no float
+    assert nu.cdf(-(10 ** 400)) == 1
+    assert nu.cdf("-1/2") == Fraction(3, 4)
 
 
 def test_flat_family_spectral_measures_exact():
@@ -94,6 +118,42 @@ def test_from_pa_weights_floor():
     # q_2 = max(0, 2t - 1); weights are floor(-m q(a/m))
     assert F.weights(4) == [0, 0, 0, -2, -4]
     assert F.weights(5) == [0, 0, 0, -1, -3, -5]
+
+
+def test_weights_take_the_validated_degree():
+    F = MonomialFiltration.from_pa(square_qn_potential(2))
+    assert F.weights(2.0) == F.weights(2)
+    with pytest.raises(InputError):
+        F.weights(2.5)
+
+
+_MIXED = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 5, 7, 12]))
+_POLYTOPES = {
+    1: build_polytope([(-1,), (2,)]),
+    2: build_polytope([(-1, -1), (2, 0), (0, 1)]),
+    3: build_polytope([(-1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_integer_weights_equal_fraction_weights(data):
+    """from_pa's integer weights equal the Fraction closure they replaced
+    (oracles.pa_weight_fn_fractions) on lattice points of every degree, on
+    Fraction points, and through the spectral measure."""
+    dim = data.draw(st.sampled_from(sorted(_POLYTOPES)))
+    P = _POLYTOPES[dim]
+    point = st.tuples(*[_MIXED] * dim)
+    pieces = data.draw(st.lists(st.tuples(point, _MIXED), min_size=1, max_size=4))
+    q = make_pa(pieces, P)
+    m = data.draw(st.integers(1, 12))
+    F = MonomialFiltration.from_pa(q)
+    oracle = oracles.pa_weight_fn_fractions(q)
+    assert F.weights(m) == [oracle(p, m) for p in sections(P, m)]
+    for p in data.draw(st.lists(point, max_size=8)):
+        assert F.weight_fn(p, m) == oracle(p, m)
+    want = spectral_measure(MonomialFiltration(P, oracle), m)
+    assert spectral_measure(F, m).atoms == want.atoms
 
 
 def test_superadditivity():

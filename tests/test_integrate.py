@@ -336,6 +336,27 @@ def test_cross_validate_nongeneric_direction():
     assert report.interior_triangulation == pytest.approx(E - 1, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "vertices, eta, const, exact",
+    [
+        ([(1000,), (1001,)], (1,), -1000, E - 1),
+        ([(1000, 1000), (1001, 1000), (1000, 1001)], (1, 1), -2000, 1.0),
+        # (1, 0) pairs to zero with the vertical edges: the Laurent branch
+        ([(1000, 1000), (1001, 1000), (1001, 1001), (1000, 1001)], (1, 0), -1000, E - 1),
+    ],
+)
+def test_localization_far_from_origin(vertices, eta, const, exact):
+    # With the exponent constant taken at the origin, e^(rho q(0)) underflowed
+    # to 0 and the vertex sum overflowed to inf: 0 * inf gave nan.
+    P = build_polytope(vertices)
+    q = AffineForm(eta, const)
+    got = polytope_exp_integral(P, q, method="localization").value
+    assert got == pytest.approx(exact, rel=1e-12)
+    report = cross_validate(P, q)
+    assert report.passed
+    assert report.interior_localization == got
+
+
 def _assert_calls_equal_fresh(P, funcs, exponents):
     n = float(P.dim)
     gear = ExpIntegrator(P, funcs)
