@@ -1,8 +1,10 @@
-"""Replay of the divided-difference kernel calls of two benchmark passes.
+"""Replay of the divided-difference kernel calls of three benchmark passes.
 
-Records every call to toricmu.integrate.ddexp made by one pass of the
-`sweep` and one pass of the `optimize` workload of perfbench at seed 1,
-then replays the recorded node lists through each kernel backend that
+Records every call to toricmu.integrate.ddexp made by one pass of each of
+the `sweep`, `optimize` and `exact` workloads of perfbench at seed 1, and
+prints each workload's calls as a histogram by node count and scaling
+depth K (0, 1, >= 2; a single node is a plain exp, counted at K = 0).
+It then replays the recorded node lists through each kernel backend that
 imports (the pure-Python one always, the compiled one when built).  The
 replays alternate: each round times every (workload, backend) pair once,
 in an order that flips from round to round, and the report is the median
@@ -38,7 +40,8 @@ except ImportError:
     _ddexp = None
 
 SEED = 1
-WORKLOADS = ("sweep", "optimize")
+WORKLOADS = ("sweep", "optimize", "exact")
+DEPTHS = ("K=0", "K=1", "K>=2")
 
 
 def record(workload):
@@ -59,6 +62,34 @@ def record(workload):
     finally:
         integrate.ddexp = kernel
     return calls
+
+
+def depth_label(nodes):
+    """The column of DEPTHS the kernel's scaling depth of nodes falls in."""
+    if len(nodes) < 2:
+        return DEPTHS[0]
+    c = sum(nodes) / len(nodes)
+    spread = max(abs(b - c) for b in nodes)
+    if not spread > 0.5:
+        return DEPTHS[0]
+    return DEPTHS[min(_ddexp_py._depth(spread), 2)]
+
+
+def print_histogram(recorded):
+    print("kernel calls of one seed-%d pass by node count and scaling depth K" % SEED)
+    columns = "".join("%9s" % d for d in DEPTHS + ("total",))
+    print("%-9s %5s" % ("workload", "nodes") + columns)
+    for w, calls in recorded.items():
+        table = {}
+        for nodes in calls:
+            row = table.setdefault(len(nodes), dict.fromkeys(DEPTHS, 0))
+            row[depth_label(nodes)] += 1
+        for m in sorted(table):
+            row = table[m]
+            print("%-9s %5d" % (w, m) + "".join("%9d" % row[d] for d in DEPTHS)
+                  + "%9d" % sum(row.values()))
+        print("%-9s %5s" % (w, "all") + " " * 27 + "%9d" % len(calls))
+    print()
 
 
 def replay(fn, calls):
@@ -84,6 +115,7 @@ def main(argv=None):
     if _ddexp is not None:
         kernels.append(("compiled", _ddexp.ddexp))
     recorded = {w: record(w) for w in WORKLOADS}
+    print_histogram(recorded)
     if _ddexp is not None:
         for w, calls in recorded.items():
             for nodes in calls:

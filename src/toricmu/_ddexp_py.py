@@ -36,11 +36,12 @@ always forms just the corner, the sum over k of B[0][k] * B[k][m-1] from
 bits as squaring the whole table K times.
 
 The small tables, the most common in the integrators, run straight-line
-code.  Two nodes take _ddexp2, which keeps its three table entries in
-locals from the centering to the corner.  Three and four nodes square
-with _corner3 and _corner4, whose entries are locals too.  Each entry is
-_square_upper's sum, from 0.0 with k ascending, so the bits are those of
-the loops, which still serve five or more nodes.
+code.  Two and three nodes take _ddexp2 and _ddexp3, which keep their
+table entries in locals from the centering to the corner and call the
+straight-line series directly.  Three and four nodes square with _corner3
+and _corner4, whose entries are locals too.  Each entry is _square_upper's
+sum, from 0.0 with k ascending, so the bits are those of the loops, which
+still serve five or more nodes.
 """
 
 from math import exp, factorial, frexp
@@ -268,9 +269,6 @@ def _corner4(B, squarings):
     return 0.0 + b00 * b03 + b01 * b13 + b02 * b23 + b03 * b33
 
 
-_CORNER = {3: _corner3, 4: _corner4}
-
-
 def _depth(spread):
     """Smallest K with spread / 2^K <= 1/2, for spread > 1/2."""
     K = max(0, frexp(spread / 0.5)[1])
@@ -304,11 +302,47 @@ def _ddexp2(a, b):
     return _safe_exp(c) * (0.0 + b00 * b01 + b01 * b11)
 
 
+def _ddexp3(a, b, c):
+    """exp[a, b, c]: ddexp's steps for three nodes, with the table in locals.
+
+    At K = 1 the one squaring is the corner alone, which reads every seed
+    entry but b11; at K >= 2 _corner3 squares the whole table."""
+    # sum itself, not 0 + a + b + c: from Python 3.12 on it compensates
+    # its rounding, and ddexp centres longer lists with sum
+    mean = sum((a, b, c)) / 3
+    h0 = a - mean
+    h1 = b - mean
+    h2 = c - mean
+    spread = abs(h0)  # max(map(abs, [h0, h1, h2])), NaN included
+    if abs(h1) > spread:
+        spread = abs(h1)
+    if abs(h2) > spread:
+        spread = abs(h2)
+    if not spread > 0.5:
+        return _safe_exp(mean) * _series3((h0, h1, h2))
+    K = _depth(spread)
+    eps = 0.5 ** K
+    s0 = h0 * eps
+    s1 = h1 * eps
+    s2 = h2 * eps
+    b00 = exp(s0)
+    b01 = eps * _series2((s0, s1))
+    b02 = eps**2 * _series3((s0, s1, s2))
+    b12 = eps * _series2((s1, s2))
+    b22 = exp(s2)
+    if K == 1:
+        return _safe_exp(mean) * (0.0 + b00 * b02 + b01 * b12 + b02 * b22)
+    B = ((b00, b01, b02), (0.0, exp(s1), b12), (0.0, 0.0, b22))
+    return _safe_exp(mean) * _corner3(B, K - 1)
+
+
 def ddexp(nodes):
     """Divided difference exp[nodes[0], ..., nodes[-1]] (order insensitive)."""
     m = len(nodes)
     if m == 2:
         return _ddexp2(*nodes)
+    if m == 3:
+        return _ddexp3(*nodes)
     if m == 0:
         raise ValueError("need at least one node")
     if m == 1:
@@ -340,9 +374,8 @@ def ddexp(nodes):
     for i in range(m):
         for j in range(i + 1, m):
             B[i][j] = epow[j - i] * _series(s[i : j + 1])
-    corner = _CORNER.get(m)
-    if corner is not None:
-        return _safe_exp(c) * corner(B, K - 1)
+    if m == 4:
+        return _safe_exp(c) * _corner4(B, K - 1)
     for _ in range(K - 1):
         B = _square_upper(B)
     return _safe_exp(c) * _corner_of_square(B)

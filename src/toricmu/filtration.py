@@ -26,7 +26,7 @@ from operator import mul
 
 from ._ddexp_py import _safe_exp
 from .functionals import mu_star
-from .paconvex import PiecewiseAffineConvex, as_pa, make_pa
+from .paconvex import PiecewiseAffineConvex, make_pa
 from .polytope import InputError, LatticePolytope, _finite, _positive_int, build_polytope
 
 
@@ -112,8 +112,13 @@ class MonomialFiltration:
     @classmethod
     def from_pa(cls, q, name=None):
         """Weights floor(-m q(p/m)) of the potential q, from one row of
-        integers (D g_k, D c_k) per piece (see the module docstring)."""
-        q = as_pa(q, q.P)
+        integers (D g_k, D c_k) per piece (see the module docstring).  q
+        must be a PiecewiseAffineConvex: the filtration reads its polytope."""
+        if not isinstance(q, PiecewiseAffineConvex):
+            raise InputError(
+                "from_pa needs a potential bound to a polytope"
+                " (a PiecewiseAffineConvex), got %r" % (q,)
+            )
         D = lcm(*(x.denominator for f in q.pieces for x in f.gradient + (f.constant,)))
         rows = [
             (tuple(int(g * D) for g in f.gradient), int(f.constant * D)) for f in q.pieces

@@ -249,7 +249,25 @@ def _accumulate(groups, exp_combo, factor_lists):
     saw, replaced when their bits change.  tiny is checked by _check_tiny
     and adds nothing.  Each group is summed from 0.0 in record order and
     added to the totals in group order.
+
+    One empty factor list, an unweighted integral, is one divided
+    difference per record that nothing else shares: it runs a scalar loop
+    of det * ddexp(vertex exponents) without the memos, making the same
+    float operations in the same order as the general loop.
     """
+    if len(factor_lists) == 1 and not factor_lists[0]:
+        total = mag = 0.0
+        for records, _, tiny in groups:
+            if tiny:
+                _check_tiny(tiny, exp_combo, factor_lists)
+            part = part_mag = 0.0
+            for det, rows in records:
+                contrib = det * ddexp(_sums(exp_combo, rows))
+                part += contrib
+                part_mag += abs(contrib)
+            total += part
+            mag += part_mag
+        return [(total, mag)]
     count = len(factor_lists)
     totals = [0.0] * count
     mags = [0.0] * count
@@ -326,7 +344,9 @@ class ExpIntegrator:
     exponents, so the factor lists of one call, and later calls at the same
     exponent, compute each distinct divided difference once.  A new
     exponent replaces them.  An empty factor list needs one divided
-    difference, which nothing else shares, so it bypasses the memo.
+    difference, which nothing else shares, so it bypasses the memo; a call
+    with that list alone (every unweighted integral) is _accumulate's
+    scalar loop.
     """
 
     def __init__(self, P, funcs):

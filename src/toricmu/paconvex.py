@@ -608,8 +608,11 @@ def metric_dexp(q, qp) -> float:
     """Luxemburg norm of q - q' for the Orlicz function e^t - 1.
 
     Smallest beta with integral of (e^{|q-q'|/beta} - 1) d mu <= 1, found by
-    bisection; the defining integral at the returned beta lies in
-    [1 - 1e-8, 1].
+    bisection from [0, sup |q-q'| / log(1 + 1/vol(P))], at whose top the
+    integrand is at most 1/vol(P); the defining integral at the returned
+    beta lies in [1 - 1e-8, 1].  InputError when the bisection cannot
+    meet that test, as when e^{|q-q'|/beta} or 1/beta leaves the float
+    range near the root.
     """
     from .integrate import _accumulate, _float_records
 
@@ -627,16 +630,21 @@ def metric_dexp(q, qp) -> float:
         [(total, _)] = _accumulate(groups, (1.0 / beta,), [[]])
         return total - vol
 
-    lo = 1e-14
-    hi = float(sup) / log1p(1.0 / vol) + 1.0
+    lo = 0.0
+    hi = float(sup) / log1p(1.0 / vol)
+    if hi == 0.0:  # the root is at most hi: below the float range
+        return 0.0
     while big_g(hi) > 1.0:
         hi *= 2.0
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        if big_g(mid) > 1.0:
-            lo = mid
-        else:
+        if big_g(mid) <= 1.0:
             hi = mid
+        else:  # above 1, or NaN once 1 / mid is inf
+            lo = mid
         if hi - lo <= 1e-12 * hi and big_g(hi) >= 1.0 - 1e-8:
-            break
-    return hi
+            return hi
+    raise InputError(
+        "the d_exp bisection found no beta whose integral is in [1 - 1e-8, 1]:"
+        " near the root, e^(|q - q'| / beta) or 1 / beta is beyond the float range"
+    )

@@ -532,11 +532,13 @@ def _positive_int(value, name) -> int:
 
 
 def _finite(value, name) -> float:
-    """float(value), or InputError unless that is finite."""
+    """float(value), or InputError unless that is a finite float."""
     try:
         x = float(value)
     except OverflowError:
         raise InputError("%s is beyond the float range" % name) from None
+    except (TypeError, ValueError):
+        raise InputError("%s must be a real number, got %r" % (name, value)) from None
     if not isfinite(x):
         raise InputError("%s must be finite, got %r" % (name, x))
     return x

@@ -536,6 +536,9 @@ def test_former_tracebacks_exit_cleanly(capsys, input_files, argv, code):
         lambda: tm.polytope_exp_integral(
             support.unit_square(), tm.AffineForm((0, 0), Fraction(10) ** 400)
         ),
+        lambda: tm.polytope_exp_integral(support.unit_segment(), None, rho=None),
+        lambda: tm.polytope_exp_integral(support.unit_segment(), None, rho="x"),
+        lambda: tm.MonomialFiltration.from_pa(tm.AffineForm((1,), 0)),
     ],
 )
 def test_library_argument_errors_are_input_errors(call):

@@ -485,6 +485,47 @@ def test_flat_integrator_bit_identical_to_per_facet_children(P, data):
             assert _pair_bits(got) == _pair_bits(want), (kind, e, lists)
 
 
+def _first_outcome(call):
+    """The bits of the first (value, magnitude) pair call() returns, or the
+    message of the InputError it raises."""
+    try:
+        return _pair_bits(call()[:1])
+    except InputError as err:
+        return str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(support.exact_polytopes(), st.data())
+def test_unweighted_scalar_loop_bit_identical_to_general_loop(P, data):
+    """A call with one empty factor list takes _accumulate's scalar loop;
+    the same integral next to a second factor list takes the general loop.
+    Both give the same bits, or the same InputError.  One function cuts a
+    sliver of volume below the float range off the vertex of largest first
+    coordinate, so _check_tiny runs on both paths, and a large constant in
+    another makes that sliver's part of the integral count at some
+    exponents."""
+    zero = (0,) * P.dim
+    first = (1,) + zero[1:]
+    top = max(v[0] for v in P.vertices)
+    sliver = make_pa(
+        [AffineForm(zero, 0), AffineForm(first, Fraction(1, 10**400) - top)], P
+    )
+    coefficient = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+    form = AffineForm(
+        tuple(data.draw(coefficient) for _ in range(P.dim)),
+        data.draw(st.sampled_from([0, Fraction(-1, 3), 400])),
+    )
+    gear = ExpIntegrator(P, [sliver, form])
+    combo = st.tuples(FLOAT_COEFFICIENTS, FLOAT_COEFFICIENTS)
+    ones = (1.0, (0.0, 0.0))
+    for e in data.draw(st.lists(combo, min_size=1, max_size=3), label="exponents"):
+        for kind in ("interior", "boundary"):
+            call = getattr(gear, kind)
+            scalar = _first_outcome(lambda: call(e, [[]]))
+            general = _first_outcome(lambda: call(e, [[], [ones]]))
+            assert scalar == general, (kind, e)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_segment_end_point_rows_match_point_charts(data):

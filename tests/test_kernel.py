@@ -208,6 +208,23 @@ def kernel_nodes(draw):
 @example([-745.0, -744.0, -746.5])
 @example([800.0, 799.0])
 @example([0.3, -1.7, 2.4, 0.3, -1.7])
+# three nodes (_ddexp3) at K = 0, 1 and >= 2
+@example([0.1, -0.2, 0.3])  # K = 0
+@example([0.0, -0.0, 0.0])  # K = 0, signed zeros
+@example([0.25, -0.1, 0.25])  # K = 0, a repeated node
+@example([0.59375, -0.515625, -0.015625])  # K = 1
+@example([-0.3125, -0.3125, 0.53125])  # K = 1, a repeated node
+@example([-0.0, 1.2, -0.0])  # K = 1, repeated signed zeros
+@example([1.5, -1.5, 0.2])  # K = 2
+@example([-0.0, 3.0, -0.0])  # K >= 2, repeated signed zeros
+@example([710.0, 712.5, 709.0])  # past 709: exp of the centre is inf
+@example([-400.0, 400.0, -0.0])  # spread 800
+@example([0.0, 800.0, 800.0])  # spread 800, a repeated node
+@example([math.nan, 0.25, 1.0])
+@example([0.5, math.nan, 3.0])
+@example([math.inf, 0.0, 1.0])
+@example([-math.inf, 2.0, 2.0])
+@example([math.inf, -math.inf, 0.0])
 def test_python_kernel_bit_identical_to_full_table(nodes):
     """The kernel fills only the seed entries its corner reads, summed in
     the same order as the whole-table kernel, so every result has the same
@@ -289,10 +306,12 @@ def squared_nodes(draw):
 @example([1.0, 1.0])
 @example([-0.0, 2047.0, -0.0, 2047.0])
 @example([0.0, -0.0, 5.0, -5.0, 0.0])
+@example([-0.0, 0.0, 2047.0])  # three nodes, K = 12
+@example([3000.0, -1000.0, 3000.0])  # three nodes, a repeated node
 def test_two_node_and_straight_line_squarings_match_generic_path(nodes):
-    """The two-node path and the straight-line squarings of 3 x 3 and 4 x 4
-    tables give the bits of the generic path, which squares the whole table
-    with _square_upper (oracles.ddexp_full_table)."""
+    """The two- and three-node paths and the straight-line squarings of
+    3 x 3 and 4 x 4 tables give the bits of the generic path, which squares
+    the whole table with _square_upper (oracles.ddexp_full_table)."""
     assert _bits(_ddexp_py.ddexp(nodes)) == _bits(oracles.ddexp_full_table(nodes))
 
 
@@ -314,4 +333,5 @@ def test_straight_line_corner_matches_square_upper(B, squarings):
     for _ in range(squarings):
         table = _ddexp_py._square_upper(table)
     expected = _ddexp_py._corner_of_square(table)
-    assert _bits(_ddexp_py._CORNER[len(B)](B, squarings)) == _bits(expected)
+    corner = {3: _ddexp_py._corner3, 4: _ddexp_py._corner4}[len(B)]
+    assert _bits(corner(B, squarings)) == _bits(expected)

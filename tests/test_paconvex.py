@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import oracles
 import support
 from toricmu import (
+    InputError,
     boundary_pa_moment,
     build_polytope,
     calabi,
@@ -36,6 +37,7 @@ from toricmu import (
     sup_abs_diff,
 )
 from toricmu import paconvex
+from toricmu.cli import square_qn_potential
 from toricmu.paconvex import AffineForm, EmptyPieces, _simplex_power, as_pa
 from toricmu.polytope import POINT, DegenerateHull, Simplex
 
@@ -640,6 +642,26 @@ def test_metric_dexp_constants_and_solver():
         else:
             hi_b = mid
     assert metric_dexp(zero, vee) == pytest.approx(lo_b, rel=1e-8)
+
+
+@pytest.mark.parametrize("constant", ["1", "1e-15", "1e-20", "1e-300", "1e300", "1e-400"])
+def test_metric_dexp_of_a_constant_at_any_scale(constant):
+    """|q - q'| = c on the unit square gives beta = c / ln 2 at every scale:
+    the bisection brackets the root in [0, c / ln 2], and a c whose beta
+    is below the float range gives 0.0."""
+    P = support.unit_square()
+    c = Fraction(constant)
+    got = metric_dexp(as_pa(None, P), support.pa_from(P, ((0, 0), c)))
+    assert got == pytest.approx(float(c) / math.log(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [10**155, 10**156], ids=["1e155", "1e156"])
+def test_metric_dexp_raises_where_its_integral_leaves_the_float_range(n):
+    """For the square-qn:N potential at these n, e^(|q|/beta) is beyond the
+    float range near the root, so no beta meets the [1 - 1e-8, 1] test."""
+    q = square_qn_potential(n)
+    with pytest.raises(InputError, match="d_exp bisection"):
+        metric_dexp(q, as_pa(None, q.P))
 
 
 def test_metric_axioms_random():
