@@ -1,0 +1,161 @@
+"""Op digests of the benchmark workloads, written out and compared bit for bit.
+
+    python3 benchmarks/op_digests.py dump --seed 1 --out a.json
+    python3 benchmarks/op_digests.py compare a.json b.json
+
+dump runs one pass of each of perfbench's `sweep`, `optimize` and `exact`
+workloads at the given seed against this checkout's sources and writes, per
+workload, every op's label and digest in op order, with each float as its
+float.hex string (tagged ["F", hex]), and the number of calls to
+toricmu.integrate.ddexp the pass made.  An op that raises, or fails its
+identity check, has ["error", message] as its digest.  Two dumps of
+different commits at one seed then compare the outputs by their exact bits.
+
+compare prints, per workload and op label, how many ops carry the label,
+how many of their digests differ and the largest relative gap between two
+floats that differ; the kernel call counts of both dumps; and exits with
+code 1 when any digest differs.
+
+Only perfbench/workloads.py is read, for the op lists; nothing under
+perfbench/ is changed.
+"""
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# import toricmu from this checkout's sources, installed or not
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from toricmu import integrate  # noqa: E402
+
+WORKLOADS = ("sweep", "optimize", "exact")
+
+
+def exact_bits(value):
+    """value as JSON data that keeps every float's bits."""
+    if isinstance(value, float):
+        return ["F", value.hex()]
+    if isinstance(value, (list, tuple)):
+        return [exact_bits(v) for v in value]
+    return value
+
+
+def run_ops(workload, seed):
+    """({"ops": [[label, digest]], "ddexp_calls": count}) of one pass."""
+    raw = workloads.make_raw(workload, seed)
+    ops = workloads.ops_for(workload, raw, workloads.build(workload, raw))
+    kernel = integrate.ddexp
+    calls = 0
+
+    def counting(nodes):
+        nonlocal calls
+        calls += 1
+        return kernel(nodes)
+
+    out = []
+    for op in ops:
+        digest = None
+        # the count covers the ops, not their checks
+        integrate.ddexp = counting
+        try:
+            result = op.call()
+        except Exception as err:  # a failed op is recorded, not fatal
+            digest = ["error", "%s: %s" % (type(err).__name__, err)]
+        finally:
+            integrate.ddexp = kernel
+        if digest is None:
+            try:
+                op.check(result)
+                digest = exact_bits(op.digest(result))
+            except Exception as err:
+                digest = ["error", "check %s: %s" % (type(err).__name__, err)]
+        out.append([op.label, digest])
+    return {"ops": out, "ddexp_calls": calls}
+
+
+def dump(seed, path):
+    data = {"seed": seed, "backend": integrate.KERNEL_BACKEND, "workloads": {}}
+    for w in WORKLOADS:
+        data["workloads"][w] = run_ops(w, seed)
+        print("%-9s %4d ops, %7d ddexp calls"
+              % (w, len(data["workloads"][w]["ops"]), data["workloads"][w]["ddexp_calls"]))
+    Path(path).write_text(json.dumps(data, indent=0) + "\n")
+
+
+def largest_gap(a, b):
+    """(equal, largest relative gap) of two digests; the gap counts only
+    floats that differ, and is inf where the shapes differ or a float is
+    compared with anything else."""
+    if isinstance(a, list) and len(a) == 2 and a[0] == "F":
+        if not (isinstance(b, list) and len(b) == 2 and b[0] == "F"):
+            return False, math.inf
+        if a[1] == b[1]:
+            return True, 0.0
+        x, y = float.fromhex(a[1]), float.fromhex(b[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return False, math.inf
+        return False, abs(x - y) / max(abs(x), abs(y), 1e-300)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        equal, gap = True, 0.0
+        for u, v in zip(a, b):
+            e, g = largest_gap(u, v)
+            equal, gap = equal and e, max(gap, g)
+        return equal, gap
+    return (True, 0.0) if a == b else (False, math.inf)
+
+
+def compare(path_a, path_b):
+    a = json.loads(Path(path_a).read_text())
+    b = json.loads(Path(path_b).read_text())
+    if a["seed"] != b["seed"]:
+        sys.exit("the dumps are of different seeds: %s and %s" % (a["seed"], b["seed"]))
+    print("seed %s; backends %s and %s" % (a["seed"], a["backend"], b["backend"]))
+    print("%-9s %-24s %5s %7s %10s" % ("workload", "label", "ops", "differ", "max gap"))
+    differ = 0
+    for w in WORKLOADS:
+        ops_a, ops_b = a["workloads"][w]["ops"], b["workloads"][w]["ops"]
+        if [l for l, _ in ops_a] != [l for l, _ in ops_b]:
+            print("%-9s the op lists differ" % w)
+            differ += 1
+            continue
+        rows = {}
+        for (label, da), (_, db) in zip(ops_a, ops_b):
+            equal, gap = largest_gap(da, db)
+            row = rows.setdefault(label, [0, 0, 0.0])
+            row[0] += 1
+            row[1] += not equal
+            row[2] = max(row[2], gap)
+        for label, (count, bad, gap) in rows.items():
+            print("%-9s %-24s %5d %7d %10.3g" % (w, label, count, bad, gap))
+            differ += bad
+        print("%-9s ddexp calls %d -> %d"
+              % (w, a["workloads"][w]["ddexp_calls"], b["workloads"][w]["ddexp_calls"]))
+    total = sum(len(a["workloads"][w]["ops"]) for w in WORKLOADS)
+    print("%d of %d digests differ" % (differ, total))
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump", help="write the op digests of one seed")
+    d.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
+    d.add_argument("--out", required=True)
+    c = sub.add_parser("compare", help="compare two dumps of one seed")
+    c.add_argument("a")
+    c.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.seed, args.out)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

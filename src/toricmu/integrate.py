@@ -35,7 +35,6 @@ integral comes back non-finite.
 
 from __future__ import annotations
 
-import struct
 from fractions import Fraction
 from itertools import product as _iproduct
 from math import factorial, hypot, inf, log
@@ -92,15 +91,6 @@ class IntegralResult:
 # -- simplex kernels ----------------------------------------------------------
 
 
-def _float_bits(values):
-    """The exact bit pattern of a float sequence, as a dict key.
-
-    Unlike ==, it tells -0.0 from 0.0 and matches NaNs bit for bit, so two
-    sequences with equal bits are the same input to any float arithmetic.
-    """
-    return struct.pack("%dd" % len(values), *values)
-
-
 def _divided_difference(avals, key, memo):
     """(prod of multiplicity factorials, exp[avals, avals[i] for i in key]).
 
@@ -127,9 +117,8 @@ def _simplex_weighted(det, avals, factor_vals, memo):
     avals[i] is the exponent at vertex i; factor_vals[j][i] the j-th affine
     factor at vertex i.  Each factor contributes one barycentric power, so a
     tuple of vertex choices maps to a confluent divided difference with the
-    chosen nodes repeated.  memo, keyed by the sorted vertex choices, carries
-    divided differences between calls with the same avals; the caller drops
-    it when avals change.
+    chosen nodes repeated.  memo, keyed by the sorted vertex choices, holds
+    the divided differences already computed for these avals.
     """
     m = len(avals)
     coeff = {}
@@ -169,12 +158,13 @@ def _beyond_float_range(what):
 def _float_records(cells, what="a function value"):
     """Float records of the simplices of (cell, pieces) pairs, in order.
 
-    Returns one group for _accumulate: (records, memos, tiny), the memos
-    empty.  A record is (det, rows): det is |det(edge matrix)| = n! *
-    volume and rows[i][k] is pieces[k] at vertex i, both as floats.  A simplex of exact volume 0 is skipped.  One whose volume is
-    nonzero but underflows to 0.0 goes to tiny as (log det, rows, volume)
-    for _check_tiny.  A det or value beyond the float range raises
-    InputError (what names the values).
+    Returns one group for _accumulate: (records, tiny).  A record is
+    (det, rows): det is |det(edge matrix)| = n! * volume and rows[i][k] is
+    pieces[k] at vertex i, both as floats.  A simplex of exact volume 0 is
+    skipped.  One whose volume is nonzero but underflows to 0.0 goes to
+    tiny as (log det, rows, volume) for _check_tiny.  A det or value beyond
+    the float range raises InputError (what names the values).  _accumulate
+    only reads the group, so it is built once per integrator.
     """
     records = []
     tiny = []
@@ -194,7 +184,7 @@ def _float_records(cells, what="a function value"):
                     records.append((det, rows))
     except OverflowError:
         raise _beyond_float_range(what) from None
-    return records, [(None, None)] * len(records), tiny
+    return records, tiny
 
 
 # log(2^-1075), rounded down: a term below e^_LOG_TINY rounds to 0.0
@@ -244,20 +234,20 @@ def _sums(coeffs, rows):
 def _accumulate(groups, exp_combo, factor_lists):
     """[(value, magnitude)] per factor list over groups of float records.
 
-    A group is (records, memos, tiny); memos[r] is (bits, memo) for
-    records[r]: the divided differences of the last vertex exponents it
-    saw, replaced when their bits change.  tiny is checked by _check_tiny
-    and adds nothing.  Each group is summed from 0.0 in record order and
-    added to the totals in group order.
+    A group is (records, tiny), as _float_records makes it, and is only
+    read.  tiny is checked by _check_tiny and adds nothing.  Each group is
+    summed from 0.0 in record order and added to the totals in group order.
+    Within a record, the factor lists share one memo of divided
+    differences, which ends with the record.
 
     One empty factor list, an unweighted integral, is one divided
     difference per record that nothing else shares: it runs a scalar loop
-    of det * ddexp(vertex exponents) without the memos, making the same
+    of det * ddexp(vertex exponents) without a memo, making the same
     float operations in the same order as the general loop.
     """
     if len(factor_lists) == 1 and not factor_lists[0]:
         total = mag = 0.0
-        for records, _, tiny in groups:
+        for records, tiny in groups:
             if tiny:
                 _check_tiny(tiny, exp_combo, factor_lists)
             part = part_mag = 0.0
@@ -271,21 +261,14 @@ def _accumulate(groups, exp_combo, factor_lists):
     count = len(factor_lists)
     totals = [0.0] * count
     mags = [0.0] * count
-    factored = any(factor_lists)
-    for records, memos, tiny in groups:
+    for records, tiny in groups:
         if tiny:
             _check_tiny(tiny, exp_combo, factor_lists)
         part = [0.0] * count
         part_mags = [0.0] * count
-        for r, (det, rows) in enumerate(records):
+        for det, rows in records:
             avals = _sums(exp_combo, rows)
-            memo = None
-            if factored:
-                bits = _float_bits(avals)
-                seen, memo = memos[r]
-                if seen != bits:
-                    memo = {}
-                    memos[r] = (bits, memo)
+            memo = {}
             for j, factors in enumerate(factor_lists):
                 if not factors:
                     contrib = det * ddexp(avals)
@@ -339,14 +322,12 @@ class ExpIntegrator:
 
     One call makes one pass over the simplices: the vertex exponents are
     computed once per simplex and every factor list is integrated from
-    them.  Each simplex also keeps the divided differences of the last
-    exponent it saw, checked against the exact bits of its vertex
-    exponents, so the factor lists of one call, and later calls at the same
-    exponent, compute each distinct divided difference once.  A new
-    exponent replaces them.  An empty factor list needs one divided
-    difference, which nothing else shares, so it bypasses the memo; a call
-    with that list alone (every unweighted integral) is _accumulate's
-    scalar loop.
+    them, computing each distinct divided difference of the simplex once.
+    That memo lives for one simplex of one call; the compiled records are
+    the only state kept between calls, and no call changes them.  An empty
+    factor list needs one divided difference, which nothing else shares,
+    so it bypasses the memo; a call with that list alone (every unweighted
+    integral) is _accumulate's scalar loop.
     """
 
     def __init__(self, P, funcs):
@@ -592,7 +573,10 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
     pairings has a pole of order z at t = 0, so each term times t^zmax
     (zmax the largest z) is a power series in t, kept to zmax + 1
     coefficients; the ones below t^zmax cancel across vertices and the
-    t^zmax coefficient of the sum is the analytic limit.
+    t^zmax coefficient of the sum is the analytic limit.  The series of
+    e^(x <v, zeta> t) is taken relative to the first vertex v0, as
+    e^(x <v - v0, zeta> t): that common factor leaves the limit as it is,
+    and its coefficients stay as small as P, wherever P lies.
     NearSingularDirection is still raised for pairings that are small in
     floating point without being exactly zero.  eta may be an AffineForm,
     as in brion_localize.  The boundary, in any
@@ -612,9 +596,12 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
     sign = -1.0 if n % 2 else 1.0
     total = [0.0] * (zmax + 1)
     magnitude = [0.0] * zmax
+    # the common factor e^(-x <v0, zeta> t) of every term moves only the
+    # coefficients below t^zmax, which cancel; it keeps b as small as P
+    base = _dot(data[0][0].coords, zeta)
     for (v, index, pairs), z in zip(data, zeros):
         a = x * float(form(v))
-        b = x * float(_dot(v.coords, zeta))
+        b = x * float(_dot(v.coords, zeta) - base)
         ea = _safe_exp(a)
         try:
             # e^(a + b t) t^(zmax - z): the z zero pairings below bring

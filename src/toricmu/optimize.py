@@ -9,12 +9,13 @@ construction of the line search.
 
 from __future__ import annotations
 
+import struct
 from collections import namedtuple
 from fractions import Fraction
 from math import sqrt
 
 from .functionals import TWO_PI, _entropy, _moments, _mu_lambda, calabi
-from .integrate import ExpIntegrator, ValidationFailure, _float_bits
+from .integrate import ExpIntegrator, ValidationFailure
 from .paconvex import AffineForm, as_pa
 from .polytope import InputError, _finite
 
@@ -31,10 +32,11 @@ OptimizationResult = namedtuple(
 class _Objective:
     """mu_lambda(q_xi) and its gradient, sharing one integration context.
 
-    The moments (A, B, C) and the pair (value, gradient) of every point are
-    kept for the objective's lifetime, keyed by the point's exact bits, so a
-    point the line search comes back to returns the same floats for free.
-    C and C_d, which only sigma reads, are computed only for lam != 0.
+    The moments (A, B, C) of every point are kept for the objective's
+    lifetime, keyed by the point's exact bits (_float_bits), so a point the
+    line search comes back to reuses them and a gradient after a value at
+    the same point integrates only the direction moments.  C and C_d, which
+    only sigma reads, are computed only for lam != 0.
     """
 
     def __init__(self, P, lam):
@@ -47,50 +49,49 @@ class _Objective:
         self.n = n
         self.lam = float(lam)
         self.need_sigma = self.lam != 0.0
+        self.units = [
+            (0.0, tuple(1.0 if k == i else 0.0 for k in range(n))) for i in range(n)
+        ]
         self._abc_at = {}
-        self._value_grad_at = {}
 
-    def _abc(self, combo, key):
+    def value(self, xi):
+        combo = tuple(float(c) for c in xi)
+        key = _float_bits(combo)
         abc = self._abc_at.get(key)
         if abc is None:
             [abc] = _moments(self.gear, float(self.n), combo, sigma=self.need_sigma)
             self._abc_at[key] = abc
-        return abc
-
-    def value(self, xi):
-        combo = tuple(float(c) for c in xi)
-        mu, sigma, _ = _entropy(self._abc(combo, _float_bits(combo)))
+        mu, sigma, _ = _entropy(abc)
         return _mu_lambda(mu, sigma, self.lam)
 
     def value_grad(self, xi):
         combo = tuple(float(c) for c in xi)
         key = _float_bits(combo)
-        hit = self._value_grad_at.get(key)
-        if hit is None:
-            units = [
-                (0.0, tuple(1.0 if k == i else 0.0 for k in range(self.n)))
-                for i in range(self.n)
-            ]
-            abc = self._abc_at.get(key)
-            # after value() at this point only the direction moments are new
-            moments = _moments(
-                self.gear,
-                float(self.n),
-                combo,
-                units,
-                base=abc is None,
-                sigma=self.need_sigma,
-                dsigma=self.need_sigma,
-            )
-            if abc is None:
-                abc = self._abc_at[key] = moments.pop(0)
-            mu, sigma, firsts = _entropy(abc, moments)
-            value = _mu_lambda(mu, sigma, self.lam)
-            grad = tuple(
-                _mu_lambda(dmu, dsigma, self.lam) for (dmu, dsigma) in firsts
-            )
-            hit = self._value_grad_at[key] = (value, grad)
-        return hit[0], list(hit[1])
+        abc = self._abc_at.get(key)
+        # at a point with known moments only the direction moments are new
+        moments = _moments(
+            self.gear,
+            float(self.n),
+            combo,
+            self.units,
+            base=abc is None,
+            sigma=self.need_sigma,
+            dsigma=self.need_sigma,
+        )
+        if abc is None:
+            abc = self._abc_at[key] = moments.pop(0)
+        mu, sigma, firsts = _entropy(abc, moments)
+        value = _mu_lambda(mu, sigma, self.lam)
+        return value, [_mu_lambda(dmu, dsigma, self.lam) for (dmu, dsigma) in firsts]
+
+
+def _float_bits(values):
+    """The exact bit pattern of a float sequence, as a dict key.
+
+    Unlike ==, it tells -0.0 from 0.0 and matches NaNs bit for bit, so two
+    sequences with equal bits are the same input to any float arithmetic.
+    """
+    return struct.pack("%dd" % len(values), *values)
 
 
 def _project(x, box):
@@ -170,9 +171,7 @@ def _bfgs_ascent(obj, x0, gtol, max_iter, box):
     gnorm = sqrt(sum(gi * gi for gi in g))
     if gnorm <= gtol:
         status = "converged"
-    if status == "converged" and _on_boundary(x, box):
-        status = "boundary-hit"
-    elif status == "max-iter" and box is not None and _on_boundary(x, box):
+    if _on_boundary(x, box):
         status = "boundary-hit"
     return OptimizationResult(tuple(x), f, gnorm, trace, status)
 

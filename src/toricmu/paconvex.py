@@ -351,16 +351,16 @@ def _simplex_power(simplex, aff: AffineForm, p):
     """Integral of aff^p over a simplex against lattice measure.
 
     By Hermite-Genocchi it is |det| p!/(p+n)! [g_0, ..., g_n] x^(p+n) for
-    the vertex values g.  An int p gives an exact Fraction, through the
-    closed form h_p(g) of that divided difference (_simplex_moments).  Any
-    other p (real, aff >= 0 on the simplex) is summed over the confluent
-    weights of the exact sorted g, so equal values need no threshold: in
-    floats, or in decimals with as many more digits as close values cancel.
+    the vertex values g, summed over the confluent weights of the exact
+    sorted g, so equal values need no threshold.  An int p gives an exact
+    Fraction, its powers taking O(log p) multiplications.  Any other p
+    (real, aff >= 0 on the simplex) is summed in floats, or in decimals
+    with as many more digits as close values cancel.
     """
-    if isinstance(p, int):
-        return _simplex_moments(simplex, aff, p)[p]
     det, n = abs(simplex.edge_matrix_det()), simplex.dim
     g = sorted(aff(v) for v in simplex.vertices)
+    if isinstance(p, int):
+        return det * sum(_power_terms(_dd_weights(g).items(), g, n, p, Fraction), Fraction(0))
     top = g[-1]
     if top == 0:
         return 0.0

@@ -432,7 +432,8 @@ def command_lines(draw, files):
     degrees = st.lists(st.sampled_from(["1", "2", "3", "4"]), min_size=1, max_size=4) | (
         st.lists(st.sampled_from(["0", "1", "2", "-1", "2.5", "x"]), min_size=1, max_size=4)
     )
-    # --p skips 1e200: the exact integer route takes O(p) Fraction steps
+    # --p skips 1e200: the exact integer route raises vertex values to powers
+    # near 10^200, Fractions with about 10^200 digits
     powers = st.sampled_from(["exp", "1", "2"] + [t for t in TOKENS if t != "1e200"])
     options = {
         "integrate": {"--q": potential, "--rho": token,

@@ -6,6 +6,7 @@ vertex cone sums), so their agreement on random inputs is a strong check;
 hand-derived product formulas and quadrature oracles pin absolute values.
 """
 
+import copy
 import math
 import random
 import struct
@@ -310,16 +311,18 @@ def test_boundary_localization_matches_triangulation(P, data):
 @settings(max_examples=150, deadline=None)
 @given(support.exact_polytopes(), st.data())
 def test_localization_matches_laurent_oracle(P, data):
-    """The interior limit in plain power series has the bits of the Laurent
-    series limit (oracles.brion_localize_laurent) in every dimension, and on
-    polygons boundary localization through the facet charts agrees with the
-    old two-dimensional boundary formula to rel 1e-12."""
+    """The interior limit in plain power series, with the auxiliary
+    pairings taken relative to the first vertex, agrees with the Laurent
+    series limit in absolute coordinates (oracles.brion_localize_laurent)
+    to rel 1e-12 in every dimension, and on polygons boundary localization
+    through the facet charts agrees with the old two-dimensional boundary
+    formula to rel 1e-12."""
     eta = data.draw(_directions(P), label="eta")
     assume(any(c != 0 for c in eta))
     x = data.draw(st.sampled_from([1.0, 0.5, -0.8, 2.0]), label="scale")
     got = brion_localize_limit(P, eta, scale=x)
     want = oracles.brion_localize_laurent(P, eta, scale=x)
-    assert struct.pack("<d", got) == struct.pack("<d", want)
+    assert got == pytest.approx(want, rel=1e-12)
     if P.dim == 2:
         got = brion_localize_limit(P, eta, scale=x, boundary=True)
         want = oracles.brion_localize_laurent(P, eta, scale=x, boundary=True)
@@ -357,6 +360,17 @@ def test_localization_far_from_origin(vertices, eta, const, exact):
     assert report.interior_localization == got
 
 
+@pytest.mark.parametrize("N", [10**3, 10**6])
+def test_laurent_limit_far_from_origin_keeps_its_digits(N):
+    """On the unit square at (N, N), q = x - N pairs to zero with the
+    vertical edges.  With the auxiliary pairings <v, zeta> of order N the
+    cancelling series lost digits with N (rel error 4.9e-13 at N = 10^3,
+    3.5e-10 at 10^6); relative to the first vertex they stay of order 1."""
+    P = build_polytope([(N, N), (N + 1, N), (N + 1, N + 1), (N, N + 1)])
+    got = polytope_exp_integral(P, AffineForm((1, 0), -N), method="localization")
+    assert got.value == pytest.approx(E - 1, rel=1e-14, abs=0)
+
+
 def _assert_calls_equal_fresh(P, funcs, exponents):
     n = float(P.dim)
     gear = ExpIntegrator(P, funcs)
@@ -388,13 +402,10 @@ def _assert_calls_equal_fresh(P, funcs, exponents):
             assert getattr(gear, kind)(e, []) == []
 
 
-def test_memoized_integrator_equals_fresh():
-    """Interior and boundary calls at a repeated exponent share divided
-    differences, and one call with several factor lists makes one pass over
-    the simplices.  Every result must equal a fresh integrator's single-list
-    call bit for bit, whatever the factors and their order, and after a
-    change of exponent (including one that only flips the sign of a
-    zero)."""
+def _integrator_cases():
+    """(P, funcs) on a segment, the README pentagon (with affine and with
+    three-piece data) and the unit cube, and exponents that repeat, change,
+    and change only in the sign of a zero."""
     pent = support.readme_pentagon()
     kink = support.pa_from(
         pent, ((0, 0), 0), ((1, 1), 0), ((2, -1), Fraction(1, 2))
@@ -421,6 +432,17 @@ def test_memoized_integrator_equals_fresh():
         (-0.0, -0.3),
         (0.0, -0.3),
     ]
+    return cases, exponents
+
+
+def test_memoized_integrator_equals_fresh():
+    """Interior and boundary calls at a repeated exponent share divided
+    differences, and one call with several factor lists makes one pass over
+    the simplices.  Every result must equal a fresh integrator's single-list
+    call bit for bit, whatever the factors and their order, and after a
+    change of exponent (including one that only flips the sign of a
+    zero)."""
+    cases, exponents = _integrator_cases()
     for P, funcs in cases:
         _assert_calls_equal_fresh(P, funcs, exponents)
 
@@ -439,6 +461,34 @@ def test_memoized_integrator_equals_fresh():
         _assert_calls_equal_fresh(P, forms, exponents[1:3])
 
     exact_inputs()
+
+
+def test_integrator_calls_leave_their_records_unchanged():
+    """The compiled record groups are the only state an integrator keeps:
+    interleaved interior and boundary calls, with factor lists of 0-3
+    factors, at exponents that repeat, change and change only in the sign
+    of a zero, leave them equal to a copy taken after the first calls."""
+    cases, exponents = _integrator_cases()
+    for P, funcs in cases:
+        n = float(P.dim)
+        gear = ExpIntegrator(P, funcs)
+        first = exponents[0]
+        gear.interior(first, [[(n, first)]])
+        gear.boundary(first, [[(n, first)]])
+        interior, facets = copy.deepcopy((gear._interior, gear._facets))
+        for k, e in enumerate(exponents):
+            factor_lists = [
+                (),
+                [(0.0, (1.0, 0.0))],
+                [(n + 1.0, e), (0.0, (0.0, 1.0))],
+                [(0.5, (0.0, 1.0)), (0.0, (1.0, 0.0)), (-1.0, e)],
+            ]
+            kinds = ("interior", "boundary")[:: 1 if k % 2 else -1]
+            for kind in kinds:
+                getattr(gear, kind)(e, factor_lists)
+                getattr(gear, kind)(e, [()])
+        assert gear._interior == interior, P.dim
+        assert gear._facets == facets, P.dim
 
 
 def _pair_bits(pairs):

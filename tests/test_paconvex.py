@@ -583,6 +583,44 @@ def test_simplex_power_matches_segment_and_triangle_closed_forms():
         assert _simplex_power(s, aff, p) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+@st.composite
+def exact_simplices(draw):
+    """A 1-D to 3-D simplex with nonzero volume on a small rational grid,
+    and an affine form whose gradient of -1, 0, 1 entries (all 0 in some
+    draws) repeats vertex values often."""
+    n = draw(st.integers(1, 3), label="dimension")
+    coord = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+    vertices = draw(
+        st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 1, unique=True)
+        .map(Simplex)
+        .filter(lambda s: s.edge_matrix_det() != 0),
+        label="vertices",
+    )
+    grad = draw(st.tuples(*[st.sampled_from([-1, 0, 1])] * n), label="gradient")
+    const = draw(st.integers(-6, 6).map(lambda k: Fraction(k, 3)), label="constant")
+    return vertices, AffineForm(grad, const)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_simplices(), st.integers(1, 8))
+def test_simplex_power_integer_p_equals_h_recurrence(case, p):
+    """An integer power summed over the confluent weights of the sorted
+    vertex values is the Fraction of the h_p recurrence, repeated values
+    included."""
+    s, aff = case
+    assert _simplex_power(s, aff, p) == paconvex._simplex_moments(s, aff, p)[p]
+
+
+def test_simplex_power_integer_p_1200():
+    """At p = 1200 the confluent sum takes as many steps as at p = 2 and
+    still gives the recurrence's Fraction."""
+    triangle = Simplex([(0, 0), (1, 0), (0, 1)])
+    for aff in (AffineForm((1, Fraction(3, 2)), 0), AffineForm((1, 1), -1)):
+        value = _simplex_power(triangle, aff, 1200)
+        assert isinstance(value, Fraction)
+        assert value == paconvex._simplex_moments(triangle, aff, 1200)[1200]
+
+
 def test_simplex_power_close_or_tiny_vertex_values():
     # Close but unequal values cancel in the float sum; the result must
     # still match the closed forms evaluated in 80-digit arithmetic.
