@@ -6,24 +6,30 @@
 dump runs one pass of each of perfbench's `sweep`, `optimize` and `exact`
 workloads at the given seed against this checkout's sources and writes, per
 workload, every op's label and digest in op order, with each float as its
-float.hex string (tagged ["F", hex]), and the number of calls to
-toricmu.integrate.ddexp the pass made.  An op that raises, or fails its
+float.hex string (tagged ["F", hex]), the number of calls to
+toricmu.integrate.ddexp the pass made, and the pass's traced memory in KiB
+(tracemalloc, started after the workload's inputs are built): what the
+ops leave allocated after the pass, such as the caches they keep on the
+inputs (like the kernel count, it leaves out the checks and the digests),
+and the peak during the pass.  An op that raises, or fails its
 identity check, has ["error", message] as its digest.  Two dumps of
 different commits at one seed then compare the outputs by their exact bits.
 
 compare prints, per workload and op label, how many ops carry the label,
 how many of their digests differ and the largest relative gap between two
-floats that differ; the kernel call counts of both dumps; and exits with
-code 1 when any digest differs.
+floats that differ; the kernel call counts and traced memory of both
+dumps; and exits with code 1 when any digest differs.
 
 Only perfbench/workloads.py is read, for the op lists; nothing under
 perfbench/ is changed.
 """
 
 import argparse
+import gc
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +53,8 @@ def exact_bits(value):
 
 
 def run_ops(workload, seed):
-    """({"ops": [[label, digest]], "ddexp_calls": count}) of one pass."""
+    """{"ops": [[label, digest]], "ddexp_calls": count, "retained_kib": kib,
+    "peak_kib": kib} of one pass."""
     raw = workloads.make_raw(workload, seed)
     ops = workloads.ops_for(workload, raw, workloads.build(workload, raw))
     kernel = integrate.ddexp
@@ -59,6 +66,9 @@ def run_ops(workload, seed):
         return kernel(nodes)
 
     out = []
+    checks = 0  # what the checks and digests leave allocated
+    gc.collect()
+    tracemalloc.start()
     for op in ops:
         digest = None
         # the count covers the ops, not their checks
@@ -69,6 +79,7 @@ def run_ops(workload, seed):
             digest = ["error", "%s: %s" % (type(err).__name__, err)]
         finally:
             integrate.ddexp = kernel
+        mark = tracemalloc.get_traced_memory()[0]
         if digest is None:
             try:
                 op.check(result)
@@ -76,15 +87,26 @@ def run_ops(workload, seed):
             except Exception as err:
                 digest = ["error", "check %s: %s" % (type(err).__name__, err)]
         out.append([op.label, digest])
-    return {"ops": out, "ddexp_calls": calls}
+        checks += tracemalloc.get_traced_memory()[0] - mark
+    result = None  # the last op's output is not something the pass keeps
+    gc.collect()
+    retained, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {
+        "ops": out,
+        "ddexp_calls": calls,
+        "retained_kib": round((retained - checks) / 1024),
+        "peak_kib": round(peak / 1024),
+    }
 
 
 def dump(seed, path):
     data = {"seed": seed, "backend": integrate.KERNEL_BACKEND, "workloads": {}}
     for w in WORKLOADS:
         data["workloads"][w] = run_ops(w, seed)
-        print("%-9s %4d ops, %7d ddexp calls"
-              % (w, len(data["workloads"][w]["ops"]), data["workloads"][w]["ddexp_calls"]))
+        run = data["workloads"][w]
+        print("%-9s %4d ops, %7d ddexp calls, traced KiB %d retained, %d peak"
+              % (w, len(run["ops"]), run["ddexp_calls"], run["retained_kib"], run["peak_kib"]))
     Path(path).write_text(json.dumps(data, indent=0) + "\n")
 
 
@@ -134,8 +156,12 @@ def compare(path_a, path_b):
         for label, (count, bad, gap) in rows.items():
             print("%-9s %-24s %5d %7d %10.3g" % (w, label, count, bad, gap))
             differ += bad
-        print("%-9s ddexp calls %d -> %d"
-              % (w, a["workloads"][w]["ddexp_calls"], b["workloads"][w]["ddexp_calls"]))
+        wa, wb = a["workloads"][w], b["workloads"][w]
+        print("%-9s ddexp calls %d -> %d" % (w, wa["ddexp_calls"], wb["ddexp_calls"]))
+        # dumps written before the memory readout have no traced KiB
+        print("%-9s traced KiB retained %s -> %s, peak %s -> %s"
+              % (w, wa.get("retained_kib", "-"), wb.get("retained_kib", "-"),
+                 wa.get("peak_kib", "-"), wb.get("peak_kib", "-")))
     total = sum(len(a["workloads"][w]["ops"]) for w in WORKLOADS)
     print("%d of %d digests differ" % (differ, total))
     return 1 if differ else 0

@@ -310,7 +310,8 @@ class ExpIntegrator:
 
     against the lattice measure of P or of its boundary.  The cell complex,
     triangulations, and per-vertex function values are computed once, so a
-    parameter sweep only pays for divided differences.
+    parameter sweep only pays for divided differences.  The cells are a
+    potential's own cells() (see common_cells), shared with every consumer.
 
     Both are one loop over float records compiled on first use: one group
     of (det, vertex values) records for the interior, and for the boundary
@@ -382,12 +383,10 @@ class ExpIntegrator:
                 ]
             except OverflowError:
                 raise _beyond_float_range("a function value") from None
-        groups = []
-        for i in range(len(P.facets)):
-            restricted = [pa.restrict_to_facet(i) for pa in self.funcs]
-            sub = restricted[0].P if restricted else P.facet_polytope(i)[0]
-            groups.append(self._group(sub, restricted))
-        return groups
+        return [
+            self._group(P.facet_polytope(i)[0], [pa.restrict_to_facet(i) for pa in self.funcs])
+            for i in range(len(P.facets))
+        ]
 
 
 # -- public integral drivers ---------------------------------------------------

@@ -144,6 +144,7 @@ def _bfgs_ascent(obj, x0, gtol, max_iter, box):
             t *= 0.5
         if t < 1e-14:
             # no progress possible along the model direction
+            status = "line-search-failed"
             break
         fn, gn = obj.value_grad(xn)
         s = [xn[i] - x[i] for i in range(n)]

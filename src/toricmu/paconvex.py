@@ -21,8 +21,6 @@ from .polytope import (
     EMPTY,
     DegenerateHull,
     InputError,
-    LatticePolytope,
-    RationalVector,
     _back,
     _coords,
     _dot,
@@ -109,14 +107,14 @@ def _as_piece(piece, dim):
 
 
 class PiecewiseAffineConvex:
-    """max of finitely many exact affine pieces, bound to a polytope."""
+    """max of finitely many exact affine pieces, bound to a polytope; its one
+    cell complex, cells(), is what every consumer reads (see common_cells)."""
 
     def __init__(self, pieces, P):
         self.pieces = tuple(pieces)
         self.P = P
         self._cells = None
         self._dh_terms = None
-        self._facet_restrictions = {}
 
     def __call__(self, point) -> Fraction:
         return max(piece(point) for piece in self.pieces)
@@ -129,12 +127,10 @@ class PiecewiseAffineConvex:
 
     def restrict_to_facet(self, facet_index):
         """Restriction to a facet of P, in that facet's lattice chart (on a
-        segment, the value at the end point, on POINT; see facet_polytope)."""
-        if facet_index not in self._facet_restrictions:
-            sub, origin, basis = self.P.facet_polytope(facet_index)
-            pieces = [piece.restrict(origin, basis) for piece in self.pieces]
-            self._facet_restrictions[facet_index] = make_pa(pieces, sub)
-        return self._facet_restrictions[facet_index]
+        segment, the value at the end point, on POINT; see facet_polytope),
+        made on each call from P's cached chart and kept by the caller only."""
+        sub, origin, basis = self.P.facet_polytope(facet_index)
+        return make_pa([piece.restrict(origin, basis) for piece in self.pieces], sub)
 
     def __add__(self, other):
         if isinstance(other, AffineForm):
@@ -199,13 +195,16 @@ def common_cells(P, funcs):
 
     Returns [(cell, idx_tuple)] where idx_tuple[k] is the active piece index
     of funcs[k] on that cell.  Entries of funcs may be PA functions bound to
-    P, AffineForms, or None.
+    P, AffineForms, or None.  Where the cell is the function's own polytope
+    object, its cells() are taken; any other cell, even an equal one, is split.
     """
     work = [(P, ())]
     for f in funcs:
-        pieces = as_pa(f, P).pieces
+        pa = as_pa(f, P)
         work = [
-            (sub, ids + (i,)) for (cell, ids) in work for (i, sub) in _split(cell, pieces)
+            (sub, ids + (i,))
+            for (cell, ids) in work
+            for (i, sub) in (pa.cells() if cell is pa.P else _split(cell, pa.pieces))
         ]
     return work
 
@@ -523,29 +522,14 @@ def dh_summary(q: PiecewiseAffineConvex) -> DHSummary:
 # -- metrics -----------------------------------------------------------------
 
 
-def _check_same_polytope(q, qp):
-    if q.P is not qp.P and q.P.vertices != qp.P.vertices:
-        raise InputError("metrics need both functions on the same polytope")
-
-
-def sup_abs_diff(q, qp) -> Fraction:
-    """Exact sup of |q - q'| over the polytope."""
-    _check_same_polytope(q, qp)
-    best = Fraction(0)
-    for (cell, (i, j)) in common_cells(q.P, [q, qp]):
-        diff = q.pieces[i] - qp.pieces[j]
-        for v in cell.vertices:
-            val = abs(diff(v))
-            if val > best:
-                best = val
-    return best
-
-
 def _signed_regions(q, qp):
     """Common-refinement cells split by the sign of q - q', with |q - q'|.
 
-    Yields (cell, aff) pairs where aff = |q - q'| restricted to the cell.
+    Returns (cell, aff) pairs where aff = |q - q'| restricted to the cell:
+    the pair's one refinement, which every metric reads.
     """
+    if q.P is not qp.P and q.P.vertices != qp.P.vertices:
+        raise InputError("metrics need both functions on the same polytope")
     out = []
     zero = AffineForm.zero(q.P.dim)
     for (cell, (i, j)) in common_cells(q.P, [q, qp]):
@@ -553,6 +537,16 @@ def _signed_regions(q, qp):
         signed = [diff] if diff == zero else [diff, zero - diff]
         out += [(sub, signed[k]) for (k, sub) in _split(cell, signed)]
     return out
+
+
+def _largest(regions) -> Fraction:
+    """max of |q - q'| over the regions: the largest value at a cell vertex."""
+    return max(aff(v) for (cell, aff) in regions for v in cell.vertices)
+
+
+def sup_abs_diff(q, qp) -> Fraction:
+    """Exact sup of |q - q'| over the polytope, at a signed region's vertex."""
+    return _largest(_signed_regions(q, qp))
 
 
 def _power_sum(regions, p):
@@ -591,7 +585,7 @@ def metric_dp(q, qp, p) -> float:
         return d
     top = 1
     if isinstance(p, float):
-        top = max(aff(v) for (cell, aff) in regions for v in cell.vertices)
+        top = _largest(regions)
         if top == 0:
             return 0.0
         try:
@@ -612,15 +606,15 @@ def metric_dexp(q, qp) -> float:
     integrand is at most 1/vol(P); the defining integral at the returned
     beta lies in [1 - 1e-8, 1].  InputError when the bisection cannot
     meet that test, as when e^{|q-q'|/beta} or 1/beta leaves the float
-    range near the root.
+    range near the root.  The sup and the integrand read one refinement.
     """
     from .integrate import _accumulate, _float_records
 
-    sup = sup_abs_diff(q, qp)
+    regions = _signed_regions(q, qp)
+    sup = _largest(regions)
     if sup == 0:
         return 0.0
-    regions = [(cell, [aff]) for (cell, aff) in _signed_regions(q, qp)]
-    groups = [_float_records(regions, "|q - q'|")]
+    groups = [_float_records([(cell, [aff]) for (cell, aff) in regions], "|q - q'|")]
     try:
         vol = float(q.P.volume())
     except OverflowError:

@@ -435,16 +435,11 @@ class LatticePolytope:
         origin + basis @ y.  The chart maps the facet lattice onto Z^{n-1},
         so sub-polytope volume equals the facet's lattice measure.  On a
         segment a facet is an end point: the chart is (POINT, end point, ()).
+        Cached here for restrict_to_facet and facet_measure; _triangulate
+        keeps none of the charts it builds.
         """
         if facet_index not in self._facet_charts:
-            f = self.facets[facet_index]
-            basis = _kernel_basis_int(f.normal)
-            origin = self.vertices[f.vertex_indices[0]]
-            sub = POINT
-            if basis:
-                diffs = [_sub(self.vertices[vi].coords, origin.coords) for vi in f.vertex_indices]
-                sub = build_polytope(_chart_coords(diffs, basis))
-            self._facet_charts[facet_index] = (sub, origin, basis)
+            self._facet_charts[facet_index] = _facet_chart(self, facet_index)[:3]
         return self._facet_charts[facet_index]
 
     def lattice_points(self, scale=1):
@@ -700,25 +695,33 @@ def _vertex_cones(verts, facets, n):
     return tuple(cones), tuple(nonsimple)
 
 
+def _facet_chart(P, i):
+    """(sub_polytope, origin, basis) of facet i of P, see facet_polytope, and
+    the chart coordinates of the facet's vertices, in vertex_indices order."""
+    f = P.facets[i]
+    basis = _kernel_basis_int(f.normal)
+    origin = P.vertices[f.vertex_indices[0]]
+    if not basis:
+        return POINT, origin, basis, [()]
+    diffs = [_sub(P.vertices[vi].coords, origin.coords) for vi in f.vertex_indices]
+    ys = _chart_coords(diffs, basis)
+    return build_polytope(ys), origin, basis, ys
+
+
 def _triangulate(P):
-    n = P.dim
-    if len(P.vertices) == n + 1:
+    """Cones from P's first vertex over the facets that miss it.  Each simplex
+    vertex is one of P's own vertex objects, so a kept triangulation copies none."""
+    if len(P.vertices) == P.dim + 1:
         return [Simplex(P.vertices)]
     apex = P.vertices[0]
     out = []
     for i, f in enumerate(P.facets):
         if _dot(apex.coords, f.normal) == f.offset:
             continue
-        sub, origin, basis = P.facet_polytope(i)
-        for s in sub.triangulate():
-            lifted = [apex]
-            for y in s.vertices:
-                pt = list(origin.coords)
-                for j, yj in enumerate(y.coords):
-                    for c in range(n):
-                        pt[c] += yj * basis[j][c]
-                lifted.append(RationalVector(pt))
-            out.append(Simplex(lifted))
+        sub, _, _, ys = _facet_chart(P, i)
+        # the chart's vertices are those of the facet: map them back to P's
+        lift = {tuple(y): P.vertices[vi] for y, vi in zip(ys, f.vertex_indices)}
+        out += [Simplex([apex] + [lift[y.coords] for y in s.vertices]) for s in sub.triangulate()]
     return out
 
 

@@ -40,6 +40,11 @@ pa_weight_fn_fractions is a verbatim copy of the weight closure of
 MonomialFiltration.from_pa as it was when every weight took Fraction
 coordinates and the max over the pieces; it runs on the package's PA
 functions and pins the integer weights to the same values.
+common_cells_split and sup_abs_diff_own_cells are copies of the common
+refinement and of the exact sup metric as they were when each split every
+function with the package's _split instead of reading a potential's cached
+cells; they pin the shared cell complex to the same cells, piece indices,
+order and Fractions.
 """
 
 import math
@@ -1195,3 +1200,37 @@ def pa_weight_fn_fractions(q):
         return int(val // 1)
 
     return weight_fn
+
+
+# -- cell complexes as they were when every consumer split its own -------------
+
+
+def common_cells_split(P, funcs):
+    """toricmu.paconvex.common_cells as it was when it split every function
+    afresh with _split, never reading a potential's cells()."""
+    from toricmu.paconvex import _split, as_pa
+
+    work = [(P, ())]
+    for f in funcs:
+        pieces = as_pa(f, P).pieces
+        work = [
+            (sub, ids + (i,)) for (cell, ids) in work for (i, sub) in _split(cell, pieces)
+        ]
+    return work
+
+
+def sup_abs_diff_own_cells(q, qp):
+    """toricmu.paconvex.sup_abs_diff as it was when it refined the pair on
+    its own: the largest |q - q'| at a vertex of the pair's common cells."""
+    from toricmu import InputError
+
+    if q.P is not qp.P and q.P.vertices != qp.P.vertices:
+        raise InputError("metrics need both functions on the same polytope")
+    best = Fraction(0)
+    for (cell, (i, j)) in common_cells_split(q.P, [q, qp]):
+        diff = q.pieces[i] - qp.pieces[j]
+        for v in cell.vertices:
+            val = abs(diff(v))
+            if val > best:
+                best = val
+    return best

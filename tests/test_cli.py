@@ -511,6 +511,14 @@ def test_former_tracebacks_exit_cleanly(capsys, input_files, argv, code):
         assert captured.err.startswith("error: " if code == 2 else "validation failure: ")
 
 
+def _on_two_squares():
+    big = tm.build_polytope([(0, 0), (2, 0), (0, 2), (2, 2)])
+    return (
+        support.pa_from(support.unit_square(), ((1, 0), 0)),
+        support.pa_from(big, ((0, 1), 0)),
+    )
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -526,6 +534,9 @@ def test_former_tracebacks_exit_cleanly(capsys, input_files, argv, code):
         lambda: tm.cross_validate(support.unit_square(), None, rho=math.inf),
         lambda: tm.maximize_over_vectors(support.unit_square(), lam=0.5),
         lambda: tm.metric_dp(*[support.pa_from(support.unit_square(), ((0, 0), 0))] * 2, 0.5),
+        # x on the unit square and y on [0, 2]^2: the integer and the real p route
+        lambda: tm.metric_dp(*_on_two_squares(), 2),
+        lambda: tm.metric_dp(*_on_two_squares(), 1.5),
         lambda: tm.sections(support.unit_square(), 0),
         lambda: tm.char_mu_estimate(tm.corner_flat_filtration(2), [3, 2, 2]),
         lambda: tm.make_pa([], support.unit_square()),

@@ -221,3 +221,29 @@ def test_normalized_df_guard_trips(monkeypatch):
     monkeypatch.setattr(opt, "calabi", lambda P, q: corrupted)
     with pytest.raises(ValidationFailure):
         normalized_df(B, q0)
+
+
+class _Downhill:
+    """An objective whose value never rises above its start, whatever the
+    step: the Armijo search has nothing to accept."""
+
+    def __init__(self, P=None, lam=0.0):
+        pass
+
+    def value(self, xi):
+        return -1.0
+
+    def value_grad(self, xi):
+        return 0.0, [1.0, 0.0]
+
+
+def test_failed_line_search_has_its_own_status(monkeypatch):
+    import toricmu.optimize as opt
+
+    res = _bfgs_ascent(_Downhill(), [0.0, 0.0], 1e-8, 500, None)
+    assert res.status == "line-search-failed"
+    assert len(res.trace) == 1
+    # unfinished, as a max-iter run is: no seed is chosen
+    monkeypatch.setattr(opt, "_Objective", _Downhill)
+    with pytest.raises(MaxIterExceeded):
+        maximize_over_vectors(support.unit_square())

@@ -23,6 +23,7 @@ from toricmu import (
     boundary_pa_moment,
     build_polytope,
     calabi,
+    cross_validate,
     dh_cdf,
     dh_summary,
     legendre,
@@ -38,7 +39,14 @@ from toricmu import (
 )
 from toricmu import paconvex
 from toricmu.cli import square_qn_potential
-from toricmu.paconvex import AffineForm, EmptyPieces, _simplex_power, as_pa
+from toricmu.paconvex import (
+    AffineForm,
+    EmptyPieces,
+    PiecewiseAffineConvex,
+    _simplex_power,
+    as_pa,
+    common_cells,
+)
 from toricmu.polytope import POINT, DegenerateHull, Simplex
 
 
@@ -362,6 +370,75 @@ def test_calabi_and_dh_summary_take_one_pass(monkeypatch, q):
     calls.clear()
     dh_summary(q)
     assert calls == [4] * interior
+
+
+@st.composite
+def function_lists(draw):
+    """One of the exact test polytopes P (1-D to 3-D) and 1-3 functions on
+    it: None, an AffineForm, a PA bound to P with or without its cells
+    built, or a PA bound to an equal but distinct polytope object."""
+    P = draw(support.exact_polytopes())
+    twin = build_polytope(P.vertices)
+    piece = st.tuples(st.tuples(*[sixth] * P.dim), sixth)
+    funcs = []
+    for kind in draw(st.lists(st.sampled_from(["none", "affine", "pa", "twin"]), max_size=3)):
+        if kind == "none":
+            funcs.append(None)
+        elif kind == "affine":
+            funcs.append(AffineForm(*draw(piece)))
+        else:
+            pieces = draw(st.lists(piece, min_size=1, max_size=3))
+            q = make_pa([AffineForm(g, c) for g, c in pieces], twin if kind == "twin" else P)
+            if draw(st.booleans()):
+                q.cells()
+            funcs.append(q)
+    return P, funcs
+
+
+def exact_cell(cell):
+    return cell.vertices, [(f.normal, f.offset, f.vertex_indices) for f in cell.facets]
+
+
+@settings(max_examples=80, deadline=None)
+@given(function_lists())
+def test_shared_cells_equal_the_split_copies(case):
+    P, funcs = case
+    shared = [(exact_cell(cell), ids) for cell, ids in common_cells(P, funcs)]
+    split = [(exact_cell(cell), ids) for cell, ids in oracles.common_cells_split(P, funcs)]
+    assert shared == split
+    pas = [f for f in funcs if isinstance(f, PiecewiseAffineConvex)] + [as_pa(None, P)]
+    for q in pas:
+        for qp in pas:
+            assert sup_abs_diff(q, qp) == oracles.sup_abs_diff_own_cells(q, qp)
+
+
+def test_common_cells_reads_the_potentials_own_cells():
+    q = kink_q()
+    cells = q.cells()
+    shared = common_cells(q.P, [q])
+    assert [ids for _, ids in shared] == [(i,) for i, _ in cells]
+    assert all(a is b for (a, _), (_, b) in zip(shared, cells))
+    # a potential on an equal but distinct polytope object is split afresh
+    twin = kink_q(build_polytope(q.P.vertices))
+    twin.cells()
+    assert not any(a is b for (a, _), (_, b) in zip(common_cells(q.P, [twin]), twin.cells()))
+
+
+def test_cross_validate_splits_a_potential_once(monkeypatch):
+    q = support.pa_from(
+        support.readme_pentagon(), ((1, 0), 0), ((0, 1), 0), ((-1, -1), Fraction(-1, 3))
+    )
+    splits_of_q = []
+
+    def counted(cell, pieces):
+        splits_of_q.append(cell is q.P and pieces == q.pieces)
+        return split(cell, pieces)
+
+    split = paconvex._split
+    monkeypatch.setattr(paconvex, "_split", counted)
+    cross_validate(q.P, q, rho=1.0)
+    # the triangulation and the localization route read one cell complex
+    assert splits_of_q.count(True) == 1
 
 
 def test_dh_mass_and_monotonicity_random():

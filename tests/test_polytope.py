@@ -231,6 +231,19 @@ def test_unimodular_invariance(mat):
         )
 
 
+def test_triangulation_keeps_no_facet_charts():
+    P = support.readme_pentagon()
+    cell = P.clip((1, 0), Fraction(1, 2))
+    assert len(cell.triangulate()) > 1 and len(P.triangulate()) > 1
+    # the charts a triangulation builds are not stored on what it triangulates
+    assert cell._facet_charts == {} and P._facet_charts == {}
+    # and its simplices hold the polytope's own vertex objects, not copies
+    for Q in (P, cell, build_polytope(support.UNIT_CUBE)):
+        assert all(any(v is w for w in Q.vertices) for s in Q.triangulate() for v in s.vertices)
+    assert P.facet_polytope(1) is P.facet_polytope(1)
+    assert list(P._facet_charts) == [1]
+
+
 def test_facet_chart_measures():
     P = support.blowup_polytope()
     for i in range(len(P.facets)):
