@@ -6,8 +6,10 @@
 dump runs one pass of each of perfbench's `sweep`, `optimize` and `exact`
 workloads at the given seed against this checkout's sources and writes, per
 workload, every op's label and digest in op order, with each float as its
-float.hex string (tagged ["F", hex]), the number of calls to
-toricmu.integrate.ddexp the pass made, and the pass's traced memory in KiB
+float.hex string (tagged ["F", hex]), the number of calls the pass made to
+toricmu.integrate.ddexp, to build_polytope (every binding of it in a toricmu
+module) and to LatticePolytope.clip, counted by wrappers this script
+installs, and the pass's traced memory in KiB
 (tracemalloc, started after the workload's inputs are built): what the
 ops leave allocated after the pass, such as the caches they keep on the
 inputs (like the kernel count, it leaves out the checks and the digests),
@@ -17,8 +19,8 @@ different commits at one seed then compare the outputs by their exact bits.
 
 compare prints, per workload and op label, how many ops carry the label,
 how many of their digests differ and the largest relative gap between two
-floats that differ; the kernel call counts and traced memory of both
-dumps; and exits with code 1 when any digest differs.
+floats that differ; the kernel, hull-build and clip call counts and traced
+memory of both dumps; and exits with code 1 when any digest differs.
 
 Only perfbench/workloads.py is read, for the op lists; nothing under
 perfbench/ is changed.
@@ -38,7 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
-from toricmu import integrate  # noqa: E402
+from toricmu import integrate, polytope  # noqa: E402
 
 WORKLOADS = ("sweep", "optimize", "exact")
 
@@ -52,9 +54,48 @@ def exact_bits(value):
     return value
 
 
+class GeometryCounts:
+    """Calls of build_polytope and LatticePolytope.clip made while active.
+
+    install() binds counting wrappers wherever a toricmu module binds
+    build_polytope, and on the class for clip; uninstall() restores them.
+    """
+
+    def __init__(self):
+        self.active = False
+        self.build_polytope = 0
+        self.clip = 0
+        self._build = polytope.build_polytope
+        self._clip = polytope.LatticePolytope.clip
+        self._bound = []
+
+    def install(self):
+        build, clip = self._build, self._clip
+
+        def counted_build(vertices):
+            self.build_polytope += self.active
+            return build(vertices)
+
+        def counted_clip(P, normal, offset):
+            self.clip += self.active
+            return clip(P, normal, offset)
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "toricmu"]
+        self._bound = [(m, a) for m in modules for a, v in vars(m).items() if v is build]
+        for m, a in self._bound:
+            setattr(m, a, counted_build)
+        polytope.LatticePolytope.clip = counted_clip
+
+    def uninstall(self):
+        for m, a in self._bound:
+            setattr(m, a, self._build)
+        polytope.LatticePolytope.clip = self._clip
+
+
 def run_ops(workload, seed):
-    """{"ops": [[label, digest]], "ddexp_calls": count, "retained_kib": kib,
-    "peak_kib": kib} of one pass."""
+    """{"ops": [[label, digest]], "ddexp_calls": count, "build_polytope_calls":
+    count, "clip_calls": count, "retained_kib": kib, "peak_kib": kib} of one
+    pass."""
     raw = workloads.make_raw(workload, seed)
     ops = workloads.ops_for(workload, raw, workloads.build(workload, raw))
     kernel = integrate.ddexp
@@ -65,36 +106,45 @@ def run_ops(workload, seed):
         calls += 1
         return kernel(nodes)
 
-    out = []
-    checks = 0  # what the checks and digests leave allocated
-    gc.collect()
-    tracemalloc.start()
-    for op in ops:
-        digest = None
-        # the count covers the ops, not their checks
-        integrate.ddexp = counting
-        try:
-            result = op.call()
-        except Exception as err:  # a failed op is recorded, not fatal
-            digest = ["error", "%s: %s" % (type(err).__name__, err)]
-        finally:
-            integrate.ddexp = kernel
-        mark = tracemalloc.get_traced_memory()[0]
-        if digest is None:
+    geometry = GeometryCounts()
+    geometry.install()
+    try:
+        out = []
+        checks = 0  # what the checks and digests leave allocated
+        gc.collect()
+        tracemalloc.start()
+        for op in ops:
+            digest = None
+            # the counts cover the ops, not their checks
+            integrate.ddexp = counting
+            geometry.active = True
             try:
-                op.check(result)
-                digest = exact_bits(op.digest(result))
-            except Exception as err:
-                digest = ["error", "check %s: %s" % (type(err).__name__, err)]
-        out.append([op.label, digest])
-        checks += tracemalloc.get_traced_memory()[0] - mark
-    result = None  # the last op's output is not something the pass keeps
-    gc.collect()
-    retained, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+                result = op.call()
+            except Exception as err:  # a failed op is recorded, not fatal
+                digest = ["error", "%s: %s" % (type(err).__name__, err)]
+            finally:
+                integrate.ddexp = kernel
+                geometry.active = False
+            mark = tracemalloc.get_traced_memory()[0]
+            if digest is None:
+                try:
+                    op.check(result)
+                    digest = exact_bits(op.digest(result))
+                except Exception as err:
+                    digest = ["error", "check %s: %s" % (type(err).__name__, err)]
+            out.append([op.label, digest])
+            checks += tracemalloc.get_traced_memory()[0] - mark
+        result = None  # the last op's output is not something the pass keeps
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    finally:
+        geometry.uninstall()
     return {
         "ops": out,
         "ddexp_calls": calls,
+        "build_polytope_calls": geometry.build_polytope,
+        "clip_calls": geometry.clip,
         "retained_kib": round((retained - checks) / 1024),
         "peak_kib": round(peak / 1024),
     }
@@ -105,8 +155,10 @@ def dump(seed, path):
     for w in WORKLOADS:
         data["workloads"][w] = run_ops(w, seed)
         run = data["workloads"][w]
-        print("%-9s %4d ops, %7d ddexp calls, traced KiB %d retained, %d peak"
-              % (w, len(run["ops"]), run["ddexp_calls"], run["retained_kib"], run["peak_kib"]))
+        print("%-9s %4d ops, %7d ddexp calls, %5d hull builds, %5d clips,"
+              " traced KiB %d retained, %d peak"
+              % (w, len(run["ops"]), run["ddexp_calls"], run["build_polytope_calls"],
+                 run["clip_calls"], run["retained_kib"], run["peak_kib"]))
     Path(path).write_text(json.dumps(data, indent=0) + "\n")
 
 
@@ -158,6 +210,10 @@ def compare(path_a, path_b):
             differ += bad
         wa, wb = a["workloads"][w], b["workloads"][w]
         print("%-9s ddexp calls %d -> %d" % (w, wa["ddexp_calls"], wb["ddexp_calls"]))
+        # dumps written before the geometry counts have none
+        for key in ("build_polytope_calls", "clip_calls"):
+            print("%-9s %s %s -> %s" % (w, key.replace("_", " "), wa.get(key, "-"),
+                                        wb.get(key, "-")))
         # dumps written before the memory readout have no traced KiB
         print("%-9s traced KiB retained %s -> %s, peak %s -> %s"
               % (w, wa.get("retained_kib", "-"), wb.get("retained_kib", "-"),

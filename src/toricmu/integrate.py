@@ -160,7 +160,10 @@ def _float_records(cells, what="a function value"):
 
     Returns one group for _accumulate: (records, tiny).  A record is
     (det, rows): det is |det(edge matrix)| = n! * volume and rows[i][k] is
-    pieces[k] at vertex i, both as floats.  A simplex of exact volume 0 is
+    pieces[k] at vertex i, both as floats.  The pieces are evaluated once
+    per cell vertex, and the simplices that share the vertex share its row
+    (every simplex vertex is one of its cell's vertex objects, see
+    polytope._triangulate).  A simplex of exact volume 0 is
     skipped.  One whose volume is nonzero but underflows to 0.0 goes to
     tiny as (log det, rows, volume) for _check_tiny.  A det or value beyond
     the float range raises InputError (what names the values).  _accumulate
@@ -170,12 +173,13 @@ def _float_records(cells, what="a function value"):
     tiny = []
     try:
         for cell, pieces in cells:
+            row_at = {id(v): [float(piece(v)) for piece in pieces] for v in cell.vertices}
             for s in cell.triangulate():
                 exact = abs(s.edge_matrix_det())
                 if exact == 0:
                     continue
                 det = float(exact)
-                rows = [[float(piece(v)) for piece in pieces] for v in s.vertices]
+                rows = [row_at[id(v)] for v in s.vertices]
                 if det == 0.0:
                     volume = exact / factorial(len(s.vertices) - 1)
                     log_det = log(exact.numerator) - log(exact.denominator)
@@ -316,8 +320,11 @@ class ExpIntegrator:
     Both are one loop over float records compiled on first use: one group
     of (det, vertex values) records for the interior, and for the boundary
     one group per facet, built from the facet's cell complex in its lattice
-    chart.  A group is summed from 0.0 and added to the totals in facet
-    order, so no integrator is made per facet.  On a segment the boundary is
+    chart, which restrict_to_facet reads off the faces of the cells
+    without a clip (a cell that is the whole facet is the chart object,
+    whose triangulation facet_measure shares).  Function values are taken
+    once per cell vertex.  A group is summed from 0.0 and added to the
+    totals in facet order, so no integrator is made per facet.  On a segment the boundary is
     the two end points, whose values are also taken once, as one row each:
     groups over their POINT charts give the same sum in more steps.
 

@@ -22,6 +22,7 @@ from .polytope import (
     DegenerateHull,
     InputError,
     _back,
+    _chart_hull,
     _coords,
     _dot,
     _echelon,
@@ -128,9 +129,40 @@ class PiecewiseAffineConvex:
     def restrict_to_facet(self, facet_index):
         """Restriction to a facet of P, in that facet's lattice chart (on a
         segment, the value at the end point, on POINT; see facet_polytope),
-        made on each call from P's cached chart and kept by the caller only."""
-        sub, origin, basis = self.P.facet_polytope(facet_index)
-        return make_pa([piece.restrict(origin, basis) for piece in self.pieces], sub)
+        made on each call from P's cached chart and kept by the caller only.
+
+        Its pieces are the restricted pieces without repeats, as make_pa
+        keeps them, and its cells are read off the faces that cells() have
+        on the facet (the subdivision a max-affine function induces on a
+        face): the region of a restricted piece is the union of the faces
+        whose pieces restrict to it, so its cell is their hull in the chart.
+        A piece whose region is the whole facet has P's chart object itself
+        as its cell.  The cells equal those of splitting the chart by the
+        restricted pieces, in the same order, with no clip.
+        """
+        P = self.P
+        sub, origin, basis = P.facet_polytope(facet_index)
+        index = {}  # restricted piece -> its index among the distinct ones
+        ids = [
+            index.setdefault(piece.restrict(origin, basis), len(index)) for piece in self.pieces
+        ]
+        f = P.facets[facet_index]
+        faces = {}
+        for i, cell in self.cells():
+            for g in cell.facets:
+                if g.normal == f.normal and g.offset == f.offset:
+                    points = faces.setdefault(ids[i], [])
+                    points += [cell.vertices[vi] for vi in g.vertex_indices]
+                    break
+        restricted = PiecewiseAffineConvex(list(index), sub)
+        if len(faces) == 1:
+            (k,) = faces
+            restricted._cells = [(k, sub)]
+        else:
+            restricted._cells = [
+                (k, _chart_hull(P, facet_index, faces[k])) for k in sorted(faces)
+            ]
+        return restricted
 
     def __add__(self, other):
         if isinstance(other, AffineForm):

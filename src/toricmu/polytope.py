@@ -168,7 +168,17 @@ def _back(m, pivots, rhs, x):
 
 
 def _det(rows) -> Fraction:
-    return _echelon(rows, len(rows))[2]
+    """Determinant of a square matrix of ints and Fractions; 1 x 1 and
+    2 x 2 are written out."""
+    n = len(rows)
+    if n == 1:
+        det = rows[0][0]
+    elif n == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    else:
+        return _echelon(rows, n)[2]
+    return det if isinstance(det, Fraction) else Fraction(det)
 
 
 def _rank(rows) -> int:
@@ -439,7 +449,9 @@ class LatticePolytope:
         keeps none of the charts it builds.
         """
         if facet_index not in self._facet_charts:
-            self._facet_charts[facet_index] = _facet_chart(self, facet_index)[:3]
+            origin, basis, ys = _facet_coords(self, self.facets[facet_index])
+            sub = _chart_polytope(ys) if basis else POINT
+            self._facet_charts[facet_index] = (sub, origin, basis)
         return self._facet_charts[facet_index]
 
     def lattice_points(self, scale=1):
@@ -543,9 +555,17 @@ def _chart_coords(diffs, basis):
     """Solve basis^T y = diff exactly for every diff, in one elimination.
 
     The basis vectors must be independent; consistency is guaranteed for
-    differences of points in the facet hyperplane.
+    differences of points in the facet hyperplane.  One basis vector b
+    gives y = d_j / b_j at its first nonzero entry j.
     """
     k = len(basis)
+    if k == 1:
+        (b,) = basis
+        j = next((j for j, c in enumerate(b) if c != 0), None)
+        if j is None:
+            raise ValueError("basis is rank deficient")
+        bj = Fraction(b[j])
+        return [[d[j] / bj] for d in diffs]
     rows = [[b[i] for b in basis] + [d[i] for d in diffs] for i in range(len(basis[0]))]
     m, pivots, _ = _echelon(rows, k)
     if len(pivots) != k:
@@ -695,32 +715,52 @@ def _vertex_cones(verts, facets, n):
     return tuple(cones), tuple(nonsimple)
 
 
-def _facet_chart(P, i):
-    """(sub_polytope, origin, basis) of facet i of P, see facet_polytope, and
-    the chart coordinates of the facet's vertices, in vertex_indices order."""
-    f = P.facets[i]
+def _facet_coords(P, f):
+    """(origin, basis, ys) of facet f of P: its chart (see facet_polytope)
+    and the chart coordinates of its vertices, in vertex_indices order."""
     basis = _kernel_basis_int(f.normal)
     origin = P.vertices[f.vertex_indices[0]]
     if not basis:
-        return POINT, origin, basis, [()]
+        return origin, basis, [()]
     diffs = [_sub(P.vertices[vi].coords, origin.coords) for vi in f.vertex_indices]
-    ys = _chart_coords(diffs, basis)
-    return build_polytope(ys), origin, basis, ys
+    return origin, basis, _chart_coords(diffs, basis)
+
+
+def _chart_polytope(ys):
+    """Hull of points in a chart of dimension >= 1; a segment is built directly."""
+    return _build_segment(ys) if len(ys[0]) == 1 else build_polytope(ys)
+
+
+def _chart_hull(P, facet_index, points):
+    """Hull, in the chart of P's facet (see facet_polytope), of points of
+    that facet (RationalVectors) that span it."""
+    _, origin, basis = P.facet_polytope(facet_index)
+    diffs = [_sub(p.coords, origin.coords) for p in points]
+    return _chart_polytope(_chart_coords(diffs, basis))
 
 
 def _triangulate(P):
-    """Cones from P's first vertex over the facets that miss it.  Each simplex
-    vertex is one of P's own vertex objects, so a kept triangulation copies none."""
+    """Cones from P's first vertex over the facets that miss it.  A facet
+    with dim vertices is a simplex, taken whole with its vertices in sorted
+    chart coordinates, the order its chart polytope would list them in;
+    any other facet is triangulated in a chart built here and not kept.
+    Each simplex vertex is one of P's own vertex objects, so a kept
+    triangulation copies none."""
     if len(P.vertices) == P.dim + 1:
         return [Simplex(P.vertices)]
     apex = P.vertices[0]
     out = []
-    for i, f in enumerate(P.facets):
+    for f in P.facets:
         if _dot(apex.coords, f.normal) == f.offset:
             continue
-        sub, _, _, ys = _facet_chart(P, i)
+        _, _, ys = _facet_coords(P, f)
+        if len(f.vertex_indices) == P.dim:
+            order = sorted(zip(ys, f.vertex_indices))
+            out.append(Simplex([apex] + [P.vertices[vi] for _, vi in order]))
+            continue
         # the chart's vertices are those of the facet: map them back to P's
         lift = {tuple(y): P.vertices[vi] for y, vi in zip(ys, f.vertex_indices)}
+        sub = _chart_polytope(ys)
         out += [Simplex([apex] + [lift[y.coords] for y in s.vertices]) for s in sub.triangulate()]
     return out
 

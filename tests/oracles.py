@@ -44,7 +44,15 @@ common_cells_split and sup_abs_diff_own_cells are copies of the common
 refinement and of the exact sup metric as they were when each split every
 function with the package's _split instead of reading a potential's cached
 cells; they pin the shared cell complex to the same cells, piece indices,
-order and Fractions.
+order and Fractions.  restrict_to_facet_split, with its own copy of
+_split, is a copy of the facet restriction as it was when it split the
+facet's chart by the restricted pieces; triangulate_charts is a copy of
+the triangulation as it was when every facet, a simplex included, was
+triangulated in a chart polytope built for it; det_elimination and
+chart_coords_elimination are copies of _det and _chart_coords as they
+were before their closed forms for small systems.  All four run on the
+package's polytopes and pin the new code to the same cells, simplices
+and Fractions.
 """
 
 import math
@@ -1234,3 +1242,83 @@ def sup_abs_diff_own_cells(q, qp):
             if val > best:
                 best = val
     return best
+
+
+# -- facet cells and triangulations as they were before faces were read off --
+
+
+def _split(cell, pieces):
+    """toricmu.paconvex._split: [(i, sub)] where sub is the full-dimensional
+    part of cell on which pieces[i] is the maximum."""
+    from toricmu.polytope import EMPTY
+
+    out = []
+    for i, piece in enumerate(pieces):
+        sub = cell
+        for j, other in enumerate(pieces):
+            if j == i or other == piece:
+                continue
+            grad = tuple(a - b for a, b in zip(other.gradient, piece.gradient))
+            sub = sub.clip(grad, piece.constant - other.constant)
+            if sub is EMPTY:
+                break
+        if sub is not EMPTY:
+            out.append((i, sub))
+    return out
+
+
+def restrict_to_facet_split(q, facet_index):
+    """(pieces, cells) of q.restrict_to_facet(facet_index) as it was when
+    the restriction was split afresh in P's chart of the facet."""
+    from toricmu.paconvex import make_pa
+
+    sub, origin, basis = q.P.facet_polytope(facet_index)
+    restricted = make_pa([piece.restrict(origin, basis) for piece in q.pieces], sub)
+    return restricted.pieces, _split(sub, restricted.pieces)
+
+
+def det_elimination(rows):
+    """toricmu.polytope._det by one forward elimination, for every size."""
+    from toricmu.polytope import _echelon
+
+    return _echelon(rows, len(rows))[2]
+
+
+def chart_coords_elimination(diffs, basis):
+    """toricmu.polytope._chart_coords by one elimination, for every basis."""
+    from toricmu.polytope import _back, _echelon
+
+    k = len(basis)
+    rows = [[b[i] for b in basis] + [d[i] for d in diffs] for i in range(len(basis[0]))]
+    m, pivots, _ = _echelon(rows, k)
+    if len(pivots) != k:
+        raise ValueError("basis is rank deficient")
+    return [
+        _back(m, pivots, [m[r][k + t] for r in range(k)], [0] * k) for t in range(len(diffs))
+    ]
+
+
+def triangulate_charts(P):
+    """toricmu.polytope._triangulate as it was when it triangulated every
+    facet that misses the apex in a chart polytope built for that facet,
+    mapping each chart vertex back to the facet vertex it came from."""
+    from toricmu.polytope import Simplex, _dot, _kernel_basis_int, _sub, build_polytope
+
+    if len(P.vertices) == P.dim + 1:
+        return [Simplex(P.vertices)]
+    apex = P.vertices[0]
+    out = []
+    for f in P.facets:
+        if _dot(apex.coords, f.normal) == f.offset:
+            continue
+        basis = _kernel_basis_int(f.normal)
+        origin = P.vertices[f.vertex_indices[0]]
+        diffs = [_sub(P.vertices[vi].coords, origin.coords) for vi in f.vertex_indices]
+        ys = chart_coords_elimination(diffs, basis)
+        sub = build_polytope(ys)
+        lift = {tuple(y): P.vertices[vi] for y, vi in zip(ys, f.vertex_indices)}
+        out += [
+            Simplex([apex] + [lift[y.coords] for y in s.vertices])
+            for s in triangulate_charts(sub)
+        ]
+    return out

@@ -412,6 +412,48 @@ def test_shared_cells_equal_the_split_copies(case):
             assert sup_abs_diff(q, qp) == oracles.sup_abs_diff_own_cells(q, qp)
 
 
+@st.composite
+def facet_potentials(draw):
+    """A potential of 1-4 pieces on one of the exact test polytopes (1-D to
+    3-D), the pair sometimes moved far from the origin, sometimes with a
+    piece that equals the first one on a facet of P or repeats it (kept:
+    the potential is built without make_pa's deduplication)."""
+    P = draw(support.exact_polytopes())
+    far = draw(st.sampled_from([0, 0, 1000, -(10**6)]))
+    shift = tuple(far * (-1) ** j for j in range(P.dim))
+    if far:
+        P = build_polytope([[c + d for c, d in zip(v, shift)] for v in P.vertices])
+    piece = st.tuples(st.tuples(*[sixth] * P.dim), sixth)
+    forms = [
+        AffineForm(g, c - sum(a * d for a, d in zip(g, shift)))
+        for g, c in draw(st.lists(piece, min_size=1, max_size=4))
+    ]
+    extra = draw(st.sampled_from(["none", "equal on a facet", "repeat"]))
+    if extra == "equal on a facet":
+        f = draw(st.sampled_from(P.facets))
+        forms.append(forms[0] + draw(sixth) * AffineForm(f.normal, -f.offset))
+    elif extra == "repeat":
+        forms.append(forms[0])
+    return PiecewiseAffineConvex(forms, P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(facet_potentials())
+def test_facet_cells_are_faces_of_the_cells(q):
+    """restrict_to_facet reads its cells off the faces of q.cells(); they
+    equal the split of the facet's chart by the restricted pieces (the
+    oracle's copy) as exact polytopes, with the same pieces, piece indices
+    and order, and a cell that is the whole facet is the chart object."""
+    for i in range(len(q.P.facets)):
+        sub = q.P.facet_polytope(i)[0]
+        restricted = q.restrict_to_facet(i)
+        pieces, cells = oracles.restrict_to_facet_split(q, i)
+        assert restricted.P is sub and restricted.pieces == pieces
+        assert [(k, exact_cell(c), c is sub) for k, c in restricted.cells()] == [
+            (k, exact_cell(c), c is sub) for k, c in cells
+        ]
+
+
 def test_common_cells_reads_the_potentials_own_cells():
     q = kink_q()
     cells = q.cells()

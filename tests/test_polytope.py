@@ -29,8 +29,10 @@ from toricmu.polytope import (
     _null_vector,
     _primitive,
     _back,
+    _chart_coords,
     _rank,
     _sub,
+    _triangulate,
     _vertex_cones,
 )
 
@@ -462,6 +464,29 @@ def test_elimination_matches_per_system_copies(m, data):
                 _null_vector(rows)
 
 
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(), st.data())
+def test_closed_forms_equal_elimination(m, data):
+    """_det writes out 1 x 1 and 2 x 2 determinants and _chart_coords a
+    chart of one basis vector; both equal one elimination (the oracles'
+    copies), on singular rows too, and _det returns a Fraction for int
+    entries as elimination does."""
+    n = len(m)
+    if n == 2 and data.draw(st.booleans()):
+        m[1] = [data.draw(small_fractions) * x for x in m[0]]
+    ints = [[int(12 * x) for x in row] for row in m]
+    for rows in (m, ints):
+        got = _det(rows)
+        assert type(got) is Fraction and got == oracles.det_elimination(rows)
+    basis = [tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))]
+    if any(basis[0]):
+        assert _chart_coords(m, basis) == oracles.chart_coords_elimination(m, basis)
+    else:
+        for solve_chart in (_chart_coords, oracles.chart_coords_elimination):
+            with pytest.raises(ValueError):
+                solve_chart(m, basis)
+
+
 @st.composite
 def hulls_3d(draw):
     """A 3-D hull of quarter-grid points with a duplicate, an edge midpoint
@@ -499,3 +524,18 @@ def assert_geometry_matches_copies(P):
 @given(st.one_of(support.exact_polytopes(), hulls_3d()))
 def test_charts_and_cones_match_per_system_copies(P):
     assert_geometry_matches_copies(P)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(support.exact_polytopes(), hulls_3d()))
+def test_simplex_facets_triangulate_as_their_charts(P):
+    """A simplex facet taken whole gives the simplices, in the vertex order,
+    of triangulating every facet in a chart built for it (the oracle's
+    copy), and every simplex vertex is one of P's own vertex objects."""
+    got = _triangulate(P)
+    want = oracles.triangulate_charts(P)
+    assert [[v.coords for v in s.vertices] for s in got] == [
+        [v.coords for v in s.vertices] for s in want
+    ]
+    own = {id(v) for v in P.vertices}
+    assert all(id(v) in own for s in got for v in s.vertices)
