@@ -14,13 +14,18 @@ installs, and the pass's traced memory in KiB
 ops leave allocated after the pass, such as the caches they keep on the
 inputs (like the kernel count, it leaves out the checks and the digests),
 and the peak during the pass.  An op that raises, or fails its
-identity check, has ["error", message] as its digest.  Two dumps of
-different commits at one seed then compare the outputs by their exact bits.
+identity check, has ["error", message] as its digest.  The dump also
+records the interpreter's version.  Two dumps of different commits at one
+seed then compare the outputs by their exact bits.
 
 compare prints, per workload and op label, how many ops carry the label,
 how many of their digests differ and the largest relative gap between two
 floats that differ; the kernel, hull-build and clip call counts and traced
 memory of both dumps; and exits with code 1 when any digest differs.
+It prints the interpreter version of both dumps and warns when their
+minor versions differ: from Python 3.12 on, sum() compensates its
+rounding, so float sums, and the optimizer paths that follow them, can
+differ between interpreters on identical sources.
 
 Only perfbench/workloads.py is read, for the op lists; nothing under
 perfbench/ is changed.
@@ -151,7 +156,12 @@ def run_ops(workload, seed):
 
 
 def dump(seed, path):
-    data = {"seed": seed, "backend": integrate.KERNEL_BACKEND, "workloads": {}}
+    data = {
+        "seed": seed,
+        "backend": integrate.KERNEL_BACKEND,
+        "python": list(sys.version_info[:3]),
+        "workloads": {},
+    }
     for w in WORKLOADS:
         data["workloads"][w] = run_ops(w, seed)
         run = data["workloads"][w]
@@ -190,6 +200,13 @@ def compare(path_a, path_b):
     if a["seed"] != b["seed"]:
         sys.exit("the dumps are of different seeds: %s and %s" % (a["seed"], b["seed"]))
     print("seed %s; backends %s and %s" % (a["seed"], a["backend"], b["backend"]))
+    # dumps written before the interpreter stamp have none
+    versions = [d.get("python") for d in (a, b)]
+    print("python %s and %s" % tuple(
+        "-" if v is None else ".".join(map(str, v)) for v in versions))
+    if None not in versions and versions[0][:2] != versions[1][:2]:
+        print("warning: the dumps come from different Python minor versions;"
+              " float sums may differ in their last bits")
     print("%-9s %-24s %5s %7s %10s" % ("workload", "label", "ops", "differ", "max gap"))
     differ = 0
     for w in WORKLOADS:

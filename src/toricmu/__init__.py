@@ -57,7 +57,6 @@ from .integrate import (
     NonSimpleVertex,
     ValidationFailure,
     boundary_exp_integral,
-    brion_localize,
     brion_localize_limit,
     cross_validate,
     polytope_exp_integral,

@@ -168,12 +168,6 @@ def _load_polytope(spec) -> LatticePolytope:
         raise InputError("bad polytope file %r: %s" % (spec, err)) from err
 
 
-def _match_polytope(q, P):
-    if P is not None and P.vertices != q.P.vertices:
-        raise InputError("builtin potential lives on a different polytope")
-    return q, q.P
-
-
 def _load_q(spec, P):
     """Potential from a builtin name or JSON file.
 
@@ -190,10 +184,10 @@ def _load_q(spec, P):
             raise InputError("potential 'const' needs --polytope")
         form = AffineForm.constant_form(P.dim, _fraction(param or "0"))
         return as_pa(form, P), P
-    if name == "square-qn":
-        return _match_polytope(square_qn_potential(_fraction(param or "2")), P)
-    if name == "corner-flat":
-        return _match_polytope(corner_flat_potential(_fraction(param or "2")), P)
+    builtin = {"square-qn": square_qn_potential, "corner-flat": corner_flat_potential}
+    if name in builtin:
+        q = builtin[name](_fraction(param or "2"))
+        return as_pa(q, q.P if P is None else P), q.P
     try:
         with open(spec) as fh:
             data = json.load(fh)

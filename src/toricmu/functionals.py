@@ -21,17 +21,14 @@ from math import log, pi
 
 from .integrate import ExpIntegrator
 from .paconvex import AffineForm, _boundary_moments, _pa_moments, _variance, as_pa
-from .polytope import InputError, _finite, _positive_int
+from .polytope import InputError, _finite, _fit, _positive_int
 
 TWO_PI = 2.0 * pi
 
 
 def _xi_form(P, xi) -> AffineForm:
     """q_xi as an exact affine form <mu, -xi>."""
-    coords = tuple(Fraction(c) for c in xi)
-    if len(coords) != P.dim:
-        raise InputError("xi has %d coordinates, P has dimension %d" % (len(coords), P.dim))
-    return AffineForm(tuple(-c for c in coords), 0)
+    return AffineForm(tuple(-Fraction(c) for c in _fit(tuple(xi), P.dim, "xi")), 0)
 
 
 def _moments(gear, n, combo, directions=(), base=True, sigma=True, dsigma=True):

@@ -40,7 +40,7 @@ from itertools import product as _iproduct
 from math import factorial, hypot, inf, log
 
 from ._ddexp_py import _safe_exp
-from .polytope import InputError, _dot, _finite
+from .polytope import InputError, _dot, _finite, _fit
 from .paconvex import AffineForm, _decimal, as_pa, common_cells
 
 try:  # compiled kernel, with pure-Python fallback
@@ -139,13 +139,15 @@ def _simplex_weighted(det, avals, factor_vals, memo):
 
 
 def simplex_exp_integral(simplex, exponent: AffineForm, weight=None) -> float:
-    """Integral of weight * e^exponent over a simplex (weight affine or None)."""
-    avals = [float(exponent(v)) for v in simplex.vertices]
-    det = abs(float(simplex.edge_matrix_det()))
+    """Integral of weight * e^exponent over a simplex (weight affine or None),
+    summed from the float records of every integrator (see _float_records
+    for the values and volumes that raise InputError)."""
     if weight is None:
-        return det * ddexp(avals)
-    wvals = [float(weight(v)) for v in simplex.vertices]
-    return _simplex_weighted(det, avals, [wvals], {})
+        pieces, combo, factors = [exponent], (1.0,), []
+    else:
+        pieces, combo, factors = [exponent, weight], (1.0, 0.0), [(0.0, (0.0, 1.0))]
+    [(value, _)] = _accumulate([_float_records([(simplex, pieces)])], combo, [factors])
+    return value
 
 
 # -- reusable integration contexts --------------------------------------------
@@ -307,8 +309,10 @@ class ExpIntegrator:
     """Fixed (polytope, function list); evaluates many float combinations.
 
     funcs are PA functions (or affine forms, or None for the zero function)
-    on P.  interior()/boundary() take one exponent combination and a list of
-    factor lists, and integrate for each factor list
+    on P, taken through as_pa, so one bound to another polytope or with a
+    gradient of another length raises InputError.  interior()/boundary()
+    take one exponent combination and a list of factor lists, and
+    integrate for each factor list
 
         (prod_j (c_j + sum_k combo_jk * funcs_k)) * e^(sum_k e_k * funcs_k)
 
@@ -482,16 +486,16 @@ def _norm(vec):
 _GENERICITY = 1e-6
 
 
-def _localization_data(P, eta, scale, allow_zero):
+def _localization_data(P, eta, scale):
     """Checked inputs of a vertex sum: (exponent, x, vertex pairings, zero
     edges), the exponent an AffineForm (eta itself, or the direction eta
     with constant 0).
 
-    Pairings below the genericity threshold raise NearSingularDirection;
-    with allow_zero, exact zeros are collected in zero edges instead.
+    Exact zero pairings are collected in zero edges; other pairings below
+    the genericity threshold raise NearSingularDirection.
     """
     form = eta if isinstance(eta, AffineForm) else AffineForm(eta)
-    eta = form.gradient
+    eta = _fit(form.gradient, P.dim, "eta")
     x = float(scale)
     if x == 0.0:
         raise InputError("scale must be nonzero")
@@ -502,7 +506,7 @@ def _localization_data(P, eta, scale, allow_zero):
     zero_edges = []
     for (_, _, pairs) in data:
         for (t, mu) in pairs:
-            if allow_zero and t == 0:
+            if t == 0:
                 zero_edges.append(mu)
             elif abs(float(t)) < _GENERICITY * neta * _norm(mu):
                 raise NearSingularDirection(
@@ -521,26 +525,6 @@ def _vertex_sum(n, form, x, data):
             denom *= x * float(t)
         total += _safe_exp(x * float(form(v))) * index / denom
     return sign * total
-
-
-def brion_localize(P, eta, scale=1.0, boundary=False) -> float:
-    """Vertex-sum evaluation of int e^(<mu, scale*eta>) over P (or its boundary).
-
-    eta must be exact rational; scale is a float.  An AffineForm eta adds
-    its constant c to the exponent, e^(scale (<mu, eta> + c)), exactly in
-    every vertex term, which stays finite far from the origin where
-    e^(scale c) alone would not.  Raises
-    NearSingularDirection when any edge pairing of P falls below the
-    genericity threshold 1e-6 * |eta| * |mu| (exact zeros included);
-    polytope_exp_integral with method="localization" additionally handles
-    the exact-zero case by an analytic limit.  The boundary, in any
-    dimension, sums the vertex formula over the facets in their lattice
-    charts (see _boundary_localize).
-    """
-    form, x, data, _ = _localization_data(P, eta, scale, False)
-    if boundary:
-        return _boundary_localize(as_pa(form, P), x)
-    return _vertex_sum(P.dim, form, x, data)
 
 
 def _ser_mul(a, b):
@@ -583,13 +567,16 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
     e^(x <v, zeta> t) is taken relative to the first vertex v0, as
     e^(x <v - v0, zeta> t): that common factor leaves the limit as it is,
     and its coefficients stay as small as P, wherever P lies.
-    NearSingularDirection is still raised for pairings that are small in
-    floating point without being exactly zero.  eta may be an AffineForm,
-    as in brion_localize.  The boundary, in any
-    dimension, sums the interior formula over the facet charts (see
-    _boundary_localize), after the same checks on P.
+    NearSingularDirection is raised for a pairing that is not exactly zero
+    but below 1e-6 * |eta| * |mu| for its edge generator mu.  eta is exact
+    rational with P.dim coordinates, or an AffineForm whose constant c
+    enters every vertex exponent, e^(scale (<mu, eta> + c)), exactly,
+    which stays finite far from the origin where e^(scale c) alone would
+    not; scale is a float.  The boundary, in any dimension, sums the
+    interior formula over the facet charts (see _boundary_localize), after
+    the same checks on P.
     """
-    form, x, data, zero_edges = _localization_data(P, eta, scale, True)
+    form, x, data, zero_edges = _localization_data(P, eta, scale)
     if boundary:
         return _boundary_localize(as_pa(form, P), x)
     n = P.dim

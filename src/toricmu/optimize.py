@@ -17,7 +17,7 @@ from math import sqrt
 from .functionals import TWO_PI, _entropy, _moments, _mu_lambda, calabi
 from .integrate import ExpIntegrator, ValidationFailure
 from .paconvex import AffineForm, as_pa
-from .polytope import InputError, _finite
+from .polytope import InputError, _finite, _fit
 
 
 class MaxIterExceeded(RuntimeError):
@@ -202,10 +202,13 @@ def maximize_over_vectors(
     lam = _finite(lam, "lam")
     if lam > 0 and box is None:
         raise InputError("lam > 0 needs an explicit search box, got lam = %r" % (lam,))
-    obj = _Objective(P, lam)
     if seeds is None:
         seeds = default_seeds(P.dim)
-    results = [_bfgs_ascent(obj, list(s), gtol, max_iter, box) for s in seeds]
+    starts = [_fit(list(s), P.dim, "seed %d" % k) for k, s in enumerate(seeds)]
+    if box is not None:
+        _fit(box, P.dim, "box")
+    obj = _Objective(P, lam)
+    results = [_bfgs_ascent(obj, x0, gtol, max_iter, box) for x0 in starts]
     finished = [r for r in results if r.status in ("converged", "boundary-hit")]
     if not finished:
         best = max(results, key=lambda r: r.value)
@@ -240,12 +243,15 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
     The bracket is expanded by doubling until both ends fall below the value
     at the origin (properness of the objective guarantees this terminates),
     a coarse scan picks the best basin, and golden-section refines to xtol.
-    Returns (x_star, value).  lam must be finite.
+    Returns (x_star, value).  lam must be finite and eta a nonzero vector
+    of length P.dim.
     """
     lam = _finite(lam, "lam")
-    obj = _Objective(P, lam)
     # x * c for an exact c is x * float(c): convert eta once
-    eta = [float(c) for c in eta]
+    eta = _fit([float(c) for c in eta], P.dim, "eta")
+    if not any(eta):
+        raise InputError("eta must be nonzero")
+    obj = _Objective(P, lam)
 
     def h(x):
         return obj.value(tuple(x * c for c in eta))

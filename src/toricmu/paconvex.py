@@ -27,6 +27,7 @@ from .polytope import (
     _dot,
     _echelon,
     _finite,
+    _fit,
     build_polytope,
 )
 
@@ -97,14 +98,13 @@ class AffineForm:
 
 
 def _as_piece(piece, dim):
-    """Accept an AffineForm or an (eta, lambda) pair meaning <mu,eta> - lambda."""
-    if isinstance(piece, AffineForm):
-        return piece
-    eta, lam = piece
-    form = AffineForm(eta, -Fraction(lam))
-    if len(form.gradient) != dim:
-        raise InputError("piece gradient has wrong length")
-    return form
+    """Accept an AffineForm or an (eta, lambda) pair meaning <mu,eta> - lambda,
+    its gradient of length dim."""
+    if not isinstance(piece, AffineForm):
+        eta, lam = piece
+        piece = AffineForm(eta, -Fraction(lam))
+    _fit(piece.gradient, dim, "piece gradient")
+    return piece
 
 
 class PiecewiseAffineConvex:
@@ -194,14 +194,20 @@ def make_pa(pieces, P) -> PiecewiseAffineConvex:
 
 
 def as_pa(q, P) -> PiecewiseAffineConvex:
-    """Coerce None / AffineForm / PA to a PA bound to P."""
+    """q as a PA function on P, where every input meets its polytope.
+
+    None is zero, and an AffineForm or a list of pieces goes through make_pa
+    (each gradient of length P.dim).  A PA function bound to P, or to a
+    polytope with P's vertices, is returned as it is; any other raises
+    InputError.
+    """
     if q is None:
         return PiecewiseAffineConvex([AffineForm.zero(P.dim)], P)
-    if isinstance(q, AffineForm):
-        return PiecewiseAffineConvex([q], P)
     if isinstance(q, PiecewiseAffineConvex):
+        if q.P is not P and q.P.vertices != P.vertices:
+            raise InputError("the potential is bound to a different polytope")
         return q
-    return make_pa(q, P)
+    return make_pa([q] if isinstance(q, AffineForm) else q, P)
 
 
 def _split(cell, pieces):
@@ -226,9 +232,10 @@ def common_cells(P, funcs):
     """Refine P so every function in funcs is affine per cell.
 
     Returns [(cell, idx_tuple)] where idx_tuple[k] is the active piece index
-    of funcs[k] on that cell.  Entries of funcs may be PA functions bound to
-    P, AffineForms, or None.  Where the cell is the function's own polytope
-    object, its cells() are taken; any other cell, even an equal one, is split.
+    of funcs[k] on that cell.  Entries of funcs are what as_pa takes on P
+    (so a PA function bound to another polytope raises InputError).  Where
+    the cell is the function's own polytope object, its cells() are taken;
+    any other cell, even an equal one, is split.
     """
     work = [(P, ())]
     for f in funcs:
@@ -287,12 +294,7 @@ def legendre_dual(fspec, P) -> PiecewiseAffineConvex:
     n = P.dim
     pts = []
     for j, (w, c) in enumerate(pairs):
-        w = _coords(w)
-        if len(w) != n:
-            raise InputError(
-                "support point %d has %d coordinates, expected %d" % (j, len(w), n)
-            )
-        coords = w + (-Fraction(c),)
+        coords = _fit(_coords(w), n, "support point %d" % j) + (-Fraction(c),)
         if coords not in pts:
             pts.append(coords)
     if len(pts) == 0:
@@ -558,10 +560,9 @@ def _signed_regions(q, qp):
     """Common-refinement cells split by the sign of q - q', with |q - q'|.
 
     Returns (cell, aff) pairs where aff = |q - q'| restricted to the cell:
-    the pair's one refinement, which every metric reads.
+    the pair's one refinement, which every metric reads.  common_cells
+    takes q' through as_pa, which refuses a q' on another polytope.
     """
-    if q.P is not qp.P and q.P.vertices != qp.P.vertices:
-        raise InputError("metrics need both functions on the same polytope")
     out = []
     zero = AffineForm.zero(q.P.dim)
     for (cell, (i, j)) in common_cells(q.P, [q, qp]):

@@ -275,6 +275,9 @@ class Simplex:
     def normalized_volume(self) -> Fraction:
         return abs(self.edge_matrix_det()) / factorial(self.dim)
 
+    def triangulate(self):
+        return [self]
+
     def __repr__(self):
         return "Simplex(%r)" % (self.vertices,)
 
@@ -349,7 +352,7 @@ class LatticePolytope:
     # -- membership and clipping ------------------------------------------
 
     def contains(self, point, strict=False) -> bool:
-        p = _coords(point)
+        p = _fit(_coords(point), self.dim, "point")
         for f in self.facets:
             val = _dot(p, f.normal)
             if val > f.offset or (strict and val == f.offset):
@@ -367,7 +370,7 @@ class LatticePolytope:
         build_polytope of the clipped region.  Returns EMPTY when the
         intersection is empty or not full-dimensional.
         """
-        normal = _coords(normal)
+        normal = _fit(_coords(normal), self.dim, "normal")
         offset = _frac(offset)
         if all(c == 0 for c in normal):
             return self if offset >= 0 else EMPTY
@@ -538,6 +541,14 @@ def _positive_int(value, name) -> int:
     return k
 
 
+def _fit(vector, dim, name):
+    """vector itself, or InputError unless it has dim coordinates: the one
+    check that a point, direction or gradient matches a polytope."""
+    if len(vector) != dim:
+        raise InputError("%s has %d coordinates, expected %d" % (name, len(vector), dim))
+    return vector
+
+
 def _finite(value, name) -> float:
     """float(value), or InputError unless that is a finite float."""
     try:
@@ -593,8 +604,8 @@ def build_polytope(vertices) -> LatticePolytope:
     n = len(pts[0])
     if n == 0:
         raise DegenerateHull("points have no coordinates")
-    if any(len(p) != n for p in pts):
-        raise InputError("mixed coordinate lengths")
+    for p in pts:
+        _fit(p, n, "a point")
     diffs = [_sub(p, pts[0]) for p in pts[1:]]
     # the pivot columns of the transposed differences are the greedy affine base
     _, pivots, _ = _echelon(list(zip(*diffs)), len(diffs))

@@ -511,12 +511,20 @@ def test_former_tracebacks_exit_cleanly(capsys, input_files, argv, code):
         assert captured.err.startswith("error: " if code == 2 else "validation failure: ")
 
 
+_BIG_SQUARE = [(0, 0), (2, 0), (0, 2), (2, 2)]
+_TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+
+
 def _on_two_squares():
-    big = tm.build_polytope([(0, 0), (2, 0), (0, 2), (2, 2)])
     return (
         support.pa_from(support.unit_square(), ((1, 0), 0)),
-        support.pa_from(big, ((0, 1), 0)),
+        support.pa_from(tm.build_polytope(_BIG_SQUARE), ((0, 1), 0)),
     )
+
+
+def _max_xy_on(vertices):
+    """max(x, y) bound to the polygon with the given vertices."""
+    return support.pa_from(tm.build_polytope(vertices), ((1, 0), 0), ((0, 1), 0))
 
 
 @pytest.mark.parametrize(
@@ -551,6 +559,32 @@ def _on_two_squares():
         lambda: tm.polytope_exp_integral(support.unit_segment(), None, rho=None),
         lambda: tm.polytope_exp_integral(support.unit_segment(), None, rho="x"),
         lambda: tm.MonomialFiltration.from_pa(tm.AffineForm((1,), 0)),
+        # a potential on the unit square's neighbours, used on the unit square
+        lambda: tm.mu_lambda(support.unit_square(), _max_xy_on(_BIG_SQUARE), 0),
+        lambda: tm.calabi(support.unit_square(), _max_xy_on(_BIG_SQUARE)),
+        lambda: tm.cross_validate(support.unit_square(), _max_xy_on(_BIG_SQUARE)),
+        lambda: tm.boundary_exp_integral(support.unit_square(), _max_xy_on(_TRIANGLE)),
+        lambda: tm.entropy_curve(support.unit_square(), _max_xy_on(_TRIANGLE)),
+        lambda: tm.mu_lambda(support.unit_square(), _max_xy_on(_TRIANGLE), 0),
+        # vectors, forms and directions of the wrong length
+        lambda: tm.polytope_exp_integral(support.unit_square(), tm.AffineForm((1, 1, 5), 0)),
+        lambda: tm.make_pa([tm.AffineForm((1, 2, 3), 0)], support.unit_square()),
+        lambda: tm.brion_localize_limit(support.unit_square(), (1, 2, 5)),
+        lambda: support.unit_square().contains((Fraction(1, 2),)),
+        lambda: support.unit_square().clip((1, 0, 7), Fraction(1, 2)),
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0, 0)),
+        lambda: maximize_over_vectors(support.unit_square(), seeds=[(1, 0, 0)]),
+        lambda: maximize_over_vectors(support.unit_square(), box=((-1, 1),)),
+        lambda: tm.maximize_along_ray(support.unit_square(), (0, 0)),
+        # an exponent beyond the float range; a volume that underflows where
+        # the integral would not
+        lambda: tm.simplex_exp_integral(
+            tm.Simplex([(0, 0), (1, 0), (0, 1)]), tm.AffineForm((0, 0), Fraction(10) ** 400)
+        ),
+        lambda: tm.simplex_exp_integral(
+            tm.Simplex([(0, 0), (Fraction(1, 10**200), 0), (0, Fraction(1, 10**200))]),
+            tm.AffineForm((0, 0), 1000),
+        ),
     ],
 )
 def test_library_argument_errors_are_input_errors(call):
@@ -562,7 +596,7 @@ def test_near_singular_direction_is_not_an_input_error():
     # a numerical failure, not unusable input: the command line exits 3
     assert not issubclass(tm.NearSingularDirection, tm.InputError)
     with pytest.raises(tm.NearSingularDirection):
-        tm.brion_localize(support.unit_square(), (1, Fraction(1, 10**9)))
+        tm.brion_localize_limit(support.unit_square(), (1, Fraction(1, 10**9)))
 
 
 def test_exit_code_2_on_bad_q_file(capsys, tmp_path):

@@ -23,7 +23,6 @@ from toricmu import (
     InputError,
     NearSingularDirection,
     boundary_exp_integral,
-    brion_localize,
     brion_localize_limit,
     build_polytope,
     cross_validate,
@@ -150,16 +149,13 @@ def test_brion_generic_direction_square():
     P = support.unit_square()
     eta = (1, 2)
     expected = (E - 1) * (E * E - 1) / 2
-    assert brion_localize(P, eta) == pytest.approx(expected, rel=1e-12)
     assert brion_localize_limit(P, eta) == pytest.approx(expected, rel=1e-12)
     bnd = (E - 1) * (1 + E * E) + (E * E - 1) * (1 + E) / 2
-    assert brion_localize(P, eta, boundary=True) == pytest.approx(bnd, rel=1e-12)
+    assert brion_localize_limit(P, eta, boundary=True) == pytest.approx(bnd, rel=1e-12)
 
 
 def test_brion_nongeneric_raises_and_limit_resolves():
     P = support.unit_square()
-    with pytest.raises(NearSingularDirection):
-        brion_localize(P, (1, 0))
     assert brion_localize_limit(P, (1, 0)) == pytest.approx(E - 1, rel=1e-11)
     expected_bnd = 2 * (E - 1) + 1 + E
     assert brion_localize_limit(P, (1, 0), boundary=True) == pytest.approx(
@@ -184,11 +180,10 @@ def test_brion_nongeneric_raises_and_limit_resolves():
     ],
 )
 def test_localization_input_checks(make_P, eta, scale, boundary, error, message):
-    """Both vertex-sum entry points reject the same inputs the same way."""
+    """brion_localize_limit rejects each bad input with the listed error."""
     P = make_P()
-    for localize in (brion_localize, brion_localize_limit):
-        with pytest.raises(error, match=message):
-            localize(P, eta, scale=scale, boundary=boundary)
+    with pytest.raises(error, match=message):
+        brion_localize_limit(P, eta, scale=scale, boundary=boundary)
 
 
 def test_boundary_localization_unit_cube():
@@ -197,14 +192,13 @@ def test_boundary_localization_unit_cube():
     P = build_polytope(support.UNIT_CUBE)
     e1, e2, e3 = E - 1, (E**2 - 1) / 2, (E**3 - 1) / 3
     generic = (1 + E) * e2 * e3 + (1 + E**2) * e1 * e3 + (1 + E**3) * e1 * e2
-    for localize in (brion_localize, brion_localize_limit):
-        assert localize(P, (1, 2, 3), boundary=True) == pytest.approx(generic, rel=1e-12)
+    assert brion_localize_limit(P, (1, 2, 3), boundary=True) == pytest.approx(
+        generic, rel=1e-12
+    )
     axis = 1 + E + 4 * e1
     assert brion_localize_limit(P, (1, 0, 0), boundary=True) == pytest.approx(
         axis, rel=1e-12
     )
-    with pytest.raises(NearSingularDirection):
-        brion_localize(P, (1, 0, 0), boundary=True)
 
 
 def test_brion_matches_triangulation_random():

@@ -20,18 +20,23 @@ import oracles
 import support
 from toricmu import (
     InputError,
+    NearSingularDirection,
+    ValidationFailure,
+    boundary_exp_integral,
     boundary_pa_moment,
     build_polytope,
     calabi,
     cross_validate,
     dh_cdf,
     dh_summary,
+    futaki,
     legendre,
     legendre_dual,
     mabuchi_slope,
     make_pa,
     metric_dexp,
     metric_dp,
+    mu_lambda,
     pa_moment,
     poly_moment,
     rooftop,
@@ -330,6 +335,44 @@ def test_one_pass_moments_equal_the_multi_pass_copies(q):
     assert new.moments == old.moments
     assert new.barycenter == old.barycenter
     assert new.variance == old.variance
+
+
+def _entry_point_outputs(P, q):
+    """What the (P, q) entry points return for q, each float as its bits,
+    or the error each raises."""
+    zero = make_pa([AffineForm.zero(P.dim)], P)
+    xi = (Fraction(1, 2),) * P.dim
+
+    def routes():
+        r = cross_validate(P, q)
+        return [r.interior_triangulation, r.interior_localization,
+                r.boundary_triangulation, r.boundary_localization, r.rel_gap]
+
+    calls = [
+        lambda: [mu_lambda(P, q, lam) for lam in (0.0, 0.5)],
+        lambda: [futaki(P, xi, q, lam) for lam in (0.0, 0.5)],
+        lambda: list(calabi(P, q)),
+        routes,
+        lambda: [boundary_exp_integral(P, q).value],
+        lambda: [metric_dp(zero, q, p) for p in (2, 1.5)],
+    ]
+    out = []
+    for call in calls:
+        try:
+            out.append([None if x is None else struct.pack("<d", x) for x in call()])
+        except (InputError, NearSingularDirection, ValidationFailure) as err:
+            out.append((type(err), str(err)))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(moment_potentials())
+def test_potential_on_an_equal_polytope_gives_the_same_bits(q):
+    """A potential bound to a polytope equal to P, but not P itself, is
+    accepted wherever one on P is, and gives the same bits."""
+    twin = make_pa(q.pieces, build_polytope(q.P.vertices))
+    assert twin.P is not q.P
+    assert _entry_point_outputs(q.P, twin) == _entry_point_outputs(q.P, q)
 
 
 def simplex_count(q):
