@@ -68,7 +68,7 @@ def depth_label(nodes):
     """The column of DEPTHS the kernel's scaling depth of nodes falls in."""
     if len(nodes) < 2:
         return DEPTHS[0]
-    c = sum(nodes) / len(nodes)
+    c = _ddexp_py._float_sum(nodes) / len(nodes)
     spread = max(abs(b - c) for b in nodes)
     if not spread > 0.5:
         return DEPTHS[0]

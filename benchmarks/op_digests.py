@@ -22,10 +22,7 @@ compare prints, per workload and op label, how many ops carry the label,
 how many of their digests differ and the largest relative gap between two
 floats that differ; the kernel, hull-build and clip call counts and traced
 memory of both dumps; and exits with code 1 when any digest differs.
-It prints the interpreter version of both dumps and warns when their
-minor versions differ: from Python 3.12 on, sum() compensates its
-rounding, so float sums, and the optimizer paths that follow them, can
-differ between interpreters on identical sources.
+It prints the interpreter version of both dumps.
 
 Only perfbench/workloads.py is read, for the op lists; nothing under
 perfbench/ is changed.
@@ -204,9 +201,6 @@ def compare(path_a, path_b):
     versions = [d.get("python") for d in (a, b)]
     print("python %s and %s" % tuple(
         "-" if v is None else ".".join(map(str, v)) for v in versions))
-    if None not in versions and versions[0][:2] != versions[1][:2]:
-        print("warning: the dumps come from different Python minor versions;"
-              " float sums may differ in their last bits")
     print("%-9s %-24s %5s %7s %10s" % ("workload", "label", "ops", "differ", "max gap"))
     differ = 0
     for w in WORKLOADS:

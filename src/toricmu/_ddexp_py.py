@@ -42,6 +42,10 @@ straight-line series directly.  Three and four nodes square with _corner3
 and _corner4, whose entries are locals too.  Each entry is _square_upper's
 sum, from 0.0 with k ascending, so the bits are those of the loops, which
 still serve five or more nodes.
+
+Every float sum of the package, the centring here included, goes left to
+right from 0.0 through _float_sum or written out as 0.0 + a + b + ...: from
+Python 3.12 on builtin sum compensates, and would give other bits.
 """
 
 from math import exp, factorial, frexp
@@ -51,6 +55,14 @@ def _safe_exp(x):
     if x > 709.0:
         return float("inf")
     return exp(x)
+
+
+def _float_sum(values):
+    """The package's one float sum: left to right from 0.0, uncompensated."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _dd_series(x):
@@ -282,7 +294,7 @@ def _ddexp2(a, b):
 
     At K = 1 the one squaring is the corner alone, which is the K >= 2 loop
     run zero times."""
-    c = (0.0 + a + b) / 2  # sum([a, b]) / 2
+    c = (0.0 + a + b) / 2
     h0 = a - c
     h1 = b - c
     spread = abs(h0)  # max(abs(h0), abs(h1)), NaN included
@@ -307,9 +319,7 @@ def _ddexp3(a, b, c):
 
     At K = 1 the one squaring is the corner alone, which reads every seed
     entry but b11; at K >= 2 _corner3 squares the whole table."""
-    # sum itself, not 0 + a + b + c: from Python 3.12 on it compensates
-    # its rounding, and ddexp centres longer lists with sum
-    mean = sum((a, b, c)) / 3
+    mean = (0.0 + a + b + c) / 3
     h0 = a - mean
     h1 = b - mean
     h2 = c - mean
@@ -347,7 +357,7 @@ def ddexp(nodes):
         raise ValueError("need at least one node")
     if m == 1:
         return _safe_exp(nodes[0])
-    c = sum(nodes) / m
+    c = _float_sum(nodes) / m
     h = [b - c for b in nodes]
     spread = max(map(abs, h))
     K = _depth(spread) if spread > 0.5 else 0

@@ -24,7 +24,7 @@ from math import lcm, log, pi
 from numbers import Rational
 from operator import mul
 
-from ._ddexp_py import _safe_exp
+from ._ddexp_py import _float_sum, _safe_exp
 from .functionals import mu_star
 from .paconvex import PiecewiseAffineConvex, make_pa
 from .polytope import InputError, LatticePolytope, _finite, _positive_int, build_polytope
@@ -85,7 +85,9 @@ class SpectralMeasure:
     def exp_integral(self, rho=1.0) -> float:
         rho = _finite(rho, "rho")
         try:
-            return sum(float(mass) * _safe_exp(-rho * float(pos)) for pos, mass in self.atoms)
+            return _float_sum(
+                float(mass) * _safe_exp(-rho * float(pos)) for pos, mass in self.atoms
+            )
         except OverflowError:
             raise InputError("an atom of %r is beyond the float range" % (self,)) from None
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from math import factorial, hypot, inf, log
 
-from ._ddexp_py import _safe_exp
+from ._ddexp_py import _float_sum, _safe_exp
 from .polytope import InputError, _dot, _finite, _fit
 from .paconvex import AffineForm, _decimal, as_pa, common_cells
 
@@ -222,19 +222,16 @@ def _check_tiny(tiny, exp_combo, factor_lists):
 
 
 def _sums(coeffs, rows):
-    """[sum(c * row[k] for k, c in enumerate(coeffs)) for row in rows].
+    """[_float_sum(c * row[k] for k, c in enumerate(coeffs)) for row in rows].
 
-    One or two coefficients are written out as 0.0 + c0*r0 + c1*r1, the
-    additions sum makes, left to right from 0.0, so the values have sum's
-    bits.  Three or more go through sum itself: from Python 3.12 on it
-    compensates its rounding, and an unrolled chain would not."""
+    One or two coefficients are written out as 0.0 + c0*r0 + c1*r1."""
     if len(coeffs) == 1:
         (c0,) = coeffs
         return [0.0 + c0 * row[0] for row in rows]
     if len(coeffs) == 2:
         c0, c1 = coeffs
         return [0.0 + c0 * row[0] + c1 * row[1] for row in rows]
-    return [sum(c * row[k] for k, c in enumerate(coeffs)) for row in rows]
+    return [_float_sum(c * row[k] for k, c in enumerate(coeffs)) for row in rows]
 
 
 def _accumulate(groups, exp_combo, factor_lists):

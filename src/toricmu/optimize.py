@@ -14,6 +14,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import sqrt
 
+from ._ddexp_py import _float_sum
 from .functionals import TWO_PI, _entropy, _moments, _mu_lambda, calabi
 from .integrate import ExpIntegrator, ValidationFailure
 from .paconvex import AffineForm, as_pa
@@ -120,12 +121,12 @@ def _bfgs_ascent(obj, x0, gtol, max_iter, box):
     trace = [(tuple(x), f)]
     status = "max-iter"
     for it in range(max_iter):
-        gnorm = sqrt(sum(gi * gi for gi in g))
+        gnorm = sqrt(_float_sum(gi * gi for gi in g))
         if gnorm <= gtol:
             status = "converged"
             break
-        d = [sum(H[i][j] * g[j] for j in range(n)) for i in range(n)]
-        slope = sum(di * gi for di, gi in zip(d, g))
+        d = [_float_sum(H[i][j] * g[j] for j in range(n)) for i in range(n)]
+        slope = _float_sum(di * gi for di, gi in zip(d, g))
         reset = slope <= 0.0
         if reset:
             # curvature model went bad; reset to steepest ascent
@@ -149,11 +150,11 @@ def _bfgs_ascent(obj, x0, gtol, max_iter, box):
         fn, gn = obj.value_grad(xn)
         s = [xn[i] - x[i] for i in range(n)]
         u = [g[i] - gn[i] for i in range(n)]  # curvature pair for ascent
-        su = sum(si * ui for si, ui in zip(s, u))
+        su = _float_sum(si * ui for si, ui in zip(s, u))
         if su > 1e-14:
             rho = 1.0 / su
-            Hu = [sum(H[i][j] * u[j] for j in range(n)) for i in range(n)]
-            uHu = sum(u[i] * Hu[i] for i in range(n))
+            Hu = [_float_sum(H[i][j] * u[j] for j in range(n)) for i in range(n)]
+            uHu = _float_sum(u[i] * Hu[i] for i in range(n))
             for i in range(n):
                 for j in range(n):
                     H[i][j] += (
@@ -169,7 +170,7 @@ def _bfgs_ascent(obj, x0, gtol, max_iter, box):
             # would repeat it
             trace.extend((tuple(x), f) for _ in range(max_iter - it - 1))
             break
-    gnorm = sqrt(sum(gi * gi for gi in g))
+    gnorm = sqrt(_float_sum(gi * gi for gi in g))
     if gnorm <= gtol:
         status = "converged"
     if _on_boundary(x, box):

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, factorial, inf, log1p, log10
 
+from ._ddexp_py import _float_sum
 from .polytope import (
     EMPTY,
     DegenerateHull,
@@ -54,20 +55,23 @@ class AffineForm:
         return cls((0,) * dim, c)
 
     def __call__(self, point) -> Fraction:
-        return _dot(_coords(point), self.gradient) + self.constant
+        point = _fit(_coords(point), len(self.gradient), "point")
+        return _dot(point, self.gradient) + self.constant
 
     def __add__(self, other):
         if isinstance(other, AffineForm):
+            grad = _fit(other.gradient, len(self.gradient), "the added form's gradient")
             return AffineForm(
-                tuple(a + b for a, b in zip(self.gradient, other.gradient)),
+                tuple(a + b for a, b in zip(self.gradient, grad)),
                 self.constant + other.constant,
             )
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, AffineForm):
+            grad = _fit(other.gradient, len(self.gradient), "the subtracted form's gradient")
             return AffineForm(
-                tuple(a - b for a, b in zip(self.gradient, other.gradient)),
+                tuple(a - b for a, b in zip(self.gradient, grad)),
                 self.constant - other.constant,
             )
         return NotImplemented
@@ -401,11 +405,11 @@ def _simplex_power(simplex, aff: AffineForm, p):
     g = [x / top for x in g]
     weights = _dd_weights(g).items()
     terms = _power_terms(weights, g, n, p, float)
-    total = sum(terms)
+    total = _float_sum(terms)
     # Close values cancel.  By Jensen the sum is at least mean(g)^p / n!,
     # and rounding moves it by at most (p + 2n + 4) 2^-53 sum |terms|.
     mean = float(sum(g) / (n + 1))
-    bound = sum(map(abs, terms)) * factorial(n)
+    bound = _float_sum(map(abs, terms)) * factorial(n)
     jensen = mean**p
     loss = bound / jensen if jensen else inf
     if (p + 2 * n + 4) * 2.0**-53 * loss > 1e-12:
@@ -583,8 +587,9 @@ def sup_abs_diff(q, qp) -> Fraction:
 
 
 def _power_sum(regions, p):
-    """Integral of aff^p over the (cell, aff) regions."""
-    return sum(_simplex_power(s, aff, p) for (cell, aff) in regions for s in cell.triangulate())
+    """Integral of aff^p over the (cell, aff) regions: exact for an int p."""
+    parts = (_simplex_power(s, aff, p) for (cell, aff) in regions for s in cell.triangulate())
+    return sum(parts, Fraction(0)) if isinstance(p, int) else _float_sum(parts)
 
 
 def _decimal(x) -> Decimal:

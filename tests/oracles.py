@@ -52,7 +52,9 @@ triangulated in a chart polytope built for it; det_elimination and
 chart_coords_elimination are copies of _det and _chart_coords as they
 were before their closed forms for small systems.  All four run on the
 package's polytopes and pin the new code to the same cells, simplices
-and Fractions.
+and Fractions.  The float copies sum as the package does, left to right
+from 0.0 through this module's own _float_sum, never builtin sum, so their
+pins hold on every interpreter.
 """
 
 import math
@@ -281,6 +283,15 @@ def _safe_exp(x):
     return math.exp(x)
 
 
+def _float_sum(values):
+    """Left to right from 0.0: builtin sum's order before Python 3.12, which
+    the copies below keep on every interpreter, as the package does."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _dd_series(x):
     """Divided difference of exp over small nodes (|x_i| <= 1/2)."""
     r = len(x) - 1
@@ -332,7 +343,7 @@ def ddexp_full_table(nodes):
         raise ValueError("need at least one node")
     if m == 1:
         return _safe_exp(nodes[0])
-    c = sum(nodes) / m
+    c = _float_sum(nodes) / m
     h = [b - c for b in nodes]
     spread = max(abs(v) for v in h)
     K = 0
@@ -647,7 +658,7 @@ class ExpIntegratorPerFacet:
         memos = self._memos
         for r, (det, vals) in enumerate(self._records):
             avals = [
-                sum(c * row[k] for k, c in enumerate(exp_combo)) for row in vals
+                _float_sum(c * row[k] for k, c in enumerate(exp_combo)) for row in vals
             ]
             memo = None
             if factored:
@@ -660,7 +671,7 @@ class ExpIntegratorPerFacet:
                 if factors:
                     fvals = [
                         [
-                            const + sum(c * row[k] for k, c in enumerate(coeffs))
+                            const + _float_sum(c * row[k] for k, c in enumerate(coeffs))
                             for row in vals
                         ]
                         for (const, coeffs) in factors
@@ -679,11 +690,11 @@ class ExpIntegratorPerFacet:
             for f in self.P.facets:
                 v = self.P.vertices[f.vertex_indices[0]]
                 row = [float(pa(v)) for pa in self.funcs]
-                ea = _safe_exp(sum(c * row[k] for k, c in enumerate(exp_combo)))
+                ea = _safe_exp(_float_sum(c * row[k] for k, c in enumerate(exp_combo)))
                 for j, factors in enumerate(factor_lists):
                     w = 1.0
                     for (const, coeffs) in factors:
-                        w *= const + sum(c * row[k] for k, c in enumerate(coeffs))
+                        w *= const + _float_sum(c * row[k] for k, c in enumerate(coeffs))
                     contrib = w * ea
                     totals[j] += contrib
                     mags[j] += abs(contrib)
@@ -878,12 +889,12 @@ def bfgs_ascent_every_iteration(obj, x0, gtol, max_iter, box):
     trace = [(tuple(x), f)]
     status = "max-iter"
     for _ in range(max_iter):
-        gnorm = math.sqrt(sum(gi * gi for gi in g))
+        gnorm = math.sqrt(_float_sum(gi * gi for gi in g))
         if gnorm <= gtol:
             status = "converged"
             break
-        d = [sum(H[i][j] * g[j] for j in range(n)) for i in range(n)]
-        slope = sum(di * gi for di, gi in zip(d, g))
+        d = [_float_sum(H[i][j] * g[j] for j in range(n)) for i in range(n)]
+        slope = _float_sum(di * gi for di, gi in zip(d, g))
         if slope <= 0.0:
             H = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
             d = list(g)
@@ -903,11 +914,11 @@ def bfgs_ascent_every_iteration(obj, x0, gtol, max_iter, box):
         fn, gn = obj.value_grad(xn)
         s = [xn[i] - x[i] for i in range(n)]
         u = [g[i] - gn[i] for i in range(n)]
-        su = sum(si * ui for si, ui in zip(s, u))
+        su = _float_sum(si * ui for si, ui in zip(s, u))
         if su > 1e-14:
             rho = 1.0 / su
-            Hu = [sum(H[i][j] * u[j] for j in range(n)) for i in range(n)]
-            uHu = sum(u[i] * Hu[i] for i in range(n))
+            Hu = [_float_sum(H[i][j] * u[j] for j in range(n)) for i in range(n)]
+            uHu = _float_sum(u[i] * Hu[i] for i in range(n))
             for i in range(n):
                 for j in range(n):
                     H[i][j] += (
@@ -916,7 +927,7 @@ def bfgs_ascent_every_iteration(obj, x0, gtol, max_iter, box):
                     )
         x, f, g = xn, fn, gn
         trace.append((tuple(x), f))
-    gnorm = math.sqrt(sum(gi * gi for gi in g))
+    gnorm = math.sqrt(_float_sum(gi * gi for gi in g))
     if gnorm <= gtol:
         status = "converged"
     if status == "converged" and _on_boundary(x, box):

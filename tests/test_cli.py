@@ -576,6 +576,11 @@ def _max_xy_on(vertices):
         lambda: maximize_over_vectors(support.unit_square(), seeds=[(1, 0, 0)]),
         lambda: maximize_over_vectors(support.unit_square(), box=((-1, 1),)),
         lambda: tm.maximize_along_ray(support.unit_square(), (0, 0)),
+        # arithmetic on forms of different lengths, and a point of the wrong length
+        lambda: tm.AffineForm((1, 2)) + tm.AffineForm((1, 2, 3)),
+        lambda: tm.AffineForm((1, 2)) - tm.AffineForm((1,)),
+        lambda: tm.AffineForm((1, 1))((1, 2, 3)),
+        lambda: support.pa_from(support.unit_square(), ((1, 0), 0)) + tm.AffineForm((1, 1, 5), 0),
         # an exponent beyond the float range; a volume that underflows where
         # the integral would not
         lambda: tm.simplex_exp_integral(

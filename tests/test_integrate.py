@@ -13,7 +13,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -570,33 +570,48 @@ def test_unweighted_scalar_loop_bit_identical_to_general_loop(P, data):
             assert scalar == general, (kind, e)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_segment_end_point_rows_match_point_charts(data):
-    """A segment's boundary reads each end point's values from a row taken
-    once.  The same integral as _accumulate over the end points' POINT charts
-    has the same bits for factor lists of 0 or 1 factors, and is within 4
-    ulps for 2 factors, whose confluent divided difference exp[a, a, a] = e^a/2
-    rounds apart from the product the rows make."""
-    lo, hi = sorted(data.draw(st.lists(support.quarter, min_size=2, max_size=2, unique=True)))
-    P = build_polytope([(lo,), (hi,)])
-    count = data.draw(st.integers(1, 3), label="functions")
+@st.composite
+def segment_boundary_cases(draw):
+    """A segment [lo, hi], one to three functions of one or two pieces
+    (gradient, constant) on it, at most two factors and an exponent."""
+    lo, hi = sorted(draw(st.lists(support.quarter, min_size=2, max_size=2, unique=True)))
+    count = draw(st.integers(1, 3))
     coefficient = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
-    funcs = [
-        make_pa(
-            [
-                AffineForm((data.draw(coefficient),), data.draw(coefficient))
-                for _ in range(data.draw(st.integers(1, 2), label="pieces"))
-            ],
-            P,
-        )
+    pieces = [
+        [(draw(coefficient), draw(coefficient)) for _ in range(draw(st.integers(1, 2)))]
         for _ in range(count)
     ]
     combo = st.tuples(*[FLOAT_COEFFICIENTS] * count)
-    factors = data.draw(
-        st.lists(st.tuples(FLOAT_COEFFICIENTS, combo), max_size=2), label="factors"
+    factors = draw(st.lists(st.tuples(FLOAT_COEFFICIENTS, combo), max_size=2))
+    return (lo, hi), pieces, factors, draw(combo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_boundary_cases())
+@example(
+    # the end-point terms -304.58 and 363.02 cancel to 58.44, and the two
+    # routes differ by 8 ulps of it: half an ulp of the magnitude 667.6
+    (
+        (Fraction(-2), Fraction(9, 4)),
+        [
+            [(Fraction(-3, 2), 0), (Fraction(3, 4), Fraction(1, 4))],
+            [(Fraction(3, 4), Fraction(-3, 2)), (0, Fraction(-1, 4))],
+            [(Fraction(3, 2), Fraction(3, 4))],
+        ],
+        [(0.0, (2.0078125, 0.0, 2.8125)), (1.0, (0.0, -1.0, 0.0))],
+        (2.0, -2.737050169178879, 0.0),
     )
-    e = data.draw(combo, label="exponent")
+)
+def test_segment_end_point_rows_match_point_charts(case):
+    """A segment's boundary reads each end point's values from a row taken
+    once.  The same integral as _accumulate over the end points' POINT charts
+    has the same bits for factor lists of 0 or 1 factors.  For 2 factors,
+    whose confluent divided difference exp[a, a, a] = e^a/2 rounds apart
+    from the product the rows make, value and magnitude are within 4 ulps
+    of the magnitude: the two end-point terms round apart, and may cancel."""
+    (lo, hi), pieces, factors, e = case
+    P = build_polytope([(lo,), (hi,)])
+    funcs = [make_pa([AffineForm((g,), c) for g, c in piece], P) for piece in pieces]
     groups = [
         ExpIntegrator._group(POINT, [pa.restrict_to_facet(i) for pa in funcs])
         for i in range(len(P.facets))
@@ -606,8 +621,9 @@ def test_segment_end_point_rows_match_point_charts(data):
     if len(factors) < 2:
         assert _pair_bits([got]) == _pair_bits([want])
     else:
+        ulps = 4 * math.ulp(max(got[1], want[1]))
         for a, b in zip(got, want):
-            assert abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b)))
+            assert abs(a - b) <= ulps
 
 
 def test_segment_boundary_evaluates_end_points_once(monkeypatch):
