@@ -29,6 +29,7 @@ from fractions import Fraction
 from math import e as EULER_E, exp, isfinite, pi
 
 from .filtration import (
+    MonomialFiltration,
     NonConvergent,
     corner_filtration,
     corner_flat_filtration,
@@ -399,8 +400,6 @@ def _cmd_filtration(args):
         else:
             raise InputError("unknown filtration case %r" % (case,))
     else:
-        from .filtration import MonomialFiltration
-
         P = _load_polytope(args.polytope)
         q, P = _load_q(args.q, P)
         F = MonomialFiltration.from_pa(q)

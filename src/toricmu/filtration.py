@@ -26,6 +26,7 @@ from operator import mul
 
 from ._ddexp_py import _float_sum, _safe_exp
 from .functionals import mu_star
+from .integrate import polytope_exp_integral
 from .paconvex import PiecewiseAffineConvex, make_pa
 from .polytope import InputError, LatticePolytope, _finite, _positive_int, build_polytope
 
@@ -139,8 +140,6 @@ class MonomialFiltration:
         """int e^{-t} dnu_inf when the limit measure is known, else None."""
         if self.limit_pa is None:
             return None
-        from .integrate import polytope_exp_integral
-
         total = polytope_exp_integral(self.P, self.limit_pa, rho=1.0).value
         if normalization == "dimension":
             return total / float(self.P.volume())

@@ -23,10 +23,11 @@ from .polytope import (
     DegenerateHull,
     InputError,
     _back,
-    _chart_hull,
+    _chart_points,
     _coords,
     _dot,
     _echelon,
+    _face,
     _finite,
     _fit,
     build_polytope,
@@ -136,13 +137,16 @@ class PiecewiseAffineConvex:
         made on each call from P's cached chart and kept by the caller only.
 
         Its pieces are the restricted pieces without repeats, as make_pa
-        keeps them, and its cells are read off the faces that cells() have
-        on the facet (the subdivision a max-affine function induces on a
-        face): the region of a restricted piece is the union of the faces
-        whose pieces restrict to it, so its cell is their hull in the chart.
-        A piece whose region is the whole facet has P's chart object itself
-        as its cell.  The cells equal those of splitting the chart by the
-        restricted pieces, in the same order, with no clip.
+        keeps them, and its cells are the faces that cells() have on the
+        facet (the subdivision a max-affine function induces on a face),
+        each read off its cell's incidences in the chart (see
+        polytope._face), with no hull and no clip.  No two cells share a
+        restricted piece: pieces p != p' that agree on the facet's
+        hyperplane differ by c (<x, u> - b) with c != 0, which keeps one sign
+        on P, so one of them has no cell.  A piece whose region is the whole
+        facet has P's chart object itself as its cell.  The cells equal
+        those of splitting the chart by the restricted pieces, in the same
+        order.
         """
         P = self.P
         sub, origin, basis = P.facet_polytope(facet_index)
@@ -151,20 +155,20 @@ class PiecewiseAffineConvex:
             index.setdefault(piece.restrict(origin, basis), len(index)) for piece in self.pieces
         ]
         f = P.facets[facet_index]
-        faces = {}
-        for i, cell in self.cells():
-            for g in cell.facets:
-                if g.normal == f.normal and g.offset == f.offset:
-                    points = faces.setdefault(ids[i], [])
-                    points += [cell.vertices[vi] for vi in g.vertex_indices]
-                    break
+        faces = [
+            (ids[i], cell, g)
+            for i, cell in self.cells()
+            for g in cell.facets
+            if g.normal == f.normal and g.offset == f.offset
+        ]
         restricted = PiecewiseAffineConvex(list(index), sub)
         if len(faces) == 1:
-            (k,) = faces
-            restricted._cells = [(k, sub)]
+            restricted._cells = [(faces[0][0], sub)]
         else:
+            faces.sort(key=lambda face: face[0])
             restricted._cells = [
-                (k, _chart_hull(P, facet_index, faces[k])) for k in sorted(faces)
+                (k, _face(cell, g, origin, basis, _chart_points(cell, g, origin, basis)))
+                for k, cell, g in faces
             ]
         return restricted
 
@@ -216,12 +220,15 @@ def as_pa(q, P) -> PiecewiseAffineConvex:
 
 def _split(cell, pieces):
     """[(i, sub)] where sub is the full-dimensional part of cell on which
-    pieces[i] is the maximum."""
+    pieces[i] is the maximum; a piece equal to an earlier one gets no cell,
+    so the cells cover cell once."""
     out = []
     for i, piece in enumerate(pieces):
+        if piece in pieces[:i]:
+            continue
         sub = cell
-        for j, other in enumerate(pieces):
-            if j == i or other == piece:
+        for other in pieces:
+            if other == piece:
                 continue
             grad = tuple(a - b for a, b in zip(other.gradient, piece.gradient))
             sub = sub.clip(grad, piece.constant - other.constant)

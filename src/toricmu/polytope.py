@@ -73,17 +73,19 @@ class RationalVector:
         return hash(self.coords)
 
     def __add__(self, other):
-        return RationalVector(a + b for a, b in zip(self.coords, _coords(other)))
+        other = _fit(_coords(other), len(self.coords), "the added vector")
+        return RationalVector(a + b for a, b in zip(self.coords, other))
 
     def __sub__(self, other):
-        return RationalVector(a - b for a, b in zip(self.coords, _coords(other)))
+        other = _fit(_coords(other), len(self.coords), "the subtracted vector")
+        return RationalVector(a - b for a, b in zip(self.coords, other))
 
     def __rmul__(self, s):
         s = _frac(s)
         return RationalVector(s * c for c in self.coords)
 
     def dot(self, other) -> Fraction:
-        return sum((a * b for a, b in zip(self.coords, _coords(other))), Fraction(0))
+        return _dot(self.coords, _fit(_coords(other), len(self.coords), "the paired vector"))
 
     def floats(self):
         return tuple(float(c) for c in self.coords)
@@ -285,8 +287,9 @@ class Simplex:
 class LatticePolytope:
     """Full-dimensional rational polytope with exact facet data.
 
-    Construct through :func:`build_polytope` or :meth:`clip`; the constructor
-    trusts its arguments.  Vertex cones are computed on first use.
+    Construct through :func:`build_polytope`, :meth:`clip` or
+    :meth:`facet_polytope`, which all return through ``_canonical``; the
+    constructor trusts its arguments.  Vertex cones are computed on first use.
     """
 
     def __init__(self, dim, vertices, facets):
@@ -413,26 +416,18 @@ class LatticePolytope:
         alive = set()
         for i in inside:
             alive |= inc[i]
-        order = sorted(range(len(points)), key=points.__getitem__)
-        remap = [0] * len(points)
-        for new, old in enumerate(order):
-            remap[old] = new
         members = {k: [] for k in alive}
         for p, ks in enumerate(incidence):
             for k in ks:
                 if k in alive:
-                    members[k].append(remap[p])
-        cut = remap[len(inside):]
+                    members[k].append(p)
         u = _primitive(normal)
         k0 = next(k for k, c in enumerate(normal) if c != 0)
         planes = [
             (self.facets[k].normal, self.facets[k].offset, members[k]) for k in alive
         ]
-        planes.append((u, offset * u[k0] / normal[k0], cut))
-        planes.sort(key=lambda plane: plane[:2])
-        verts = [RationalVector(points[i]) for i in order]
-        facets = [Facet(a, b, sorted(idx)) for (a, b, idx) in planes]
-        return LatticePolytope(n, verts, facets)
+        planes.append((u, offset * u[k0] / normal[k0], range(len(inside), len(points))))
+        return _canonical(n, points, planes)
 
     # -- structure ---------------------------------------------------------
 
@@ -446,15 +441,20 @@ class LatticePolytope:
 
         Returns (sub_polytope, origin, basis) where points of the facet are
         origin + basis @ y.  The chart maps the facet lattice onto Z^{n-1},
-        so sub-polytope volume equals the facet's lattice measure.  On a
-        segment a facet is an end point: the chart is (POINT, end point, ()).
-        Cached here for restrict_to_facet and facet_measure; _triangulate
-        keeps none of the charts it builds.
+        so sub-polytope volume equals the facet's lattice measure.  The
+        sub-polytope is read off this polytope's incidences (see _face); no
+        hull is built.  On a segment a facet is an end point: the chart is
+        (POINT, end point, ()).  Cached here for restrict_to_facet and
+        facet_measure; _triangulate keeps none of the faces it builds.
         """
         if facet_index not in self._facet_charts:
-            origin, basis, ys = _facet_coords(self, self.facets[facet_index])
-            sub = _chart_polytope(ys) if basis else POINT
-            self._facet_charts[facet_index] = (sub, origin, basis)
+            f = self.facets[facet_index]
+            if self.dim == 1:
+                chart = (POINT, self.vertices[f.vertex_indices[0]], ())
+            else:
+                origin, basis, ys = _facet_coords(self, f)
+                chart = (_face(self, f, origin, basis, ys), origin, basis)
+            self._facet_charts[facet_index] = chart
         return self._facet_charts[facet_index]
 
     def lattice_points(self, scale=1):
@@ -631,26 +631,35 @@ def build_polytope(vertices) -> LatticePolytope:
         if _rank([hull_facets[k][0] for k in active]) == n:
             vertex_ids.append(i)
 
-    vertex_ids.sort(key=lambda i: pts[i])
     remap = {old: new for new, old in enumerate(vertex_ids)}
-    verts = [RationalVector(pts[i]) for i in vertex_ids]
+    planes = [
+        (u, b, [remap[i] for i in on if i in remap])
+        for (u, b), on in zip(hull_facets, facet_pts)
+    ]
+    return _canonical(n, [pts[i] for i in vertex_ids], planes)
 
-    order = sorted(range(len(hull_facets)), key=lambda k: (hull_facets[k][0], hull_facets[k][1]))
-    facets = []
-    for k in order:
-        u, b = hull_facets[k]
-        idx = tuple(sorted(remap[i] for i in facet_pts[k] if i in remap))
-        facets.append(Facet(u, b, idx))
 
-    return LatticePolytope(n, verts, facets)
+def _canonical(n, points, planes):
+    """The n-polytope with vertices points and facets planes, each plane
+    (normal, offset, indices into points), in the one canonical form:
+    vertices sorted, facets sorted by (normal, offset), each facet's vertex
+    indices sorted.  build_polytope, clip and _face all return through it,
+    so one region is one polytope, field for field, however it was made."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    remap = [0] * len(points)
+    for new, old in enumerate(order):
+        remap[old] = new
+    facets = [
+        Facet(u, b, sorted(remap[i] for i in idx))
+        for u, b, idx in sorted(planes, key=lambda plane: plane[:2])
+    ]
+    return LatticePolytope(n, [RationalVector(points[i]) for i in order], facets)
 
 
 def _build_segment(pts):
     xs = [p[0] for p in pts]
     lo, hi = min(xs), max(xs)
-    verts = [RationalVector((lo,)), RationalVector((hi,))]
-    facets = [Facet((-1,), -lo, (0,)), Facet((1,), hi, (1,))]
-    return LatticePolytope(1, verts, facets)
+    return _canonical(1, [(lo,), (hi,)], [((-1,), -lo, [0]), ((1,), hi, [1])])
 
 
 def _hull_facets(pts, n, base):
@@ -727,34 +736,52 @@ def _vertex_cones(verts, facets, n):
 
 
 def _facet_coords(P, f):
-    """(origin, basis, ys) of facet f of P: its chart (see facet_polytope)
-    and the chart coordinates of its vertices, in vertex_indices order."""
-    basis = _kernel_basis_int(f.normal)
+    """(origin, basis, ys) of facet f of P (dim >= 2): its chart (see
+    facet_polytope) and the chart points of its vertices (see _chart_points)."""
     origin = P.vertices[f.vertex_indices[0]]
-    if not basis:
-        return origin, basis, [()]
-    diffs = [_sub(P.vertices[vi].coords, origin.coords) for vi in f.vertex_indices]
-    return origin, basis, _chart_coords(diffs, basis)
+    basis = _kernel_basis_int(f.normal)
+    return origin, basis, _chart_points(P, f, origin, basis)
 
 
-def _chart_polytope(ys):
-    """Hull of points in a chart of dimension >= 1; a segment is built directly."""
-    return _build_segment(ys) if len(ys[0]) == 1 else build_polytope(ys)
+def _chart_points(C, g, origin, basis):
+    """Coordinates y, with x = origin + basis @ y, of the vertices of C's
+    facet g, in g.vertex_indices order; origin and basis chart g's
+    hyperplane."""
+    diffs = [_sub(C.vertices[vi].coords, origin.coords) for vi in g.vertex_indices]
+    return _chart_coords(diffs, basis)
 
 
-def _chart_hull(P, facet_index, points):
-    """Hull, in the chart of P's facet (see facet_polytope), of points of
-    that facet (RationalVectors) that span it."""
-    _, origin, basis = P.facet_polytope(facet_index)
-    diffs = [_sub(p.coords, origin.coords) for p in points]
-    return _chart_polytope(_chart_coords(diffs, basis))
+def _face(C, g, origin, basis, ys):
+    """The face of polytope C on its facet g, in the chart origin + basis @ y
+    of g's hyperplane, where g's vertices sit at ys (see _chart_points).
+
+    Read off C's incidences, with no hull: its facets are the largest vertex
+    sets that g shares with C's other facets h (the ridges on g), each with
+    h's inequality pulled back through the chart, <y, basis^T h.normal> <=
+    h.offset - <origin, h.normal>, divided by the gcd of that normal.  Equal
+    to build_polytope(ys) field for field.
+    """
+    if len(basis) == 1:
+        return _build_segment(ys)
+    on = set(g.vertex_indices)
+    pos = {vi: k for k, vi in enumerate(g.vertex_indices)}
+    shared = [(h, on.intersection(h.vertex_indices)) for h in C.facets if h is not g]
+    planes = []
+    for h, ridge in shared:
+        if any(ridge < other for _, other in shared):
+            continue
+        w = [sum(b * c for b, c in zip(row, h.normal)) for row in basis]
+        d = gcd(*w)
+        offset = (h.offset - _dot(origin.coords, h.normal)) / d
+        planes.append((tuple(c // d for c in w), offset, [pos[vi] for vi in ridge]))
+    return _canonical(len(basis), ys, planes)
 
 
 def _triangulate(P):
     """Cones from P's first vertex over the facets that miss it.  A facet
     with dim vertices is a simplex, taken whole with its vertices in sorted
-    chart coordinates, the order its chart polytope would list them in;
-    any other facet is triangulated in a chart built here and not kept.
+    chart coordinates, the order its face polytope lists them in; any other
+    facet is triangulated as its face (see _face), built here and not kept.
     Each simplex vertex is one of P's own vertex objects, so a kept
     triangulation copies none."""
     if len(P.vertices) == P.dim + 1:
@@ -764,15 +791,15 @@ def _triangulate(P):
     for f in P.facets:
         if _dot(apex.coords, f.normal) == f.offset:
             continue
-        _, _, ys = _facet_coords(P, f)
-        if len(f.vertex_indices) == P.dim:
-            order = sorted(zip(ys, f.vertex_indices))
-            out.append(Simplex([apex] + [P.vertices[vi] for _, vi in order]))
+        origin, basis, ys = _facet_coords(P, f)
+        # the face's vertices are the facet's in sorted chart coordinates
+        lifted = [P.vertices[vi] for _, vi in sorted(zip(ys, f.vertex_indices))]
+        if len(lifted) == P.dim:
+            out.append(Simplex([apex] + lifted))
             continue
-        # the chart's vertices are those of the facet: map them back to P's
-        lift = {tuple(y): P.vertices[vi] for y, vi in zip(ys, f.vertex_indices)}
-        sub = _chart_polytope(ys)
-        out += [Simplex([apex] + [lift[y.coords] for y in s.vertices]) for s in sub.triangulate()]
+        sub = _face(P, f, origin, basis, ys)
+        lift = dict(zip(sub.vertices, lifted))
+        out += [Simplex([apex] + [lift[y] for y in s.vertices]) for s in sub.triangulate()]
     return out
 
 

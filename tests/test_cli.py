@@ -590,6 +590,13 @@ def _max_xy_on(vertices):
             tm.Simplex([(0, 0), (Fraction(1, 10**200), 0), (0, Fraction(1, 10**200))]),
             tm.AffineForm((0, 0), 1000),
         ),
+        # arithmetic on rational vectors of different lengths
+        lambda: tm.RationalVector((1, 2)) + (1, 2, 3),
+        lambda: tm.RationalVector((1, 2)) - (5,),
+        lambda: tm.RationalVector((1, 2)).dot((1, 1, 1)),
+        # explicit grid points that are not finite numbers
+        lambda: tm.entropy_curve(support.unit_square(), None, grid=[math.nan, math.inf]),
+        lambda: tm.entropy_curve(support.unit_square(), None, grid=["x"]),
     ],
 )
 def test_library_argument_errors_are_input_errors(call):

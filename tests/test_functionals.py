@@ -242,6 +242,10 @@ def test_entropy_curve_grid_counts():
     # an integral float count is a count; explicit sequences pass through
     assert len(entropy_curve(P, q0, grid=(0.0, 1.0, 4.0))) == 4
     assert [r.parameter for r in entropy_curve(P, q0, grid=[0.0, 0.5]).rows] == [0.0, 0.5]
+    # only a 3-tuple is a range: a 3-element list is three points
+    report = entropy_curve(P, q0, grid=[0.0, 0.5, 1.0])
+    assert [r.parameter for r in report.rows] == [0.0, 0.5, 1.0]
+    assert report.rows[2].mu == entropy_curve(P, q0, grid=(0.0, 1.0, 3)).rows[2].mu
 
 
 def test_kappa_values():

@@ -29,6 +29,7 @@ from toricmu import (
     cross_validate,
     dh_cdf,
     dh_summary,
+    entropy_curve,
     futaki,
     legendre,
     legendre_dual,
@@ -37,12 +38,13 @@ from toricmu import (
     metric_dexp,
     metric_dp,
     mu_lambda,
+    mu_star,
     pa_moment,
     poly_moment,
     rooftop,
     sup_abs_diff,
 )
-from toricmu import paconvex
+from toricmu import paconvex, polytope
 from toricmu.cli import square_qn_potential
 from toricmu.paconvex import (
     AffineForm,
@@ -495,6 +497,53 @@ def test_facet_cells_are_faces_of_the_cells(q):
         assert [(k, exact_cell(c), c is sub) for k, c in restricted.cells()] == [
             (k, exact_cell(c), c is sub) for k, c in cells
         ]
+
+
+def test_repeated_piece_counts_its_region_once():
+    """A piece equal to an earlier one gets no cell, so a potential built
+    without make_pa's deduplication covers P once: the cell complex, the
+    volume, the DH mass and mu* are those of the deduplicated potential
+    (before, each copy took the whole region, and the interior integral
+    doubled while the boundary one did not)."""
+    P = support.unit_square()
+    x, y = AffineForm((1, 0), 0), AffineForm((0, 1), 0)
+    q = PiecewiseAffineConvex([x, x], P)
+    assert [i for i, _ in q.cells()] == [0]
+    assert pa_moment(q, 0) == 1
+    assert dh_cdf(q, -10) == 1
+    assert mu_star(P, q) == mu_star(P, make_pa([x], P))
+    assert pa_moment(PiecewiseAffineConvex([x, y, x], P), 0) == 1
+
+
+def test_facet_geometry_builds_no_hull(monkeypatch):
+    """Facet charts, the faces of non-simplex facets in triangulations and
+    the cells of restrict_to_facet are read off incidences: an entropy sweep
+    on the unit cube with a 3-piece potential, and the exact moments that
+    read a fresh copy's cells, run the hull algorithm not once (before: 23
+    times each)."""
+    centers = [
+        (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)),
+        (Fraction(3, 4), Fraction(1, 4), Fraction(1, 2)),
+        (Fraction(1, 4), Fraction(3, 4), Fraction(3, 4)),
+    ]
+    pieces = [AffineForm(tuple(2 * c for c in m), -sum(c * c for c in m)) for m in centers]
+    sweep_cube, cube = (build_polytope(support.UNIT_CUBE) for _ in range(2))
+    hulls = []
+    hull_facets = polytope._hull_facets
+
+    def counted(*args):
+        hulls.append(args)
+        return hull_facets(*args)
+
+    monkeypatch.setattr(polytope, "_hull_facets", counted)
+    entropy_curve(sweep_cube, make_pa(pieces, sweep_cube), grid=(0.0, 2.0, 3))
+    assert len(hulls) == 0
+    q = make_pa(pieces, cube)
+    assert len(q.cells()) == 3
+    dh_cdf(q, Fraction(-1, 2))
+    pa_moment(q, 2)
+    boundary_pa_moment(q, 1)
+    assert len(hulls) == 0
 
 
 def test_common_cells_reads_the_potentials_own_cells():

@@ -35,6 +35,7 @@ from toricmu.polytope import (
     _triangulate,
     _vertex_cones,
 )
+from toricmu.paconvex import AffineForm, make_pa
 
 
 def verts(P):
@@ -520,18 +521,30 @@ def assert_geometry_matches_copies(P):
         assert clip_fields(sub) == clip_fields(build_polytope(ys))
 
 
+@st.composite
+def cells_3d(draw):
+    """A cell of a potential of 2-4 pieces on the unit cube, the 3-simplex
+    or the pyramid: a clipped 3-polytope whose facets are faces of cuts."""
+    P = build_polytope(draw(st.sampled_from([support.UNIT_CUBE, SIMPLEX_3D, PYRAMID])))
+    piece = st.tuples(st.tuples(*[support.quarter] * 3), support.quarter)
+    pieces = draw(st.lists(piece, min_size=2, max_size=4))
+    return draw(st.sampled_from(make_pa([AffineForm(g, c) for g, c in pieces], P).cells()))[1]
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(support.exact_polytopes(), hulls_3d()))
+@given(st.one_of(support.exact_polytopes(), hulls_3d(), cells_3d()))
 def test_charts_and_cones_match_per_system_copies(P):
     assert_geometry_matches_copies(P)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(support.exact_polytopes(), hulls_3d()))
+@given(st.one_of(support.exact_polytopes(), hulls_3d(), cells_3d()))
 def test_simplex_facets_triangulate_as_their_charts(P):
-    """A simplex facet taken whole gives the simplices, in the vertex order,
-    of triangulating every facet in a chart built for it (the oracle's
-    copy), and every simplex vertex is one of P's own vertex objects."""
+    """A simplex facet taken whole, and any other facet triangulated as its
+    face (read off P's incidences), give the simplices, in the vertex order,
+    of triangulating every facet in a hull built for it (the oracle's copy),
+    and every simplex vertex is one of P's own vertex objects.  Cells of 3-D
+    potentials are drawn too: their facets include the cuts."""
     got = _triangulate(P)
     want = oracles.triangulate_charts(P)
     assert [[v.coords for v in s.vertices] for s in got] == [
