@@ -9,7 +9,7 @@ emit quantity/value rows instead.
 
 Builtin polytopes: cp1, square, blowup-delta:D, donaldson.
 Builtin potentials: zero, const:C, square-qn:N, corner-flat:D.
-Rationals in files and flags are "num/den" strings.
+Rationals in flags and files are decimal or "num/den" text: 0.1 is 1/10.
 
 Exit codes: 0 success, 2 unusable input (any toricmu.InputError: the
 library checks every argument, including exact values beyond the float
@@ -74,7 +74,9 @@ from .paconvex import (
     metric_dexp,
     metric_dp,
 )
-from .polytope import InputError, LatticePolytope, _finite, _positive_int, build_polytope
+from .polytope import (
+    InputError, LatticePolytope, _coords, _finite, _positive_int, _rational, build_polytope
+)
 
 
 class CheckFailure(RuntimeError):
@@ -84,27 +86,16 @@ class CheckFailure(RuntimeError):
 # -- input parsing --------------------------------------------------------------
 
 
-def _fraction(text):
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as err:
-        raise InputError("cannot parse rational %r" % (text,)) from err
-
-
-def _vector(text):
-    return tuple(_fraction(part) for part in str(text).split(","))
-
-
 def _xi(text, P):
     """--xi as a vector (default the origin of P's dimension)."""
-    return _vector(text) if text else (0,) * P.dim
+    return _coords(text.split(","), "--xi") if text else (0,) * P.dim
 
 
 def _grid(text):
-    parts = str(text).split(":")
+    parts = text.split(":")
     if len(parts) != 3:
         raise InputError("grid must be start:end:count, got %r" % (text,))
-    return tuple(_fraction(part) for part in parts)
+    return _coords(parts, "--grid")
 
 
 # -- builtin inputs --------------------------------------------------------------
@@ -117,7 +108,7 @@ def unit_square() -> LatticePolytope:
 def blowup_polytope(delta) -> LatticePolytope:
     """Pentagon obtained from the triangle conv{(-1,-1),(2,-1),(-1,2)} by
     cutting corners at depth delta, 0 < delta < 3/2."""
-    d = _fraction(delta)
+    d = _rational(delta, "blow-up depth")
     if not 0 < d < Fraction(3, 2):
         raise InputError("blow-up depth must lie strictly between 0 and 3/2")
     return build_polytope(
@@ -183,26 +174,22 @@ def _load_q(spec, P):
     if name == "const":
         if P is None:
             raise InputError("potential 'const' needs --polytope")
-        form = AffineForm.constant_form(P.dim, _fraction(param or "0"))
+        form = AffineForm.constant_form(P.dim, param or "0")
         return as_pa(form, P), P
     builtin = {"square-qn": square_qn_potential, "corner-flat": corner_flat_potential}
     if name in builtin:
-        q = builtin[name](_fraction(param or "2"))
+        q = builtin[name](_rational(param or "2", name))
         return as_pa(q, q.P if P is None else P), q.P
     try:
         with open(spec) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=Fraction)
     except (OSError, json.JSONDecodeError) as err:
         raise InputError("cannot read potential %r: %s" % (spec, err)) from err
     if P is None:
         raise InputError("a potential file needs --polytope")
     try:
-        pieces = [
-            (tuple(Fraction(c) for c in piece["eta"]), Fraction(str(piece["lambda"])))
-            for piece in data["pieces"]
-        ]
-        return make_pa(pieces, P), P
-    except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as err:
+        return make_pa([(piece["eta"], piece["lambda"]) for piece in data["pieces"]], P), P
+    except (KeyError, TypeError, ValueError) as err:
         raise InputError("bad potential file %r: %s" % (spec, err)) from err
 
 
@@ -362,7 +349,7 @@ def _cmd_dh(args):
     rows = []
     for i in range(count):
         tau = start if count == 1 else start + (end - start) * i / (count - 1)
-        rows.append({"parameter": tau, "cdf": summary.cdf(Fraction(tau))})
+        rows.append({"parameter": tau, "cdf": summary.cdf(tau)})
     meta = {
         "volume": summary.volume,
         "barycenter": summary.barycenter,
@@ -383,7 +370,7 @@ def _cmd_metric(args):
         value = metric_dexp(q, q2)
         name = "d_exp"
     else:
-        p = _fraction(args.p)
+        p = _rational(args.p, "--p")
         value = metric_dp(q, q2, p)
         name = "d_%g" % p
     return [{"quantity": name, "value": value}], REPORT_COLUMNS, {}
@@ -396,7 +383,7 @@ def _cmd_filtration(args):
         if name == "corner":
             F = corner_filtration()
         elif name == "corner-flat":
-            F = corner_flat_filtration(_fraction(param or "2"))
+            F = corner_flat_filtration(_rational(param or "2", name))
         else:
             raise InputError("unknown filtration case %r" % (case,))
     else:
@@ -404,7 +391,7 @@ def _cmd_filtration(args):
         q, P = _load_q(args.q, P)
         F = MonomialFiltration.from_pa(q)
     if args.m:
-        degrees = list(_vector(args.m))
+        degrees = list(_coords(args.m.split(","), "--m"))
     else:
         degrees = [1, 2, 4, 8, 16, 32, 64]
     rows = []
@@ -479,7 +466,7 @@ def _both_routes(P, eta, x):
 
 
 def _reproduce_blowup(param):
-    delta = _fraction(param or "1")
+    delta = _rational(param or "1", "blow-up depth")
     P = blowup_polytope(delta)
     eta = (1, 1)
     checks = []
@@ -595,7 +582,7 @@ def _reproduce_donaldson():
 
 
 def _reproduce_square_qn(param):
-    n = _fraction(param or "5")
+    n = _rational(param or "5", "square-qn")
     q = square_qn_potential(n)
     P = q.P
     b1 = boundary_pa_moment(q, 1)

@@ -21,14 +21,13 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import lcm, log, pi
-from numbers import Rational
 from operator import mul
 
 from ._ddexp_py import _float_sum, _safe_exp
 from .functionals import mu_star
 from .integrate import polytope_exp_integral
 from .paconvex import PiecewiseAffineConvex, make_pa
-from .polytope import InputError, LatticePolytope, _finite, _positive_int, build_polytope
+from .polytope import InputError, LatticePolytope, _finite, _positive_int, _rational, build_polytope
 
 
 class NonConvergent(RuntimeError):
@@ -77,10 +76,7 @@ class SpectralMeasure:
 
     def cdf(self, tau) -> Fraction:
         """Mass of [tau, infinity), matching the pushforward convention."""
-        # a float must be finite; exact input compares exactly, however large
-        if not isinstance(tau, (Rational, str)):
-            _finite(tau, "tau")
-        tau = Fraction(tau)
+        tau = _rational(tau, "tau")
         return sum((mass for pos, mass in self.atoms if pos >= tau), Fraction(0))
 
     def exp_integral(self, rho=1.0) -> float:
@@ -192,9 +188,9 @@ def char_mu_estimate(F, m_list, normalization="dimension", nu_infinity=None) -> 
     """Extrapolated characteristic entropy from finite degrees.
 
     Computes a_m = -4 pi m log(int e^{-t} dnu_m / D) over m_list, with D the
-    exponential moment of the limit measure (given, known from the
-    filtration, or failing both estimated from the largest degree, which is
-    then dropped from the sequence).  The a_m expand in powers of 1/m, so
+    exponential moment of the limit measure (nu_infinity: a SpectralMeasure or
+    a finite D > 0; else known from the filtration, or estimated from the
+    largest degree, which is then dropped).  The a_m expand in powers of 1/m, so
     Neville extrapolation at 1/m -> 0 accelerates the limit; the most
     consistent diagonal entry is returned.  Raises NonConvergent when no two
     consecutive diagonal entries agree reasonably.
@@ -206,7 +202,9 @@ def char_mu_estimate(F, m_list, normalization="dimension", nu_infinity=None) -> 
         if isinstance(nu_infinity, SpectralMeasure):
             D = nu_infinity.exp_integral()
         else:
-            D = float(nu_infinity)
+            D = _finite(nu_infinity, "nu_infinity")
+            if D <= 0:
+                raise InputError("nu_infinity must be > 0, got %r" % (D,))
     else:
         D = F.limit_exp_integral(normalization)
         if D is None:

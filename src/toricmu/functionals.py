@@ -21,14 +21,14 @@ from math import log, pi
 
 from .integrate import ExpIntegrator
 from .paconvex import AffineForm, _boundary_moments, _pa_moments, _variance, as_pa
-from .polytope import InputError, _finite, _fit, _positive_int
+from .polytope import InputError, _coords, _finite, _fit, _iterable, _positive_int
 
 TWO_PI = 2.0 * pi
 
 
 def _xi_form(P, xi) -> AffineForm:
     """q_xi as an exact affine form <mu, -xi>."""
-    return AffineForm(tuple(-Fraction(c) for c in _fit(tuple(xi), P.dim, "xi")), 0)
+    return AffineForm(tuple(-c for c in _fit(_coords(xi, "xi"), P.dim, "xi")), 0)
 
 
 def _moments(gear, n, combo, directions=(), base=True, sigma=True, dsigma=True):
@@ -154,8 +154,8 @@ class EntropyReport:
 
 
 def _parse_grid(grid):
-    """A 3-tuple is (start, end, count); any other sequence lists the grid
-    points.  Every value must be finite, and a count an integer >= 1."""
+    """A 3-tuple is (start, end, count); any other sequence but a string lists
+    the grid points.  Every value must be finite, and a count an integer >= 1."""
     if isinstance(grid, tuple) and len(grid) == 3:
         start, end = _finite(grid[0], "grid start"), _finite(grid[1], "grid end")
         count = _positive_int(grid[2], "grid count")
@@ -163,7 +163,7 @@ def _parse_grid(grid):
             return [start]
         step = (end - start) / (count - 1)
         return [start + step * i for i in range(count)]
-    return [_finite(g, "grid point %d" % i) for i, g in enumerate(grid)]
+    return [_finite(g, "grid point %d" % i) for i, g in enumerate(_iterable(grid, "grid"))]
 
 
 def entropy_curve(P, q0, xi=None, lam=0.0, grid=(0.0, 5.0, 201)) -> EntropyReport:

@@ -493,7 +493,7 @@ def _localization_data(P, eta, scale):
     """
     form = eta if isinstance(eta, AffineForm) else AffineForm(eta)
     eta = _fit(form.gradient, P.dim, "eta")
-    x = float(scale)
+    x = _finite(scale, "scale")
     if x == 0.0:
         raise InputError("scale must be nonzero")
     data = _vertex_pairings(P, eta)

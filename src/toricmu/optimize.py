@@ -18,7 +18,7 @@ from ._ddexp_py import _float_sum
 from .functionals import TWO_PI, _entropy, _moments, _mu_lambda, calabi
 from .integrate import ExpIntegrator, ValidationFailure
 from .paconvex import AffineForm, as_pa
-from .polytope import InputError, _finite, _fit
+from .polytope import InputError, _finite, _fit, _iterable, _natural
 
 
 class MaxIterExceeded(RuntimeError):
@@ -196,18 +196,22 @@ def maximize_over_vectors(
     """Maximize xi -> mu_lambda(q_xi) by multi-start BFGS.
 
     lam must be finite; lam > 0 makes the objective unbounded in general
-    and requires an explicit box ((lo, hi) per coordinate).  Raises
+    and requires an explicit box ((lo, hi) per coordinate, finite, lo <= hi).
+    gtol must be finite and >= 0, max_iter an integer >= 0.  Raises
     MaxIterExceeded when no seed converges; otherwise returns the best run
     (its trace is monotone).
     """
-    lam = _finite(lam, "lam")
+    lam, gtol, max_iter = _finite(lam, "lam"), _finite(gtol, "gtol"), _natural(max_iter, "max_iter")
     if lam > 0 and box is None:
         raise InputError("lam > 0 needs an explicit search box, got lam = %r" % (lam,))
+    if gtol < 0:
+        raise InputError("gtol must be >= 0, got %r" % (gtol,))
     if seeds is None:
         seeds = default_seeds(P.dim)
     starts = [_fit(list(s), P.dim, "seed %d" % k) for k, s in enumerate(seeds)]
-    if box is not None:
-        _fit(box, P.dim, "box")
+    for k, (lo, hi) in enumerate(() if box is None else _fit(box, P.dim, "box")):
+        if _finite(lo, "box low %d" % k) > _finite(hi, "box high %d" % k):
+            raise InputError("box %d has low %r > high %r" % (k, lo, hi))
     obj = _Objective(P, lam)
     results = [_bfgs_ascent(obj, x0, gtol, max_iter, box) for x0 in starts]
     finished = [r for r in results if r.status in ("converged", "boundary-hit")]
@@ -221,6 +225,8 @@ def maximize_over_vectors(
 
 
 def _golden_max(h, a, b, xtol):
+    if xtol <= 0:  # the loop runs while b - a > xtol
+        raise InputError("xtol must be > 0, got %r" % (xtol,))
     inv_phi = (sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
@@ -244,12 +250,12 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
     The bracket is expanded by doubling until both ends fall below the value
     at the origin (properness of the objective guarantees this terminates),
     a coarse scan picks the best basin, and golden-section refines to xtol.
-    Returns (x_star, value).  lam must be finite and eta a nonzero vector
-    of length P.dim.
+    Returns (x_star, value).  lam must be finite, eta a nonzero vector of
+    length P.dim, the bracket's ends finite and xtol finite and > 0.
     """
-    lam = _finite(lam, "lam")
+    lam, xtol = _finite(lam, "lam"), _finite(xtol, "xtol")
     # x * c for an exact c is x * float(c): convert eta once
-    eta = _fit([float(c) for c in eta], P.dim, "eta")
+    eta = _fit([_finite(c, "eta") for c in _iterable(eta, "eta")], P.dim, "eta")
     if not any(eta):
         raise InputError("eta must be nonzero")
     obj = _Objective(P, lam)
@@ -260,7 +266,7 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
     if bracket is None:
         lo, hi = -1.0, 1.0
     else:
-        lo, hi = float(bracket[0]), float(bracket[1])
+        lo, hi = _finite(bracket[0], "bracket low"), _finite(bracket[1], "bracket high")
     h0 = h(0.0)
     for _ in range(60):
         if h(lo) < h0:
@@ -285,8 +291,9 @@ def normalized_df(P, q0, xtol=1e-8):
     The closed-form supremum over the ray rho * q0 is compared against a
     golden-section maximization of rho -> c_na(rho * q0), each point of
     which is computed from its own exact moments.  Disagreement raises
-    ValidationFailure.
+    ValidationFailure.  xtol must be finite and > 0.
     """
+    xtol = _finite(xtol, "xtol")
     q0 = as_pa(q0, P)
     report = calabi(P, q0)
 

@@ -30,6 +30,9 @@ from .polytope import (
     _face,
     _finite,
     _fit,
+    _iterable,
+    _natural,
+    _rational,
     build_polytope,
 )
 
@@ -44,8 +47,8 @@ class AffineForm:
     __slots__ = ("gradient", "constant")
 
     def __init__(self, gradient, constant=0):
-        self.gradient = tuple(Fraction(g) for g in _coords(gradient))
-        self.constant = Fraction(constant)
+        self.gradient = _coords(gradient, "gradient")
+        self.constant = _rational(constant, "constant")
 
     @classmethod
     def zero(cls, dim):
@@ -56,7 +59,7 @@ class AffineForm:
         return cls((0,) * dim, c)
 
     def __call__(self, point) -> Fraction:
-        point = _fit(_coords(point), len(self.gradient), "point")
+        point = _fit(_coords(point, "point"), len(self.gradient), "point")
         return _dot(point, self.gradient) + self.constant
 
     def __add__(self, other):
@@ -78,7 +81,7 @@ class AffineForm:
         return NotImplemented
 
     def __rmul__(self, s):
-        s = Fraction(s)
+        s = _rational(s, "the scale factor")
         return AffineForm(tuple(s * g for g in self.gradient), s * self.constant)
 
     def __eq__(self, other):
@@ -92,7 +95,7 @@ class AffineForm:
     def restrict(self, origin, basis):
         """Pull back through the chart y -> origin + sum_j y_j basis[j]."""
         grad = tuple(_dot(b, self.gradient) for b in basis)
-        const = self.constant + _dot(_coords(origin), self.gradient)
+        const = self.constant + _dot(_coords(origin, "origin"), self.gradient)
         return AffineForm(grad, const)
 
     def to_float(self):
@@ -106,8 +109,8 @@ def _as_piece(piece, dim):
     """Accept an AffineForm or an (eta, lambda) pair meaning <mu,eta> - lambda,
     its gradient of length dim."""
     if not isinstance(piece, AffineForm):
-        eta, lam = piece
-        piece = AffineForm(eta, -Fraction(lam))
+        eta, lam = _fit(tuple(_iterable(piece, "a piece")), 2, "a piece")
+        piece = AffineForm(eta, -_rational(lam, "lambda"))
     _fit(piece.gradient, dim, "piece gradient")
     return piece
 
@@ -178,7 +181,7 @@ class PiecewiseAffineConvex:
         return NotImplemented
 
     def __rmul__(self, s):
-        s = Fraction(s)
+        s = _rational(s, "the scale factor")
         if s < 0:
             raise InputError("scaling by a negative factor breaks convexity of max")
         if s == 0:
@@ -273,7 +276,7 @@ class LegendreTransform:
         self.points = tuple(points)
 
     def __call__(self, zeta) -> Fraction:
-        z = _coords(zeta)
+        z = _coords(zeta, "zeta")
         return max(_dot(v.coords, z) - value for (v, value) in self.points)
 
     def pieces(self):
@@ -305,7 +308,8 @@ def legendre_dual(fspec, P) -> PiecewiseAffineConvex:
     n = P.dim
     pts = []
     for j, (w, c) in enumerate(pairs):
-        coords = _fit(_coords(w), n, "support point %d" % j) + (-Fraction(c),)
+        name = "support point %d" % j
+        coords = _fit(_coords(w, name), n, name) + (-_rational(c, "support value %d" % j),)
         if coords not in pts:
             pts.append(coords)
     if len(pts) == 0:
@@ -337,7 +341,7 @@ def legendre_dual(fspec, P) -> PiecewiseAffineConvex:
 
 def rooftop(q: PiecewiseAffineConvex, tau) -> PiecewiseAffineConvex:
     """Pointwise max(q, -tau)."""
-    tau = Fraction(tau)
+    tau = _rational(tau, "tau")
     pieces = list(q.pieces) + [AffineForm.constant_form(q.P.dim, -tau)]
     return make_pa(pieces, q.P)
 
@@ -429,17 +433,6 @@ def _simplex_power(simplex, aff: AffineForm, p):
     return float(det) * float(top) ** p * total
 
 
-def _exponent(k) -> int:
-    """k as an int; InputError unless it is an integer >= 0."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise InputError("exact moments need an integer k, got %r" % (k,)) from None
-    if k < 0:
-        raise InputError("exact moments need k >= 0, got %d" % k)
-    return k
-
-
 def poly_moment(P, aff: AffineForm, k: int = 1) -> Fraction:
     """Exact integral of aff(mu)^k over P, k an integer >= 0."""
     return pa_moment(as_pa(aff, P), k)
@@ -447,13 +440,13 @@ def poly_moment(P, aff: AffineForm, k: int = 1) -> Fraction:
 
 def pa_moment(q: PiecewiseAffineConvex, k: int = 1) -> Fraction:
     """Exact integral of q(mu)^k over the polytope of q."""
-    k = _exponent(k)
+    k = _natural(k, "the moment exponent k")
     return _pa_moments(q, k)[k]
 
 
 def boundary_pa_moment(q: PiecewiseAffineConvex, k: int = 1) -> Fraction:
     """Exact integral of q^k over the boundary, facet lattice measures."""
-    k = _exponent(k)
+    k = _natural(k, "the moment exponent k")
     return _boundary_moments(q, k)[k]
 
 
@@ -520,7 +513,7 @@ def dh_cdf(q: PiecewiseAffineConvex, tau) -> Fraction:
     of tau (see _dh_terms).  The first call on q triangulates its cells;
     later calls reuse that.
     """
-    tau = Fraction(tau)
+    tau = _rational(tau, "tau")
     atoms, terms = _dh_terms(q)
     total = sum((vol for (v, vol) in atoms if v >= tau), Fraction(0))
     for (v, e, c) in terms:
@@ -545,7 +538,7 @@ class DHSummary:
         return dh_cdf(self.q, tau)
 
     def moment(self, k) -> Fraction:
-        if _exponent(k) > 4:
+        if _natural(k, "the moment exponent k") > 4:
             raise InputError("moments tabulated for 0 <= k <= 4")
         return self.moments[k]
 

@@ -11,11 +11,12 @@ the boundary terms of the entropy functionals lattice-invariant.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import ceil, factorial, floor, gcd, isfinite, prod
+from math import ceil, factorial, floor, gcd, inf, isfinite, prod
 
 
 class InputError(ValueError):
@@ -41,10 +42,21 @@ class _EmptyRegion:
 EMPTY = _EmptyRegion()
 
 
-def _frac(x) -> Fraction:
-    # floats convert exactly (binary rational); callers wanting decimal
-    # semantics should pass strings or Fractions
-    return Fraction(x)
+def _rational(value, name) -> Fraction:
+    """Fraction(value), the one gate where an outside value becomes exact: a float
+    converts exactly, to its binary value; for decimals pass text ("0.1" is 1/10).
+    InputError, naming the argument, for nan, inf, bad text, "1/0" or a non-number."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError("%s: %r is not a rational number" % (name, value)) from None
+
+
+def _iterable(value, name):
+    """value itself, or InputError if it is a string or not iterable."""
+    if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+        raise InputError("%s: %r is not a sequence" % (name, value))
+    return value
 
 
 class RationalVector:
@@ -53,7 +65,7 @@ class RationalVector:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self.coords = tuple(_frac(c) for c in coords)
+        self.coords = _coords(coords, "a vector")
 
     def __len__(self):
         return len(self.coords)
@@ -73,19 +85,20 @@ class RationalVector:
         return hash(self.coords)
 
     def __add__(self, other):
-        other = _fit(_coords(other), len(self.coords), "the added vector")
+        other = _fit(_coords(other, "the added vector"), len(self), "the added vector")
         return RationalVector(a + b for a, b in zip(self.coords, other))
 
     def __sub__(self, other):
-        other = _fit(_coords(other), len(self.coords), "the subtracted vector")
+        other = _fit(_coords(other, "the subtracted vector"), len(self), "the subtracted vector")
         return RationalVector(a - b for a, b in zip(self.coords, other))
 
     def __rmul__(self, s):
-        s = _frac(s)
+        s = _rational(s, "the scale factor")
         return RationalVector(s * c for c in self.coords)
 
     def dot(self, other) -> Fraction:
-        return _dot(self.coords, _fit(_coords(other), len(self.coords), "the paired vector"))
+        name = "the paired vector"
+        return _dot(self.coords, _fit(_coords(other, name), len(self.coords), name))
 
     def floats(self):
         return tuple(float(c) for c in self.coords)
@@ -94,8 +107,11 @@ class RationalVector:
         return "RationalVector((%s))" % ", ".join(str(c) for c in self.coords)
 
 
-def _coords(v):
-    return v.coords if isinstance(v, RationalVector) else tuple(_frac(c) for c in v)
+def _coords(v, name):
+    """v's coords if v is a RationalVector, else its entries through _rational."""
+    if isinstance(v, RationalVector):
+        return v.coords
+    return tuple(_rational(c, name) for c in _iterable(v, name))
 
 
 def _dot(u, v) -> Fraction:
@@ -355,7 +371,7 @@ class LatticePolytope:
     # -- membership and clipping ------------------------------------------
 
     def contains(self, point, strict=False) -> bool:
-        p = _fit(_coords(point), self.dim, "point")
+        p = _fit(_coords(point, "point"), self.dim, "point")
         for f in self.facets:
             val = _dot(p, f.normal)
             if val > f.offset or (strict and val == f.offset):
@@ -373,8 +389,8 @@ class LatticePolytope:
         build_polytope of the clipped region.  Returns EMPTY when the
         intersection is empty or not full-dimensional.
         """
-        normal = _fit(_coords(normal), self.dim, "normal")
-        offset = _frac(offset)
+        normal = _fit(_coords(normal, "normal"), self.dim, "normal")
+        offset = _rational(offset, "offset")
         if all(c == 0 for c in normal):
             return self if offset >= 0 else EMPTY
         vals = [_dot(v.coords, normal) for v in self.vertices]
@@ -437,7 +453,7 @@ class LatticePolytope:
         return list(self._triangulation)
 
     def facet_polytope(self, facet_index):
-        """Facet as an (n-1)-polytope in exact lattice chart coordinates.
+        """Facet facet_index, an integer in [0, len(facets)), in exact lattice chart coordinates.
 
         Returns (sub_polytope, origin, basis) where points of the facet are
         origin + basis @ y.  The chart maps the facet lattice onto Z^{n-1},
@@ -447,6 +463,7 @@ class LatticePolytope:
         (POINT, end point, ()).  Cached here for restrict_to_facet and
         facet_measure; _triangulate keeps none of the faces it builds.
         """
+        facet_index = _natural(facet_index, "facet index", len(self.facets))
         if facet_index not in self._facet_charts:
             f = self.facets[facet_index]
             if self.dim == 1:
@@ -503,17 +520,14 @@ class LatticePolytope:
     @classmethod
     def from_json(cls, text):
         """Inverse of to_json: {"vertices": [[c, ...], ...]} with an optional
-        "dim", coordinates as numbers or "num/den" strings.  InputError for
-        any other shape."""
+        "dim", coordinates as numbers (0.1 is 1/10) or "num/den" strings.
+        InputError for any other shape."""
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_float=Fraction)
             rows = data["vertices"]
-            if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-                raise TypeError("vertices must be a list of coordinate lists")
-            verts = [[Fraction(c) for c in row] for row in rows]
-        except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise InputError("not a polytope: %s: %s" % (type(err).__name__, err)) from None
-        P = build_polytope(verts)
+        P = build_polytope(rows)
         if data.get("dim", P.dim) != P.dim:
             raise InputError("dim field does not match vertex length")
         return P
@@ -538,6 +552,17 @@ def _positive_int(value, name) -> int:
         raise InputError("%s must be an integer >= 1, got %s" % (name, value)) from None
     if k != value or k < 1:
         raise InputError("%s must be an integer >= 1, got %s" % (name, value))
+    return k
+
+
+def _natural(value, name, stop=inf) -> int:
+    """value as an int; InputError unless it is an integer (2.0 is not) in [0, stop)."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise InputError("%s must be an integer, got %r" % (name, value)) from None
+    if not 0 <= k < stop:
+        raise InputError("%s must lie in [0, %s), got %d" % (name, stop, k))
     return k
 
 
@@ -595,8 +620,8 @@ def build_polytope(vertices) -> LatticePolytope:
     listed in nonsimple_vertices.
     """
     pts = []
-    for v in vertices:
-        c = _coords(v)
+    for v in _iterable(vertices, "vertices"):
+        c = _coords(v, "a point")
         if c not in pts:
             pts.append(c)
     if not pts:

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -511,6 +512,7 @@ def test_former_tracebacks_exit_cleanly(capsys, input_files, argv, code):
         assert captured.err.startswith("error: " if code == 2 else "validation failure: ")
 
 
+_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 _BIG_SQUARE = [(0, 0), (2, 0), (0, 2), (2, 2)]
 _TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 
@@ -597,11 +599,70 @@ def _max_xy_on(vertices):
         # explicit grid points that are not finite numbers
         lambda: tm.entropy_curve(support.unit_square(), None, grid=[math.nan, math.inf]),
         lambda: tm.entropy_curve(support.unit_square(), None, grid=["x"]),
+        # values that are not rationals, and strings or scalars read as vectors
+        lambda: tm.dh_cdf(_max_xy_on(_SQUARE), "x"),
+        lambda: tm.dh_cdf(_max_xy_on(_SQUARE), math.nan),
+        lambda: tm.dh_cdf(_max_xy_on(_SQUARE), math.inf),
+        lambda: tm.dh_cdf(_max_xy_on(_SQUARE), [1]),
+        lambda: tm.dh_summary(_max_xy_on(_SQUARE)).cdf(math.nan),
+        lambda: tm.rooftop(_max_xy_on(_SQUARE), math.nan),
+        lambda: math.nan * _max_xy_on(_SQUARE),
+        lambda: "x" * tm.AffineForm((1, 0)),
+        lambda: tm.AffineForm((1, 0), math.nan),
+        lambda: tm.AffineForm(("a", 0)),
+        lambda: tm.AffineForm(5),
+        lambda: tm.AffineForm("12"),
+        lambda: tm.make_pa([((1, 0), math.inf)], support.unit_square()),
+        lambda: tm.make_pa([(1, 2, 3)], support.unit_square()),
+        lambda: tm.make_pa([5], support.unit_square()),
+        lambda: tm.build_polytope([(math.nan, 0), (1, 0), (0, 1)]),
+        lambda: tm.build_polytope(["12", "34", "50"]),
+        lambda: tm.RationalVector((1, "1/0")),
+        lambda: tm.spectral_measure(tm.corner_filtration(), 3).cdf("x"),
+        lambda: tm.legendre_dual(
+            [((1, 0), math.nan), ((0, 1), 0), ((0, 0), 0)], support.unit_square()
+        ),
+        lambda: support.unit_square().clip((1, 0), math.nan),
+        lambda: support.unit_square().contains((math.nan, 0)),
+        lambda: tm.futaki(support.unit_square(), ("x", 0), tm.AffineForm((1, 0))),
+        lambda: tm.entropy_curve(support.unit_square(), None, xi=5),
+        # optimizer and estimator parameters: xtol=0 used to loop forever
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), xtol=0),
+        lambda: tm.normalized_df(support.unit_square(), _max_xy_on(_SQUARE), xtol=math.nan),
+        lambda: maximize_over_vectors(support.unit_square(), gtol=math.nan),
+        lambda: maximize_over_vectors(support.unit_square(), max_iter=1.5),
+        lambda: maximize_over_vectors(support.unit_square(), box=((math.nan, 1), (0, 1))),
+        lambda: maximize_over_vectors(support.unit_square(), box=((1, -1), (1, -1))),
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(math.nan, 1)),
+        lambda: tm.char_mu_estimate(tm.corner_filtration(), [2, 3, 4], nu_infinity=math.nan),
+        # grids and point lists that are not sequences
+        lambda: tm.entropy_curve(support.unit_square(), _max_xy_on(_SQUARE), grid=5),
+        lambda: tm.entropy_curve(support.unit_square(), _max_xy_on(_SQUARE), grid="12"),
+        lambda: tm.build_polytope(5),
+        # facet indices outside [0, number of facets)
+        lambda: support.unit_square().facet_measure(99),
+        lambda: _max_xy_on(_SQUARE).restrict_to_facet(99),
+        lambda: support.unit_square().facet_measure(1.5),
+        lambda: _max_xy_on(_SQUARE).restrict_to_facet(-1),
+        # a ray direction that is a string or not finite, and a non-finite scale
+        lambda: tm.maximize_along_ray(support.unit_square(), "12"),
+        lambda: tm.maximize_along_ray(support.unit_square(), (math.nan, 0)),
+        lambda: tm.brion_localize_limit(support.unit_square(), (1, 2), scale=math.nan),
     ],
 )
 def test_library_argument_errors_are_input_errors(call):
-    with pytest.raises(tm.InputError):
-        call()
+    # a call that does not return fails at the alarm instead of stalling the suite
+    def out_of_time(signum, frame):
+        raise TimeoutError("the call did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.alarm(10)
+    try:
+        with pytest.raises(tm.InputError):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_near_singular_direction_is_not_an_input_error():
@@ -631,6 +692,23 @@ def test_exit_code_2_on_bad_q_file(capsys, tmp_path):
         assert captured.out == ""
         assert captured.err.startswith("error: bad potential file")
         assert "Traceback" not in captured.err
+
+
+def test_numbers_in_files_mean_their_text(capsys, tmp_path):
+    # 0.1 as a JSON number is 1/10, in a vertex, in eta and in lambda alike
+    outputs = []
+    for k, tenth in enumerate((0.1, "1/10")):
+        polytope = tmp_path / ("polytope%d.json" % k)
+        polytope.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [1, 1], [tenth, 1]]}))
+        q = tmp_path / ("q%d.json" % k)
+        pieces = [{"eta": [tenth, 0], "lambda": tenth}, {"eta": [0, 1], "lambda": 0}]
+        q.write_text(json.dumps({"pieces": pieces}))
+        code, out = invoke(
+            capsys, "dh", "--polytope", str(polytope), "--q", str(q), "--format", "json"
+        )
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_non_simple_polytope_localization(capsys, tmp_path):
