@@ -7,9 +7,9 @@ geometry: hulls, lattice-normalized measures, piecewise affine convex
 potentials, pushforward measures, Orlicz-type metrics, and monomial
 filtration spectral measures.
 
-Every argument the library cannot use, including an exact value beyond
-the float range where a float is computed from it, raises InputError (a
-ValueError).
+Every argument the library cannot use raises InputError (a ValueError), as
+does an exact value beyond the float range or a nonzero divisor (a volume)
+below it: each becomes a float in one gate, polytope._finite.
 """
 
 from .polytope import (

@@ -12,8 +12,8 @@ Builtin potentials: zero, const:C, square-qn:N, corner-flat:D.
 Rationals in flags and files are decimal or "num/den" text: 0.1 is 1/10.
 
 Exit codes: 0 success, 2 unusable input (any toricmu.InputError: the
-library checks every argument, including exact values beyond the float
-range; an --out path that cannot be written is one too), 3 failed
+library checks every argument, and exact values beyond the float range or,
+as divisors, below it; an --out path that cannot be written is one too), 3 failed
 numerical validation or embedded tolerance check.
 """
 

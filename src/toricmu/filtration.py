@@ -27,7 +27,9 @@ from ._ddexp_py import _float_sum, _safe_exp
 from .functionals import mu_star
 from .integrate import polytope_exp_integral
 from .paconvex import PiecewiseAffineConvex, make_pa
-from .polytope import InputError, LatticePolytope, _finite, _positive_int, _rational, build_polytope
+from .polytope import (
+    InputError, LatticePolytope, _divisor, _finite, _positive_int, _rational, build_polytope
+)
 
 
 class NonConvergent(RuntimeError):
@@ -81,12 +83,10 @@ class SpectralMeasure:
 
     def exp_integral(self, rho=1.0) -> float:
         rho = _finite(rho, "rho")
-        try:
-            return _float_sum(
-                float(mass) * _safe_exp(-rho * float(pos)) for pos, mass in self.atoms
-            )
-        except OverflowError:
-            raise InputError("an atom of %r is beyond the float range" % (self,)) from None
+        return _float_sum(
+            _finite(mass, "an atom's mass") * _safe_exp(-rho * _finite(pos, "an atom's position"))
+            for pos, mass in self.atoms
+        )
 
     def __repr__(self):
         return "SpectralMeasure(m=%s, atoms=%d)" % (self.m, len(self.atoms))
@@ -133,16 +133,22 @@ class MonomialFiltration:
         return [self.weight_fn(p, basis.m) for p in basis]
 
     def limit_exp_integral(self, normalization="dimension"):
-        """int e^{-t} dnu_inf when the limit measure is known, else None."""
+        """int e^{-t} dnu_inf (normalized as nu_m) if the limit is known, else None."""
+        _check_normalization(normalization)
         if self.limit_pa is None:
             return None
         total = polytope_exp_integral(self.P, self.limit_pa, rho=1.0).value
         if normalization == "dimension":
-            return total / float(self.P.volume())
+            return total / _divisor(self.P.volume(), "the volume of P")
         return total
 
     def __repr__(self):
         return "MonomialFiltration(%s)" % self.name
+
+
+def _check_normalization(normalization):
+    if normalization not in ("dimension", "volume"):
+        raise InputError("normalization must be 'dimension' or 'volume', got %r" % (normalization,))
 
 
 def spectral_measure(F, m, normalization="dimension") -> SpectralMeasure:
@@ -152,8 +158,7 @@ def spectral_measure(F, m, normalization="dimension") -> SpectralMeasure:
     probability measure), "volume" divides by m^n (nu_m converges to the
     unnormalized pushforward measure).
     """
-    if normalization not in ("dimension", "volume"):
-        raise InputError("normalization must be 'dimension' or 'volume'")
+    _check_normalization(normalization)
     basis = sections(F.P, m)
     m = basis.m
     counts = Counter(F.weight_fn(p, m) for p in basis)

@@ -21,7 +21,7 @@ from math import log, pi
 
 from .integrate import ExpIntegrator
 from .paconvex import AffineForm, _boundary_moments, _pa_moments, _variance, as_pa
-from .polytope import InputError, _coords, _finite, _fit, _iterable, _positive_int
+from .polytope import InputError, _coords, _divisor, _finite, _fit, _iterable, _positive_int
 
 TWO_PI = 2.0 * pi
 
@@ -229,17 +229,15 @@ def calabi(P, q) -> CalabiReport:
     rho_max = -2 pi M / variance otherwise.
     """
     vol, M, variance = _exact_moments(as_pa(q, P))
-    try:
-        c_na = float(-TWO_PI * M / vol - variance / (2 * vol))
-        if M >= 0 or variance == 0:
-            rho_max = 0.0
-            sup_value = 0.0
-        else:
-            rho_max = float(-TWO_PI * M / variance)
-            sup_value = float(2 * pi * pi * M * M / (vol * variance))
-        return CalabiReport(float(M), float(variance), c_na, rho_max, sup_value)
-    except OverflowError:
-        raise InputError("a Calabi moment of q is beyond the float range") from None
+    m_na, var = _finite(M, "M(q)"), _finite(variance, "the variance of q")
+    half = _finite(variance / (2 * vol), "variance / (2 vol)")
+    # -TWO_PI * M / vol's own float operations on Fractions (not float(M / vol))
+    c_na = -TWO_PI * m_na / _divisor(vol, "the volume of P") - half
+    if M >= 0 or variance == 0:
+        return CalabiReport(m_na, var, c_na, 0.0, 0.0)
+    rho_max = -TWO_PI * m_na / _divisor(variance, "the variance of q")
+    sup_value = 2 * pi * pi * m_na * m_na / _divisor(vol * variance, "vol * variance")
+    return CalabiReport(m_na, var, c_na, rho_max, sup_value)
 
 
 def extremal_limit_check(P, q, rho_small=1e-3):
@@ -249,15 +247,15 @@ def extremal_limit_check(P, q, rho_small=1e-3):
     lhs = (mu_lambda(rho q) - mu_lambda(0)) / rho at lambda = -1/rho and
     rhs = c_na(q); the gap shrinks linearly in rho.
     """
-    rho = float(rho_small)
+    rho = _finite(rho_small, "rho_small")
     if rho <= 0:
         raise InputError("rho_small must be positive")
     q = as_pa(q, P)
     n = P.dim
     lam = -1.0 / rho
     mu, sigma = _at_rho(P, q, rho)
-    vol = float(P.volume())
-    mu0, _, _ = _entropy((vol, float(P.boundary_measure()), None))
+    vol = _divisor(P.volume(), "the volume of P")
+    mu0, _, _ = _entropy((vol, _finite(P.boundary_measure(), "the boundary measure of P"), None))
     sigma0 = n - log(vol)
     lhs = ((mu + lam * sigma) - (mu0 + lam * sigma0)) / rho
     rhs = calabi(P, q).c_na

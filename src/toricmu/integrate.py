@@ -153,10 +153,6 @@ def simplex_exp_integral(simplex, exponent: AffineForm, weight=None) -> float:
 # -- reusable integration contexts --------------------------------------------
 
 
-def _beyond_float_range(what):
-    return InputError("a simplex volume or %s is beyond the float range" % what)
-
-
 def _float_records(cells, what="a function value"):
     """Float records of the simplices of (cell, pieces) pairs, in order.
 
@@ -173,23 +169,20 @@ def _float_records(cells, what="a function value"):
     """
     records = []
     tiny = []
-    try:
-        for cell, pieces in cells:
-            row_at = {id(v): [float(piece(v)) for piece in pieces] for v in cell.vertices}
-            for s in cell.triangulate():
-                exact = abs(s.edge_matrix_det())
-                if exact == 0:
-                    continue
-                det = float(exact)
-                rows = [row_at[id(v)] for v in s.vertices]
-                if det == 0.0:
-                    volume = exact / factorial(len(s.vertices) - 1)
-                    log_det = log(exact.numerator) - log(exact.denominator)
-                    tiny.append((log_det, rows, volume))
-                else:
-                    records.append((det, rows))
-    except OverflowError:
-        raise _beyond_float_range(what) from None
+    for cell, pieces in cells:
+        row_at = {id(v): [_finite(piece(v), what) for piece in pieces] for v in cell.vertices}
+        for s in cell.triangulate():
+            exact = abs(s.edge_matrix_det())
+            if exact == 0:
+                continue
+            det = _finite(exact, "a simplex volume")
+            rows = [row_at[id(v)] for v in s.vertices]
+            if det == 0.0:
+                volume = exact / factorial(len(s.vertices) - 1)
+                log_det = log(exact.numerator) - log(exact.denominator)
+                tiny.append((log_det, rows, volume))
+            else:
+                records.append((det, rows))
     return records, tiny
 
 
@@ -384,13 +377,8 @@ class ExpIntegrator:
         the value row of each end point."""
         P = self.P
         if self.dim == 1:
-            try:
-                return [
-                    [float(pa(P.vertices[f.vertex_indices[0]])) for pa in self.funcs]
-                    for f in P.facets
-                ]
-            except OverflowError:
-                raise _beyond_float_range("a function value") from None
+            ends = [P.vertices[f.vertex_indices[0]] for f in P.facets]
+            return [[_finite(pa(v), "a function value") for pa in self.funcs] for v in ends]
         return [
             self._group(P.facet_polytope(i)[0], [pa.restrict_to_facet(i) for pa in self.funcs])
             for i in range(len(P.facets))
@@ -474,10 +462,7 @@ def _vertex_pairings(P, eta):
 
 
 def _norm(vec):
-    try:
-        return hypot(*map(float, vec))
-    except OverflowError:
-        raise InputError("direction %r is beyond the float range" % (vec,)) from None
+    return hypot(*(_finite(c, "a direction") for c in vec))
 
 
 _GENERICITY = 1e-6
@@ -505,7 +490,7 @@ def _localization_data(P, eta, scale):
         for (t, mu) in pairs:
             if t == 0:
                 zero_edges.append(mu)
-            elif abs(float(t)) < _GENERICITY * neta * _norm(mu):
+            elif abs(_finite(t, "a pairing")) < _GENERICITY * neta * _norm(mu):
                 raise NearSingularDirection(
                     "edge %r pairs to %s with the direction" % (mu, t)
                 )
@@ -519,8 +504,8 @@ def _vertex_sum(n, form, x, data):
     for (v, index, pairs) in data:
         denom = 1.0
         for (t, _) in pairs:
-            denom *= x * float(t)
-        total += _safe_exp(x * float(form(v))) * index / denom
+            denom *= x * _finite(t, "a pairing")
+        total += _safe_exp(x * _finite(form(v), "the exponent at a vertex")) * index / denom
     return sign * total
 
 
@@ -590,8 +575,8 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
     # coefficients below t^zmax, which cancel; it keeps b as small as P
     base = _dot(data[0][0].coords, zeta)
     for (v, index, pairs), z in zip(data, zeros):
-        a = x * float(form(v))
-        b = x * float(_dot(v.coords, zeta) - base)
+        a = x * _finite(form(v), "the exponent at a vertex")
+        b = x * _finite(_dot(v.coords, zeta) - base, "a vertex's auxiliary pairing")
         ea = _safe_exp(a)
         try:
             # e^(a + b t) t^(zmax - z): the z zero pairings below bring
@@ -603,7 +588,7 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
         for (t, mu) in pairs:
             s = _dot(mu, zeta)
             if t == 0:
-                term = _ser_mul(term, [1.0 / (x * float(s))])
+                term = _ser_mul(term, [1.0 / (x * _finite(s, "an auxiliary pairing"))])
             else:
                 term = _ser_mul(term, _inv_linear(t, s, x, zmax + 1))
         for k, c in enumerate(term):
@@ -623,8 +608,8 @@ def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
 def _inv_linear(t, s, x, keep):
     """keep coefficients of the series of 1 / (x * (t + tau * s)) in tau,
     for t != 0."""
-    base = 1.0 / (x * float(t))
-    ratio = -float(s) / float(t)
+    base = 1.0 / (x * _finite(t, "a pairing"))
+    ratio = -_finite(s, "an auxiliary pairing") / _finite(t, "a pairing")
     coeffs = []
     acc = base
     for _ in range(keep):
@@ -649,16 +634,14 @@ def _localize_integral(qpa, rho):
     mag = 0.0
     for (i, cell) in qpa.cells():
         piece = qpa.pieces[i]
-        try:
-            if rho == 0.0 or all(g == 0 for g in piece.gradient):
-                contrib = _safe_exp(rho * float(piece.constant)) * float(cell.volume())
-            else:
-                # the piece's constant enters every vertex exponent exactly:
-                # far from the origin a factor e^(rho c) would underflow to
-                # 0 while the vertex sum of the gradient alone overflows
-                contrib = brion_localize_limit(cell, piece, scale=rho)
-        except OverflowError:
-            raise InputError("q or a cell is beyond the float range") from None
+        if rho == 0.0 or all(g == 0 for g in piece.gradient):
+            volume = _finite(cell.volume(), "a cell volume")
+            contrib = _safe_exp(rho * _finite(piece.constant, "q")) * volume
+        else:
+            # the piece's constant enters every vertex exponent exactly:
+            # far from the origin a factor e^(rho c) would underflow to
+            # 0 while the vertex sum of the gradient alone overflows
+            contrib = brion_localize_limit(cell, piece, scale=rho)
         total += contrib
         mag += abs(contrib)
     return total, mag

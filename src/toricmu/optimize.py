@@ -18,7 +18,7 @@ from ._ddexp_py import _float_sum
 from .functionals import TWO_PI, _entropy, _moments, _mu_lambda, calabi
 from .integrate import ExpIntegrator, ValidationFailure
 from .paconvex import AffineForm, as_pa
-from .polytope import InputError, _finite, _fit, _iterable, _natural
+from .polytope import InputError, _divisor, _finite, _fit, _iterable, _natural
 
 
 class MaxIterExceeded(RuntimeError):
@@ -190,6 +190,19 @@ def default_seeds(n):
     return list(dict.fromkeys(seeds))
 
 
+def _floats(values, name):
+    """values as a list of floats, each through _finite and _iterable."""
+    return [_finite(c, name) for c in _iterable(values, name)]
+
+
+def _interval(pair, name):
+    """(lo, hi) of a bracket or box pair: two finite numbers with lo <= hi."""
+    lo, hi = _fit(_floats(pair, name), 2, name)
+    if lo > hi:
+        raise InputError("%s has low %r > high %r" % (name, lo, hi))
+    return lo, hi
+
+
 def maximize_over_vectors(
     P, lam=0.0, seeds=None, box=None, gtol=1e-8, max_iter=500
 ) -> OptimizationResult:
@@ -197,7 +210,8 @@ def maximize_over_vectors(
 
     lam must be finite; lam > 0 makes the objective unbounded in general
     and requires an explicit box ((lo, hi) per coordinate, finite, lo <= hi).
-    gtol must be finite and >= 0, max_iter an integer >= 0.  Raises
+    A seed is P.dim finite numbers, taken as floats (as a trace's first entry
+    shows).  gtol must be finite and >= 0, max_iter an integer >= 0.  Raises
     MaxIterExceeded when no seed converges; otherwise returns the best run
     (its trace is monotone).
     """
@@ -206,12 +220,11 @@ def maximize_over_vectors(
         raise InputError("lam > 0 needs an explicit search box, got lam = %r" % (lam,))
     if gtol < 0:
         raise InputError("gtol must be >= 0, got %r" % (gtol,))
-    if seeds is None:
-        seeds = default_seeds(P.dim)
-    starts = [_fit(list(s), P.dim, "seed %d" % k) for k, s in enumerate(seeds)]
-    for k, (lo, hi) in enumerate(() if box is None else _fit(box, P.dim, "box")):
-        if _finite(lo, "box low %d" % k) > _finite(hi, "box high %d" % k):
-            raise InputError("box %d has low %r > high %r" % (k, lo, hi))
+    seeds = default_seeds(P.dim) if seeds is None else _iterable(seeds, "seeds")
+    starts = [_fit(_floats(s, "seed %d" % k), P.dim, "seed %d" % k) for k, s in enumerate(seeds)]
+    if box is not None:
+        box = _fit(list(_iterable(box, "box")), P.dim, "box")
+        box = [_interval(pair, "box %d" % k) for k, pair in enumerate(box)]
     obj = _Objective(P, lam)
     results = [_bfgs_ascent(obj, x0, gtol, max_iter, box) for x0 in starts]
     finished = [r for r in results if r.status in ("converged", "boundary-hit")]
@@ -251,11 +264,12 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
     at the origin (properness of the objective guarantees this terminates),
     a coarse scan picks the best basin, and golden-section refines to xtol.
     Returns (x_star, value).  lam must be finite, eta a nonzero vector of
-    length P.dim, the bracket's ends finite and xtol finite and > 0.
+    length P.dim, the bracket a pair of finite numbers with low <= high and
+    xtol finite and > 0.
     """
     lam, xtol = _finite(lam, "lam"), _finite(xtol, "xtol")
     # x * c for an exact c is x * float(c): convert eta once
-    eta = _fit([_finite(c, "eta") for c in _iterable(eta, "eta")], P.dim, "eta")
+    eta = _fit(_floats(eta, "eta"), P.dim, "eta")
     if not any(eta):
         raise InputError("eta must be nonzero")
     obj = _Objective(P, lam)
@@ -263,10 +277,7 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
     def h(x):
         return obj.value(tuple(x * c for c in eta))
 
-    if bracket is None:
-        lo, hi = -1.0, 1.0
-    else:
-        lo, hi = _finite(bracket[0], "bracket low"), _finite(bracket[1], "bracket high")
+    lo, hi = (-1.0, 1.0) if bracket is None else _interval(bracket, "bracket")
     h0 = h(0.0)
     for _ in range(60):
         if h(lo) < h0:
@@ -304,7 +315,7 @@ def normalized_df(P, q0, xtol=1e-8):
 
     hi = 2.0 * report.rho_max + 1.0
     x_star, numeric = _golden_max(c_at, 0.0, hi, xtol)
-    vol = float(P.volume())
+    vol = _divisor(P.volume(), "the volume of P")
     # the x resolution of the search limits the achievable value agreement
     # through the slope of the ray energy
     slope = TWO_PI * abs(report.m_na) / vol + report.variance / vol

@@ -25,6 +25,7 @@ from .polytope import (
     _back,
     _chart_points,
     _coords,
+    _divisor,
     _dot,
     _echelon,
     _face,
@@ -99,7 +100,8 @@ class AffineForm:
         return AffineForm(grad, const)
 
     def to_float(self):
-        return tuple(float(g) for g in self.gradient), float(self.constant)
+        gradient = tuple(_finite(g, "gradient") for g in self.gradient)
+        return gradient, _finite(self.constant, "constant")
 
     def __repr__(self):
         return "AffineForm(%r, %s)" % (self.gradient, self.constant)
@@ -415,7 +417,8 @@ def _simplex_power(simplex, aff: AffineForm, p):
     # scaled into [0, 1]: powers of g cannot overflow, nor the sum underflow
     g = [x / top for x in g]
     weights = _dd_weights(g).items()
-    terms = _power_terms(weights, g, n, p, float)
+    # g has top 1: no rescaling of aff brings a weight into the float range
+    terms = _power_terms(weights, g, n, p, lambda x: _finite(x, "a divided-difference weight"))
     total = _float_sum(terms)
     # Close values cancel.  By Jensen the sum is at least mean(g)^p / n!,
     # and rounding moves it by at most (p + 2n + 4) 2^-53 sum |terms|.
@@ -430,7 +433,7 @@ def _simplex_power(simplex, aff: AffineForm, p):
             ctx.prec = 20 + ceil(digits)
             terms = _power_terms(weights, g, n, Decimal(p), _decimal)
             total = float(sum(terms))
-    return float(det) * float(top) ** p * total
+    return _finite(det, "a simplex volume") * float(top) ** p * total
 
 
 def poly_moment(P, aff: AffineForm, k: int = 1) -> Fraction:
@@ -626,10 +629,7 @@ def metric_dp(q, qp, p) -> float:
         top = _largest(regions)
         if top == 0:
             return 0.0
-        try:
-            total = _power_sum([(cell, (1 / top) * aff) for (cell, aff) in regions], p)
-        except OverflowError:
-            raise InputError("a simplex volume is beyond the float range") from None
+        total = _power_sum([(cell, (1 / top) * aff) for (cell, aff) in regions], p)
     with localcontext() as ctx:
         ctx.prec = 30
         # float() of a Decimal beyond the float range is inf, not an error
@@ -653,17 +653,14 @@ def metric_dexp(q, qp) -> float:
     if sup == 0:
         return 0.0
     groups = [_float_records([(cell, [aff]) for (cell, aff) in regions], "|q - q'|")]
-    try:
-        vol = float(q.P.volume())
-    except OverflowError:
-        raise InputError("the volume of P is beyond the float range") from None
+    vol = _divisor(q.P.volume(), "the volume of P")
 
     def big_g(beta):
         [(total, _)] = _accumulate(groups, (1.0 / beta,), [[]])
         return total - vol
 
     lo = 0.0
-    hi = float(sup) / log1p(1.0 / vol)
+    hi = _finite(sup, "sup |q - q'|") / log1p(1.0 / vol)
     if hi == 0.0:  # the root is at most hi: below the float range
         return 0.0
     while big_g(hi) > 1.0:

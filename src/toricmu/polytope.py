@@ -101,7 +101,7 @@ class RationalVector:
         return _dot(self.coords, _fit(_coords(other, name), len(self.coords), name))
 
     def floats(self):
-        return tuple(float(c) for c in self.coords)
+        return tuple(_finite(c, "a coordinate") for c in self.coords)
 
     def __repr__(self):
         return "RationalVector((%s))" % ", ".join(str(c) for c in self.coords)
@@ -575,7 +575,8 @@ def _fit(vector, dim, name):
 
 
 def _finite(value, name) -> float:
-    """float(value), or InputError unless that is a finite float."""
+    """float(value), the one gate where an exact value or an argument becomes a
+    float: InputError naming it unless finite (or "beyond the float range")."""
     try:
         x = float(value)
     except OverflowError:
@@ -584,6 +585,14 @@ def _finite(value, name) -> float:
         raise InputError("%s must be a real number, got %r" % (name, value)) from None
     if not isfinite(x):
         raise InputError("%s must be finite, got %r" % (name, x))
+    return x
+
+
+def _divisor(value, name) -> float:
+    """_finite(value, name) of a nonzero divisor or log argument: InputError if 0.0."""
+    x = _finite(value, name)
+    if x == 0.0:
+        raise InputError("%s is below the float range" % name)
     return x
 
 

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 import support
 import toricmu as tm
 from toricmu import maximize_over_vectors
-from toricmu.cli import run
+from toricmu.cli import blowup_polytope, run
+from toricmu.paconvex import as_pa
 
 E = math.e
 TWO_PI = 2.0 * math.pi
@@ -397,6 +398,10 @@ INPUT_FILES = {
     "huge": {"vertices": [[0, 0], ["1e400", 0], [0, 1]]},
     "plane": {"pieces": [{"eta": [1, 0], "lambda": "1/3"}]},
     "steep": {"pieces": [{"eta": ["1e400", 0], "lambda": 0}]},
+    # a triangle of volume 10^-800 / 2, below the float range
+    "tiny": {"vertices": [[0, 0], ["1/1" + "0" * 400, 0], [0, "1/1" + "0" * 400]]},
+    # on blowup-delta:1/3 its variance is below the float range, and M < 0
+    "flat": {"pieces": [{"eta": ["1e-170", 0], "lambda": 0}]},
 }
 
 
@@ -422,7 +427,7 @@ def command_lines(draw, files):
     polytope = st.sampled_from(
         ["cp1", "square", "donaldson", "blowup-delta:1/3", files["tetrahedron"]]
     ) | st.sampled_from(
-        [files[k] for k in ("scalar", "list", "dict", "huge")]
+        [files[k] for k in ("scalar", "list", "dict", "huge", "tiny")]
         + ["blowup-delta:" + t for t in ("0", "2.5", "1e400", "x")]
     )
     potential = st.sampled_from(["zero", files["plane"]]) | st.sampled_from(
@@ -500,6 +505,11 @@ def test_cli_exits_0_2_or_3_without_a_traceback(input_files, data):
         ("integrate --polytope square --q square-qn:2 --rho 1e200", 3),
         ("metric --polytope square --q const:1e200 --p 2", 0),
         ("metric --polytope square --q square-qn:2 --p 1000.5", 0),
+        # a volume or a variance below the float range, which a float divides by
+        ("calabi --polytope {tiny} --q {plane}", 2),
+        ("metric --polytope {tiny} --q {plane}", 2),
+        ("filtration --polytope {tiny} --q {plane} --m 1,2,3", 2),
+        ("calabi --polytope blowup-delta:1/3 --q {flat}", 2),
     ],
 )
 def test_former_tracebacks_exit_cleanly(capsys, input_files, argv, code):
@@ -515,6 +525,9 @@ def test_former_tracebacks_exit_cleanly(capsys, input_files, argv, code):
 _SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 _BIG_SQUARE = [(0, 0), (2, 0), (0, 2), (2, 2)]
 _TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+# a triangle of volume 10^-800 / 2, and a unit triangle at x = 10^400
+_TINY = [(0, 0), (Fraction(1, 10**400), 0), (0, Fraction(1, 10**400))]
+_FAR = [(10**400, 0), (10**400 + 1, 0), (10**400, 1)]
 
 
 def _on_two_squares():
@@ -648,6 +661,41 @@ def _max_xy_on(vertices):
         lambda: tm.maximize_along_ray(support.unit_square(), "12"),
         lambda: tm.maximize_along_ray(support.unit_square(), (math.nan, 0)),
         lambda: tm.brion_localize_limit(support.unit_square(), (1, 2), scale=math.nan),
+        # exact values beyond the float range where they become floats
+        lambda: tm.brion_localize_limit(tm.build_polytope(_FAR), (1, 1)),
+        lambda: tm.brion_localize_limit(tm.build_polytope(_FAR), (1, 0)),
+        lambda: tm.extremal_limit_check(
+            support.unit_square(), _max_xy_on(_SQUARE), rho_small=10**400
+        ),
+        lambda: tm.extremal_limit_check(support.unit_square(), _max_xy_on(_SQUARE), rho_small="x"),
+        # nonzero volumes and variances whose floats are 0.0, divided by or logged
+        lambda: tm.extremal_limit_check(tm.build_polytope(_TINY), tm.AffineForm((1, 0))),
+        lambda: tm.calabi(tm.build_polytope(_TINY), tm.AffineForm((1, 0))),
+        lambda: tm.normalized_df(tm.build_polytope(_TINY), tm.AffineForm((1, 0))),
+        lambda: tm.calabi(
+            blowup_polytope(Fraction(1, 3)), tm.AffineForm((Fraction(1, 10**170), 0))
+        ),
+        lambda: tm.metric_dexp(_max_xy_on(_TINY), as_pa(None, tm.build_polytope(_TINY))),
+        lambda: tm.MonomialFiltration.from_pa(_max_xy_on(_TINY)).limit_exp_integral(),
+        lambda: tm.char_mu_estimate(tm.MonomialFiltration.from_pa(_max_xy_on(_TINY)), [1, 2, 3]),
+        # optimizer seeds with entries that are not finite numbers
+        lambda: maximize_over_vectors(support.unit_square(), seeds=[(math.nan, 0)]),
+        lambda: maximize_over_vectors(support.unit_square(), seeds=["12"]),
+        lambda: maximize_over_vectors(support.unit_square(), seeds=[5]),
+        # ray brackets that are not a pair of finite numbers with low <= high
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(1,)),
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=5),
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(1, 2, 3)),
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(1, -1)),
+        # a normalization name that spectral_measure refuses
+        lambda: tm.MonomialFiltration.from_pa(_max_xy_on(_SQUARE)).limit_exp_integral("foo"),
+        # x + 10^-400 y against 0: divided-difference weights beyond the float
+        # range at every scale, so the real-p route has no float sum
+        lambda: tm.metric_dp(
+            support.pa_from(support.unit_square(), ((1, Fraction(1, 10**400)), 0)),
+            support.pa_from(support.unit_square(), ((0, 0), 0)),
+            1.5,
+        ),
     ],
 )
 def test_library_argument_errors_are_input_errors(call):
