@@ -9,7 +9,9 @@ workload, every op's label and digest in op order, with each float as its
 float.hex string (tagged ["F", hex]), the number of calls the pass made to
 toricmu.integrate.ddexp, to build_polytope (every binding of it in a toricmu
 module) and to LatticePolytope.clip, counted by wrappers this script
-installs, and the pass's traced memory in KiB
+installs (the clips that build_polytope makes of its polar are counted
+apart, as hull clips, so that the clip count reads as in dumps of trees
+whose hulls made none), and the pass's traced memory in KiB
 (tracemalloc, started after the workload's inputs are built): what the
 ops leave allocated after the pass, such as the caches they keep on the
 inputs (like the kernel count, it leaves out the checks and the digests),
@@ -20,9 +22,10 @@ seed then compare the outputs by their exact bits.
 
 compare prints, per workload and op label, how many ops carry the label,
 how many of their digests differ and the largest relative gap between two
-floats that differ; the kernel, hull-build and clip call counts and traced
-memory of both dumps; and exits with code 1 when any digest differs.
-It prints the interpreter version of both dumps.
+floats that differ; the kernel, hull-build, clip and hull-clip call counts
+and traced memory of both dumps ("-" for a count an older dump lacks); and
+exits with code 1 when any digest differs.  It prints the interpreter
+version of both dumps.
 
 Only perfbench/workloads.py is read, for the op lists; nothing under
 perfbench/ is changed.
@@ -57,7 +60,8 @@ def exact_bits(value):
 
 
 class GeometryCounts:
-    """Calls of build_polytope and LatticePolytope.clip made while active.
+    """Calls of build_polytope and LatticePolytope.clip made while active,
+    with the clips made inside a build_polytope call in hull_clip.
 
     install() binds counting wrappers wherever a toricmu module binds
     build_polytope, and on the class for clip; uninstall() restores them.
@@ -67,6 +71,8 @@ class GeometryCounts:
         self.active = False
         self.build_polytope = 0
         self.clip = 0
+        self.hull_clip = 0
+        self._building = 0
         self._build = polytope.build_polytope
         self._clip = polytope.LatticePolytope.clip
         self._bound = []
@@ -76,10 +82,17 @@ class GeometryCounts:
 
         def counted_build(vertices):
             self.build_polytope += self.active
-            return build(vertices)
+            self._building += 1
+            try:
+                return build(vertices)
+            finally:
+                self._building -= 1
 
         def counted_clip(P, normal, offset):
-            self.clip += self.active
+            if self._building:
+                self.hull_clip += self.active
+            else:
+                self.clip += self.active
             return clip(P, normal, offset)
 
         modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "toricmu"]
@@ -96,8 +109,8 @@ class GeometryCounts:
 
 def run_ops(workload, seed):
     """{"ops": [[label, digest]], "ddexp_calls": count, "build_polytope_calls":
-    count, "clip_calls": count, "retained_kib": kib, "peak_kib": kib} of one
-    pass."""
+    count, "clip_calls": count, "hull_clip_calls": count, "retained_kib": kib,
+    "peak_kib": kib} of one pass."""
     raw = workloads.make_raw(workload, seed)
     ops = workloads.ops_for(workload, raw, workloads.build(workload, raw))
     kernel = integrate.ddexp
@@ -147,6 +160,7 @@ def run_ops(workload, seed):
         "ddexp_calls": calls,
         "build_polytope_calls": geometry.build_polytope,
         "clip_calls": geometry.clip,
+        "hull_clip_calls": geometry.hull_clip,
         "retained_kib": round((retained - checks) / 1024),
         "peak_kib": round(peak / 1024),
     }
@@ -163,9 +177,10 @@ def dump(seed, path):
         data["workloads"][w] = run_ops(w, seed)
         run = data["workloads"][w]
         print("%-9s %4d ops, %7d ddexp calls, %5d hull builds, %5d clips,"
-              " traced KiB %d retained, %d peak"
+              " %5d hull clips, traced KiB %d retained, %d peak"
               % (w, len(run["ops"]), run["ddexp_calls"], run["build_polytope_calls"],
-                 run["clip_calls"], run["retained_kib"], run["peak_kib"]))
+                 run["clip_calls"], run["hull_clip_calls"], run["retained_kib"],
+                 run["peak_kib"]))
     Path(path).write_text(json.dumps(data, indent=0) + "\n")
 
 
@@ -222,7 +237,7 @@ def compare(path_a, path_b):
         wa, wb = a["workloads"][w], b["workloads"][w]
         print("%-9s ddexp calls %d -> %d" % (w, wa["ddexp_calls"], wb["ddexp_calls"]))
         # dumps written before the geometry counts have none
-        for key in ("build_polytope_calls", "clip_calls"):
+        for key in ("build_polytope_calls", "clip_calls", "hull_clip_calls"):
             print("%-9s %s %s -> %s" % (w, key.replace("_", " "), wa.get(key, "-"),
                                         wb.get(key, "-")))
         # dumps written before the memory readout have no traced KiB

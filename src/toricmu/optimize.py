@@ -264,8 +264,8 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
     at the origin (properness of the objective guarantees this terminates),
     a coarse scan picks the best basin, and golden-section refines to xtol.
     Returns (x_star, value).  lam must be finite, eta a nonzero vector of
-    length P.dim, the bracket a pair of finite numbers with low <= high and
-    xtol finite and > 0.
+    length P.dim, the bracket a pair of finite numbers with low < 0 < high
+    (doubling moves each end away from the origin) and xtol finite and > 0.
     """
     lam, xtol = _finite(lam, "lam"), _finite(xtol, "xtol")
     # x * c for an exact c is x * float(c): convert eta once
@@ -278,6 +278,8 @@ def maximize_along_ray(P, eta, lam=0.0, bracket=None, xtol=1e-8):
         return obj.value(tuple(x * c for c in eta))
 
     lo, hi = (-1.0, 1.0) if bracket is None else _interval(bracket, "bracket")
+    if not lo < 0.0 < hi:
+        raise InputError("bracket (%r, %r) does not contain 0 inside" % (lo, hi))
     h0 = h(0.0)
     for _ in range(60):
         if h(lo) < h0:

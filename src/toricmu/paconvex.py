@@ -16,6 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, factorial, inf, log1p, log10
+from sys import float_info
 
 from ._ddexp_py import _float_sum
 from .polytope import (
@@ -405,7 +406,9 @@ def _simplex_power(simplex, aff: AffineForm, p):
     sorted g, so equal values need no threshold.  An int p gives an exact
     Fraction, its powers taking O(log p) multiplications.  Any other p
     (real, aff >= 0 on the simplex) is summed in floats, or in decimals
-    with as many more digits as close values cancel.
+    with as many more digits as close values cancel; a weight beyond the
+    float range means they cancel far past double precision, and sends
+    the simplex to decimals before any weight becomes a float.
     """
     det, n = abs(simplex.edge_matrix_det()), simplex.dim
     g = sorted(aff(v) for v in simplex.vertices)
@@ -417,22 +420,28 @@ def _simplex_power(simplex, aff: AffineForm, p):
     # scaled into [0, 1]: powers of g cannot overflow, nor the sum underflow
     g = [x / top for x in g]
     weights = _dd_weights(g).items()
-    # g has top 1: no rescaling of aff brings a weight into the float range
-    terms = _power_terms(weights, g, n, p, lambda x: _finite(x, "a divided-difference weight"))
-    total = _float_sum(terms)
-    # Close values cancel.  By Jensen the sum is at least mean(g)^p / n!,
-    # and rounding moves it by at most (p + 2n + 4) 2^-53 sum |terms|.
     mean = float(sum(g) / (n + 1))
-    bound = _float_sum(map(abs, terms)) * factorial(n)
-    jensen = mean**p
-    loss = bound / jensen if jensen else inf
-    if (p + 2 * n + 4) * 2.0**-53 * loss > 1e-12:
+    if max(abs(a) for _, a in weights) > float_info.max:
+        # each term is at most its weight, and the sum at least mean(g)^p / n!
+        # (Jensen, as below): the digits the sum can lose
+        size = sum(abs(a) for _, a in weights) * factorial(n)
+        digits = log10(size.numerator) - log10(size.denominator) - p * log10(mean)
+    else:
+        terms = _power_terms(weights, g, n, p, lambda x: _finite(x, "a divided-difference weight"))
+        total = _float_sum(terms)
+        # Close values cancel.  By Jensen the sum is at least mean(g)^p / n!,
+        # and rounding moves it by at most (p + 2n + 4) 2^-53 sum |terms|.
+        bound = _float_sum(map(abs, terms)) * factorial(n)
+        jensen = mean**p
+        loss = bound / jensen if jensen else inf
+        if (p + 2 * n + 4) * 2.0**-53 * loss <= 1e-12:
+            return _finite(det, "a simplex volume") * float(top) ** p * total
         # loss may be beyond the float range; its log10 is not
         digits = log10(loss) if loss < inf else log10(bound) - p * log10(mean)
-        with localcontext() as ctx:
-            ctx.prec = 20 + ceil(digits)
-            terms = _power_terms(weights, g, n, Decimal(p), _decimal)
-            total = float(sum(terms))
+    with localcontext() as ctx:
+        ctx.prec = 20 + ceil(digits)
+        terms = _power_terms(weights, g, n, Decimal(p), _decimal)
+        total = float(sum(terms))
     return _finite(det, "a simplex volume") * float(top) ** p * total
 
 

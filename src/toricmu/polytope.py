@@ -1,7 +1,9 @@
 """Exact rational polytopes with lattice-normalized measures.
 
 Everything here runs on ``fractions.Fraction``: hulls, facet data, clipping,
-triangulation, volumes.  The ambient lattice is Z^n.  Volume is normalized so
+triangulation, volumes.  One algorithm constructs polytopes: clip, one
+incremental double-description step; a hull is its polar clipped once per
+point.  The ambient lattice is Z^n.  Volume is normalized so
 the unit cube has volume 1, and each facet carries the (n-1)-dimensional
 measure induced by its own lattice (Euclidean area divided by the Euclidean
 length of the primitive integer normal).  That normalization is what makes
@@ -15,7 +17,7 @@ import operator
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from math import ceil, factorial, floor, gcd, inf, isfinite, prod
 
 
@@ -136,6 +138,14 @@ def _primitive(vec) -> tuple:
     return tuple(c // g for c in ints)
 
 
+def _primitive_halfspace(normal, offset):
+    """(u, b) with u the primitive integer vector along the nonzero rational
+    normal and <x, u> <= b the same halfspace as <x, normal> <= offset."""
+    u = _primitive(normal)
+    k = next(k for k, c in enumerate(normal) if c != 0)
+    return u, offset * u[k] / normal[k]
+
+
 def _echelon(rows, width):
     """Exact forward elimination over the first width columns of rows.
 
@@ -201,17 +211,6 @@ def _det(rows) -> Fraction:
 
 def _rank(rows) -> int:
     return len(_echelon(rows, len(rows[0]))[1]) if rows else 0
-
-
-def _null_vector(rows):
-    """Nonzero vector orthogonal to n - 1 independent rows in Q^n."""
-    n = len(rows[0])
-    m, pivots, _ = _echelon(rows, n)
-    if len(pivots) != n - 1:
-        raise ValueError("rows do not have rank n - 1")
-    x = [0] * n
-    x[next(c for c in range(n) if c not in pivots)] = 1
-    return _back(m, pivots, [0] * (n - 1), x)
 
 
 def _kernel_basis_int(u):
@@ -437,12 +436,10 @@ class LatticePolytope:
             for k in ks:
                 if k in alive:
                     members[k].append(p)
-        u = _primitive(normal)
-        k0 = next(k for k, c in enumerate(normal) if c != 0)
         planes = [
             (self.facets[k].normal, self.facets[k].offset, members[k]) for k in alive
         ]
-        planes.append((u, offset * u[k0] / normal[k0], range(len(inside), len(points))))
+        planes.append((*_primitive_halfspace(normal, offset), range(len(inside), len(points))))
         return _canonical(n, points, planes)
 
     # -- structure ---------------------------------------------------------
@@ -626,7 +623,8 @@ def build_polytope(vertices) -> LatticePolytope:
     Accepts any iterable of rational points (duplicates and interior points
     allowed).  Raises DegenerateHull when the points do not span.  Vertices
     of non-simple polytopes are kept; their cones read None and they are
-    listed in nonsimple_vertices.
+    listed in nonsimple_vertices.  A hull of dimension >= 2 is built by
+    clips of its polar (see _polar_hull), a segment from its end points.
     """
     pts = []
     for v in _iterable(vertices, "vertices"):
@@ -648,29 +646,7 @@ def build_polytope(vertices) -> LatticePolytope:
 
     if n == 1:
         return _build_segment(pts)
-
-    hull_facets = _hull_facets(pts, n, [0] + [c + 1 for c in pivots])
-
-    # recompute incidence from scratch against the merged facet list
-    facet_pts = []
-    for (u, b) in hull_facets:
-        on = [i for i, p in enumerate(pts) if _dot(p, u) == b]
-        facet_pts.append(on)
-
-    vertex_ids = []
-    for i, p in enumerate(pts):
-        active = [k for k, on in enumerate(facet_pts) if i in on]
-        if len(active) < n:
-            continue
-        if _rank([hull_facets[k][0] for k in active]) == n:
-            vertex_ids.append(i)
-
-    remap = {old: new for new, old in enumerate(vertex_ids)}
-    planes = [
-        (u, b, [remap[i] for i in on if i in remap])
-        for (u, b), on in zip(hull_facets, facet_pts)
-    ]
-    return _canonical(n, [pts[i] for i in vertex_ids], planes)
+    return _polar_hull(pts, n, [0] + [c + 1 for c in pivots])
 
 
 def _canonical(n, points, planes):
@@ -696,57 +672,41 @@ def _build_segment(pts):
     return _canonical(1, [(lo,), (hi,)], [((-1,), -lo, [0]), ((1,), hi, [1])])
 
 
-def _hull_facets(pts, n, base):
-    """Beneath-beyond with exact strict visibility from the affine base
-    (indices of n + 1 affinely independent points); returns merged (u, b)."""
-    interior = tuple(
-        sum(pts[j][i] for j in base) / Fraction(n + 1) for i in range(n)
-    )
+def _polar_hull(pts, n, base):
+    """The hull of pts in R^n, n >= 2, built as its polar by clip.
 
-    facets = []  # records (frozenset verts, u, b), simplicial while building
+    With c the centroid of the affine base (indices of n + 1 affinely
+    independent points), the polar Q = {y : <y, p - c> <= 1 for every p}
+    starts as the polar of the base simplex and is clipped once per other
+    point.  Q's facets (u, b) are the hull's vertices c + u / b, its
+    vertices w the hull's facets <x - c, w> <= 1, and the incidences
+    transpose.
+    """
+    c = tuple(sum(pts[j][i] for j in base) / Fraction(n + 1) for i in range(n))
+    rows = [_sub(pts[j], c) + (1,) for j in base]
+    corners = []
     for drop in range(n + 1):
-        group = [base[j] for j in range(n + 1) if j != drop]
-        u, b = _oriented_plane([pts[i] for i in group], interior)
-        facets.append((frozenset(group), u, b))
-
-    for i in range(len(pts)):
-        if i in base:
-            continue
-        p = pts[i]
-        visible = [F for F in facets if _dot(p, F[1]) > F[2]]
-        if not visible:
-            continue
-        invisible = [F for F in facets if _dot(p, F[1]) <= F[2]]
-        ridge_count = {}
-        for (vs, _, _) in visible:
-            for r in combinations(sorted(vs), n - 1):
-                ridge_count[r] = ridge_count.get(r, 0) + 1
-        new = []
-        for r, cnt in ridge_count.items():
-            if cnt != 1:
-                continue
-            group = list(r) + [i]
-            u, b = _oriented_plane([pts[j] for j in group], interior)
-            new.append((frozenset(group), u, b))
-        facets = invisible + new
-
-    merged = {}
-    for (_, u, b) in facets:
-        merged[(u, b)] = True
-    return list(merged.keys())
-
-
-def _oriented_plane(points, interior):
-    """Hyperplane through n affinely independent points, outward oriented."""
-    u = _primitive(_null_vector([_sub(p, points[0]) for p in points[1:]]))
-    b = _dot(points[0], u)
-    side = _dot(interior, u)
-    if side > b:
-        u = tuple(-c for c in u)
-        b = -b
-    elif side == b:
-        raise DegenerateHull("reference point lies on a candidate facet")
-    return u, b
+        m, pivots, _ = _echelon(rows[:drop] + rows[drop + 1 :], n)
+        corners.append(_back(m, pivots, [r[n] for r in m], [0] * n))
+    # facet j of the base simplex's polar holds every corner but corner j
+    facets = [
+        (*_primitive_halfspace(r[:n], 1), [k for k in range(n + 1) if k != j])
+        for j, r in enumerate(rows)
+    ]
+    Q = _canonical(n, corners, facets)
+    for i, p in enumerate(pts):
+        if i not in base:
+            Q = Q.clip(_sub(p, c), 1)
+    on = [[] for _ in Q.vertices]
+    for i, f in enumerate(Q.facets):
+        for k in f.vertex_indices:
+            on[k].append(i)
+    points = [tuple(a + x / f.offset for a, x in zip(c, f.normal)) for f in Q.facets]
+    planes = [
+        (*_primitive_halfspace(w.coords, 1 + _dot(c, w.coords)), idx)
+        for w, idx in zip(Q.vertices, on)
+    ]
+    return _canonical(n, points, planes)
 
 
 def _vertex_cones(verts, facets, n):

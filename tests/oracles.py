@@ -6,8 +6,12 @@ quadrature, confluent divided-difference tables, Richardson-extrapolated
 central differences, closed-form power integrals over segments and
 triangles).  None of it imports the package under test, so
 agreement between the two is meaningful evidence rather than a tautology.
-The exceptions are clip_rebuild, which calls the package's hull
-construction to pin the incremental clip to a full rebuild, dh_cdf_clip,
+The exceptions are clip_rebuild, which rebuilds a clipped region with
+build_polytope_beneath_beyond to pin the incremental clip to a full
+rebuild by another algorithm, build_polytope_beneath_beyond itself, a
+copy of build_polytope as it was when hulls were built by beneath-beyond
+instead of by clips of their polar, run on the package's linear algebra
+and canonical form to pin the polar hull to the same fields, dh_cdf_clip,
 which measures a sublevel set with the package's clip and volume to pin
 the divided-difference DH CDF to them, and UncachedObjective, which
 replays the optimizer objective's arithmetic on fresh package integrators
@@ -446,10 +450,11 @@ def clip_rebuild(P, normal, offset):
 
     Enumerates the vertices of P cut by <x, normal> <= offset from its
     H-representation and rebuilds the hull anew with
-    toricmu.build_polytope.  Returns the polytope P itself, the string
-    "EMPTY", or the rebuilt polytope, following clip's conventions.
+    build_polytope_beneath_beyond, since build_polytope itself clips.
+    Returns the polytope P itself, the string "EMPTY", or the rebuilt
+    polytope, following clip's conventions.
     """
-    from toricmu import DegenerateHull, build_polytope
+    from toricmu import DegenerateHull
 
     normal = tuple(Fraction(c) for c in normal)
     offset = Fraction(offset)
@@ -465,7 +470,7 @@ def clip_rebuild(P, normal, offset):
     if len(pts) <= P.dim:
         return "EMPTY"
     try:
-        return build_polytope(pts)
+        return build_polytope_beneath_beyond(pts)
     except DegenerateHull:
         return "EMPTY"
 
@@ -1333,3 +1338,133 @@ def triangulate_charts(P):
             for s in triangulate_charts(sub)
         ]
     return out
+
+
+def build_polytope_beneath_beyond(vertices):
+    """toricmu.polytope.build_polytope as it was when it built hulls of
+    dimension >= 2 by beneath-beyond from the affine base, merged the facets,
+    recounted the incidences and kept the points whose facets' normals have
+    rank n; run on the package's linear algebra and canonical form."""
+    from toricmu.polytope import (
+        DegenerateHull,
+        _build_segment,
+        _canonical,
+        _coords,
+        _echelon,
+        _fit,
+        _iterable,
+        _rank,
+        _sub,
+    )
+
+    pts = []
+    for v in _iterable(vertices, "vertices"):
+        c = _coords(v, "a point")
+        if c not in pts:
+            pts.append(c)
+    if not pts:
+        raise DegenerateHull("no points")
+    n = len(pts[0])
+    if n == 0:
+        raise DegenerateHull("points have no coordinates")
+    for p in pts:
+        _fit(p, n, "a point")
+    diffs = [_sub(p, pts[0]) for p in pts[1:]]
+    # the pivot columns of the transposed differences are the greedy affine base
+    _, pivots, _ = _echelon(list(zip(*diffs)), len(diffs))
+    if len(pivots) < n:
+        raise DegenerateHull("points span a %d-dim affine space in R^%d" % (len(pivots), n))
+
+    if n == 1:
+        return _build_segment(pts)
+
+    hull_facets = _hull_facets(pts, n, [0] + [c + 1 for c in pivots])
+
+    # recompute incidence from scratch against the merged facet list
+    facet_pts = []
+    for (u, b) in hull_facets:
+        on = [i for i, p in enumerate(pts) if _dot(p, u) == b]
+        facet_pts.append(on)
+
+    vertex_ids = []
+    for i, p in enumerate(pts):
+        active = [k for k, on in enumerate(facet_pts) if i in on]
+        if len(active) < n:
+            continue
+        if _rank([hull_facets[k][0] for k in active]) == n:
+            vertex_ids.append(i)
+
+    remap = {old: new for new, old in enumerate(vertex_ids)}
+    planes = [
+        (u, b, [remap[i] for i in on if i in remap])
+        for (u, b), on in zip(hull_facets, facet_pts)
+    ]
+    return _canonical(n, [pts[i] for i in vertex_ids], planes)
+
+
+def _hull_facets(pts, n, base):
+    """Beneath-beyond with exact strict visibility from the affine base
+    (indices of n + 1 affinely independent points); returns merged (u, b)."""
+    interior = tuple(
+        sum(pts[j][i] for j in base) / Fraction(n + 1) for i in range(n)
+    )
+
+    facets = []  # records (frozenset verts, u, b), simplicial while building
+    for drop in range(n + 1):
+        group = [base[j] for j in range(n + 1) if j != drop]
+        u, b = _oriented_plane([pts[i] for i in group], interior)
+        facets.append((frozenset(group), u, b))
+
+    for i in range(len(pts)):
+        if i in base:
+            continue
+        p = pts[i]
+        visible = [F for F in facets if _dot(p, F[1]) > F[2]]
+        if not visible:
+            continue
+        invisible = [F for F in facets if _dot(p, F[1]) <= F[2]]
+        ridge_count = {}
+        for (vs, _, _) in visible:
+            for r in combinations(sorted(vs), n - 1):
+                ridge_count[r] = ridge_count.get(r, 0) + 1
+        new = []
+        for r, cnt in ridge_count.items():
+            if cnt != 1:
+                continue
+            group = list(r) + [i]
+            u, b = _oriented_plane([pts[j] for j in group], interior)
+            new.append((frozenset(group), u, b))
+        facets = invisible + new
+
+    merged = {}
+    for (_, u, b) in facets:
+        merged[(u, b)] = True
+    return list(merged.keys())
+
+
+def _oriented_plane(points, interior):
+    """Hyperplane through n affinely independent points, outward oriented."""
+    from toricmu.polytope import DegenerateHull
+
+    u = _primitive(_null_vector([tuple(x - y for x, y in zip(p, points[0])) for p in points[1:]]))
+    b = _dot(points[0], u)
+    side = _dot(interior, u)
+    if side > b:
+        u = tuple(-c for c in u)
+        b = -b
+    elif side == b:
+        raise DegenerateHull("reference point lies on a candidate facet")
+    return u, b
+
+
+def _null_vector(rows):
+    """Nonzero vector orthogonal to n - 1 independent rows in Q^n."""
+    from toricmu.polytope import _back, _echelon
+
+    n = len(rows[0])
+    m, pivots, _ = _echelon(rows, n)
+    if len(pivots) != n - 1:
+        raise ValueError("rows do not have rank n - 1")
+    x = [0] * n
+    x[next(c for c in range(n) if c not in pivots)] = 1
+    return _back(m, pivots, [0] * (n - 1), x)

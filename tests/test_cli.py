@@ -689,13 +689,11 @@ def _max_xy_on(vertices):
         lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(1, -1)),
         # a normalization name that spectral_measure refuses
         lambda: tm.MonomialFiltration.from_pa(_max_xy_on(_SQUARE)).limit_exp_integral("foo"),
-        # x + 10^-400 y against 0: divided-difference weights beyond the float
-        # range at every scale, so the real-p route has no float sum
-        lambda: tm.metric_dp(
-            support.pa_from(support.unit_square(), ((1, Fraction(1, 10**400)), 0)),
-            support.pa_from(support.unit_square(), ((0, 0), 0)),
-            1.5,
-        ),
+        # ray brackets that do not contain 0 inside: doubling moved a positive
+        # low end away from the origin, and (0, 0) never grew
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(1, 2)),
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(-3, -2)),
+        lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(0, 0)),
     ],
 )
 def test_library_argument_errors_are_input_errors(call):

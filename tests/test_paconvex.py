@@ -529,13 +529,13 @@ def test_facet_geometry_builds_no_hull(monkeypatch):
     pieces = [AffineForm(tuple(2 * c for c in m), -sum(c * c for c in m)) for m in centers]
     sweep_cube, cube = (build_polytope(support.UNIT_CUBE) for _ in range(2))
     hulls = []
-    hull_facets = polytope._hull_facets
+    polar_hull = polytope._polar_hull
 
     def counted(*args):
         hulls.append(args)
-        return hull_facets(*args)
+        return polar_hull(*args)
 
-    monkeypatch.setattr(polytope, "_hull_facets", counted)
+    monkeypatch.setattr(polytope, "_polar_hull", counted)
     entropy_curve(sweep_cube, make_pa(pieces, sweep_cube), grid=(0.0, 2.0, 3))
     assert len(hulls) == 0
     q = make_pa(pieces, cube)
@@ -748,6 +748,19 @@ def test_metric_dp_beyond_the_float_range_on_the_way():
         assert metric_dp(support.pa_from(P, ((0, 0), c)), zero, p) == pytest.approx(
             d, rel=1e-15
         )
+
+
+def test_metric_dp_weights_beyond_the_float_range():
+    # x + 10^-400 y against 0: the divided-difference weights of a simplex's
+    # scaled vertex values are beyond the float range, so its terms cancel
+    # far past double precision and it is summed in decimals; d_1.5 barely
+    # moves from its value at 10^-300, whose weights are floats
+    P = support.unit_square()
+    zero = as_pa(None, P)
+    near = metric_dp(support.pa_from(P, ((1, Fraction(1, 10**300)), 0)), zero, 1.5)
+    far = metric_dp(support.pa_from(P, ((1, Fraction(1, 10**400)), 0)), zero, 1.5)
+    assert near == 0.5428835233189813
+    assert abs(far - near) <= 1e-12
 
 
 @st.composite

@@ -8,6 +8,7 @@ cross-checked against independent shoelace / lattice-length oracles.
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +19,9 @@ import support
 from toricmu import (
     EMPTY,
     DegenerateHull,
+    boundary_exp_integral,
     build_polytope,
+    polytope_exp_integral,
     polytope_from_json,
     triangulate,
 )
@@ -26,8 +29,6 @@ from toricmu.polytope import (
     _det,
     _echelon,
     _kernel_basis_int,
-    _null_vector,
-    _primitive,
     _back,
     _chart_coords,
     _rank,
@@ -55,6 +56,88 @@ def test_degenerate_inputs_raise():
         build_polytope([(0, 0), (1, 1), (2, 2)])
     with pytest.raises(DegenerateHull):
         build_polytope([(0, 0), (0, 0)])
+
+
+# Cross-polytopes, and pyramids over a square or a cube: from n = 3 they have
+# vertices that are not simple (in the plane every vertex is simple).
+NONSIMPLE_SHAPES = {
+    2: [[(1, 0), (-1, 0), (0, 1), (0, -1)]],
+    3: [
+        [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)],
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)],
+    ],
+    4: [
+        [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)],
+        [(a, b, c, 0) for a in (0, 2) for b in (0, 2) for c in (0, 2)] + [(1, 1, 1, 1)],
+    ],
+}
+
+
+@st.composite
+def point_sets(draw):
+    """1-9 half-integer points in R^2 to R^4, at times flattened into a
+    hyperplane, with at times one of NONSIMPLE_SHAPES among them, and with a
+    duplicate, the midpoint of two points (on a facet when both are on it)
+    and the centroid (an interior point once the points span)."""
+    n = draw(st.integers(2, 4))
+    half = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+    pts = draw(st.lists(st.tuples(*[half] * n), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        pts += draw(st.sampled_from(NONSIMPLE_SHAPES[n]))
+    if draw(st.integers(0, 4)) == 0:
+        pts = [p[:-1] + (0,) for p in pts]
+    a, b = pts[0], pts[-1]
+    pts += [a, tuple((x + y) / 2 for x, y in zip(a, b))]
+    pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+    return draw(st.permutations(pts))
+
+
+def hull_fields(build, pts):
+    """The fields of build(pts), or the message of its DegenerateHull."""
+    try:
+        P = build(pts)
+    except DegenerateHull as err:
+        return "DegenerateHull: %s" % err
+    return clip_fields(P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_polar_hull_equals_beneath_beyond(pts):
+    """Hulls built as clips of their polar equal, field for field, the
+    beneath-beyond hulls they replace, and both refuse the same inputs with
+    the same message."""
+    assert hull_fields(build_polytope, pts) == hull_fields(
+        oracles.build_polytope_beneath_beyond, pts
+    )
+
+
+def test_reflexive_polygons():
+    """The 64 polygons with vertices in [-1, 1]^2 and the origin as their one
+    interior lattice point are reflexive: every facet lies at lattice
+    distance 1 from the origin, so the boundary measure is twice the area
+    and, for linear q, the boundary integral of e^q equals the integral of
+    (2 + q) e^q over P (the divergence of x e^q)."""
+    grid = list(product((-1, 0, 1), repeat=2))
+    polygons = {}
+    for mask in range(1, 1 << 9):
+        try:
+            P = build_polytope([g for i, g in enumerate(grid) if mask >> i & 1])
+        except DegenerateHull:
+            continue
+        if P.contains((0, 0), strict=True):
+            polygons[tuple(v.coords for v in P.vertices)] = P
+    assert len(polygons) == 64
+    xis = [(Fraction(1, 3), Fraction(1, 2)), (Fraction(-2, 3), Fraction(1, 5)),
+           (Fraction(3, 4), Fraction(-5, 7))]
+    for P in polygons.values():
+        assert all(f.offset == 1 for f in P.facets)
+        assert P.boundary_measure() == 2 * P.volume()
+        for xi in xis:
+            q = AffineForm(xi, 0)
+            B = boundary_exp_integral(P, q).value
+            C = polytope_exp_integral(P, q, weight="entropy").value
+            assert abs(B - C) <= 1e-13 * B
 
 
 def test_unit_square_exact_data():
@@ -455,14 +538,6 @@ def test_elimination_matches_per_system_copies(m, data):
     if n >= 2:
         rows = m[:-1]
         assert _rank(rows) == oracles._rank(rows)
-        cross = oracles._cross(rows)
-        if oracles._rank(rows) == n - 1:
-            want = oracles._primitive(cross)
-            assert _primitive(_null_vector(rows)) in (want, tuple(-c for c in want))
-        else:
-            assert not any(cross)
-            with pytest.raises(ValueError):
-                _null_vector(rows)
 
 
 @settings(max_examples=300, deadline=None)
