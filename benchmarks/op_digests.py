@@ -21,14 +21,16 @@ records the interpreter's version.  Two dumps of different commits at one
 seed then compare the outputs by their exact bits.
 
 compare prints, per workload and op label, how many ops carry the label,
-how many of their digests differ and the largest relative gap between two
-floats that differ; the kernel, hull-build, clip and hull-clip call counts
+how many of their digests differ, how many of those differ beyond the
+reference tolerance of perfbench/run.py (same_output: floats to rel 1e-9,
+everything else exactly) and the largest relative gap between two floats
+that differ; the kernel, hull-build, clip and hull-clip call counts
 and traced memory of both dumps ("-" for a count an older dump lacks); and
 exits with code 1 when any digest differs.  It prints the interpreter
 version of both dumps.
 
-Only perfbench/workloads.py is read, for the op lists; nothing under
-perfbench/ is changed.
+Only perfbench/workloads.py and perfbench/run.py are read, for the op
+lists and the reference tolerance; nothing under perfbench/ is changed.
 """
 
 import argparse
@@ -45,6 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+from run import same_output  # noqa: E402
 from toricmu import integrate, polytope  # noqa: E402
 
 WORKLOADS = ("sweep", "optimize", "exact")
@@ -184,6 +187,15 @@ def dump(seed, path):
     Path(path).write_text(json.dumps(data, indent=0) + "\n")
 
 
+def decoded(value):
+    """A dumped digest with each ["F", hex] read back as its float."""
+    if isinstance(value, list):
+        if len(value) == 2 and value[0] == "F":
+            return float.fromhex(value[1])
+        return [decoded(v) for v in value]
+    return value
+
+
 def largest_gap(a, b):
     """(equal, largest relative gap) of two digests; the gap counts only
     floats that differ, and is inf where the shapes differ or a float is
@@ -216,24 +228,28 @@ def compare(path_a, path_b):
     versions = [d.get("python") for d in (a, b)]
     print("python %s and %s" % tuple(
         "-" if v is None else ".".join(map(str, v)) for v in versions))
-    print("%-9s %-24s %5s %7s %10s" % ("workload", "label", "ops", "differ", "max gap"))
-    differ = 0
+    print("%-9s %-24s %5s %7s %7s %10s"
+          % ("workload", "label", "ops", "differ", "beyond", "max gap"))
+    differ = beyond = 0
     for w in WORKLOADS:
         ops_a, ops_b = a["workloads"][w]["ops"], b["workloads"][w]["ops"]
         if [l for l, _ in ops_a] != [l for l, _ in ops_b]:
             print("%-9s the op lists differ" % w)
             differ += 1
+            beyond += 1
             continue
         rows = {}
         for (label, da), (_, db) in zip(ops_a, ops_b):
             equal, gap = largest_gap(da, db)
-            row = rows.setdefault(label, [0, 0, 0.0])
+            row = rows.setdefault(label, [0, 0, 0, 0.0])
             row[0] += 1
             row[1] += not equal
-            row[2] = max(row[2], gap)
-        for label, (count, bad, gap) in rows.items():
-            print("%-9s %-24s %5d %7d %10.3g" % (w, label, count, bad, gap))
+            row[2] += not (equal or same_output(decoded(da), decoded(db)))
+            row[3] = max(row[3], gap)
+        for label, (count, bad, far, gap) in rows.items():
+            print("%-9s %-24s %5d %7d %7d %10.3g" % (w, label, count, bad, far, gap))
             differ += bad
+            beyond += far
         wa, wb = a["workloads"][w], b["workloads"][w]
         print("%-9s ddexp calls %d -> %d" % (w, wa["ddexp_calls"], wb["ddexp_calls"]))
         # dumps written before the geometry counts have none
@@ -245,7 +261,8 @@ def compare(path_a, path_b):
               % (w, wa.get("retained_kib", "-"), wb.get("retained_kib", "-"),
                  wa.get("peak_kib", "-"), wb.get("peak_kib", "-")))
     total = sum(len(a["workloads"][w]["ops"]) for w in WORKLOADS)
-    print("%d of %d digests differ" % (differ, total))
+    print("%d of %d digests differ, %d beyond the reference tolerance"
+          % (differ, total, beyond))
     return 1 if differ else 0
 
 

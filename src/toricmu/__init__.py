@@ -53,7 +53,6 @@ from .integrate import (
     CrossValidation,
     ExpIntegrator,
     IntegralResult,
-    NearSingularDirection,
     NonSimpleVertex,
     ValidationFailure,
     boundary_exp_integral,

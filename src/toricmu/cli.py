@@ -50,7 +50,6 @@ from .functionals import (
 )
 from .integrate import (
     ExpIntegrator,
-    NearSingularDirection,
     NonSimpleVertex,
     ValidationFailure,
     boundary_exp_integral,
@@ -264,7 +263,7 @@ def _cmd_integrate(args):
     if args.method == "auto":
         try:
             report = cross_validate(P, q, rho=args.rho)
-        except (NearSingularDirection, NonSimpleVertex) as err:
+        except NonSimpleVertex as err:
             meta["localization"] = "skipped: %s" % err
     if report is None:
         route = "localization" if args.method == "localization" else "triangulation"
@@ -803,7 +802,6 @@ def run(argv) -> int:
     except (
         CheckFailure,
         ValidationFailure,
-        NearSingularDirection,
         NonConvergent,
         MaxIterExceeded,
     ) as err:

@@ -155,7 +155,8 @@ class EntropyReport:
 
 def _parse_grid(grid):
     """A 3-tuple is (start, end, count); any other sequence but a string lists
-    the grid points.  Every value must be finite, and a count an integer >= 1."""
+    the grid points, at least one.  Every value must be finite, and a count an
+    integer >= 1."""
     if isinstance(grid, tuple) and len(grid) == 3:
         start, end = _finite(grid[0], "grid start"), _finite(grid[1], "grid end")
         count = _positive_int(grid[2], "grid count")
@@ -163,15 +164,18 @@ def _parse_grid(grid):
             return [start]
         step = (end - start) / (count - 1)
         return [start + step * i for i in range(count)]
-    return [_finite(g, "grid point %d" % i) for i, g in enumerate(_iterable(grid, "grid"))]
+    points = [_finite(g, "grid point %d" % i) for i, g in enumerate(_iterable(grid, "grid"))]
+    if not points:
+        raise InputError("the grid has no points")
+    return points
 
 
 def entropy_curve(P, q0, xi=None, lam=0.0, grid=(0.0, 5.0, 201)) -> EntropyReport:
     """Evaluate mu, sigma, mu_lambda of q_xi + rho * q0 over a rho grid.
 
-    grid is a 3-tuple (start, end, count) or any other sequence of grid
-    points, such as a list ([0.0, 0.5, 1.0] is three points), each finite
-    (else InputError).  numerator and
+    grid is a 3-tuple (start, end, count) or any other nonempty sequence of
+    grid points, such as a list ([0.0, 0.5, 1.0] is three points), each
+    finite (else InputError).  numerator and
     denominator are the boundary and interior integrals of e^(q_xi + rho q0),
     scaled is -mu / (2 pi).  At lam = 0 the mu_lambda column is mu itself.
     """

@@ -21,12 +21,14 @@ Localization route: the vertex sum
 over simple vertices with inward primitive edge generators mu_{v,i}.  The
 boundary integral is the same sum on every facet in its lattice chart; a
 segment's facets are points, each contributing e^(value there).
-Directions pairing to an exact rational zero with some edge are evaluated
-as analytic limits: the direction is perturbed to xi + t*zeta with a
-generic rational zeta, each vertex term times t^zmax is expanded as a
-truncated power series in t, the powers below t^zmax cancel in the sum and
-the t^zmax coefficient is the limit.  Directions that are merely
-near-singular in floating point raise NearSingularDirection instead.
+With xi taken as the exact binary rational its float scale makes it, every
+exponent and every coefficient is an exact Fraction.  A direction that
+pairs to an exact zero with some edge is perturbed to xi + t*zeta with a
+generic rational zeta, and each coefficient is the t^0 coefficient of its
+vertex term, the poles cancelling across the vertices.  One sum then adds
+the terms: in floats where its rounding bound is small against the
+total, else in decimals, so directions that pair to nearly zero keep
+their digits.
 
 Both routes share the kernel's overflow convention: an exponential whose
 argument exceeds 709 is inf rather than an OverflowError, so an overflowing
@@ -37,7 +39,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as _iproduct
-from math import factorial, hypot, inf, log
+from decimal import Decimal, localcontext
+from math import exp, factorial, inf, log
+from sys import float_info
 
 from ._ddexp_py import _float_sum, _safe_exp
 from .polytope import InputError, _dot, _finite, _fit
@@ -49,10 +53,6 @@ except ImportError:  # pragma: no cover - depends on build environment
     from ._ddexp_py import BACKEND, ddexp
 
 KERNEL_BACKEND = BACKEND
-
-
-class NearSingularDirection(ValueError):
-    """Localization direction pairs too close to zero with an edge."""
 
 
 class NonSimpleVertex(InputError):
@@ -461,63 +461,20 @@ def _vertex_pairings(P, eta):
     return out
 
 
-def _norm(vec):
-    return hypot(*(_finite(c, "a direction") for c in vec))
-
-
-_GENERICITY = 1e-6
-
-
 def _localization_data(P, eta, scale):
     """Checked inputs of a vertex sum: (exponent, x, vertex pairings, zero
     edges), the exponent an AffineForm (eta itself, or the direction eta
-    with constant 0).
-
-    Exact zero pairings are collected in zero edges; other pairings below
-    the genericity threshold raise NearSingularDirection.
-    """
+    with constant 0) and the zero edges the generators that pair to 0."""
     form = eta if isinstance(eta, AffineForm) else AffineForm(eta)
     eta = _fit(form.gradient, P.dim, "eta")
     x = _finite(scale, "scale")
     if x == 0.0:
         raise InputError("scale must be nonzero")
     data = _vertex_pairings(P, eta)
-    neta = _norm(eta)
-    if neta == 0.0:
+    if all(c == 0 for c in eta):
         raise InputError("direction must be nonzero")
-    zero_edges = []
-    for (_, _, pairs) in data:
-        for (t, mu) in pairs:
-            if t == 0:
-                zero_edges.append(mu)
-            elif abs(_finite(t, "a pairing")) < _GENERICITY * neta * _norm(mu):
-                raise NearSingularDirection(
-                    "edge %r pairs to %s with the direction" % (mu, t)
-                )
+    zero_edges = [mu for (_, _, pairs) in data for (t, mu) in pairs if t == 0]
     return form, x, data, zero_edges
-
-
-def _vertex_sum(n, form, x, data):
-    """The Brion vertex sum over checked data with no zero pairing."""
-    sign = -1.0 if n % 2 else 1.0
-    total = 0.0
-    for (v, index, pairs) in data:
-        denom = 1.0
-        for (t, _) in pairs:
-            denom *= x * _finite(t, "a pairing")
-        total += _safe_exp(x * _finite(form(v), "the exponent at a vertex")) * index / denom
-    return sign * total
-
-
-def _ser_mul(a, b):
-    """The first len(a) coefficients of the power series a * b."""
-    out = [0.0] * len(a)
-    for i, xi in enumerate(a):
-        if xi == 0.0:
-            continue
-        for j in range(min(len(out) - i, len(b))):
-            out[i + j] += xi * b[j]
-    return out
 
 
 _AUX_SEEDS = (
@@ -539,83 +496,114 @@ def _aux_direction(n, zero_edges):
 
 
 def brion_localize_limit(P, eta, scale=1.0, boundary=False) -> float:
-    """Localization that resolves exact rational zero pairings by a limit.
+    """Brion's vertex sum with exact coefficients, the limit where a pairing is 0.
 
-    Replaces the direction by eta + t*zeta.  A vertex term with z zero
-    pairings has a pole of order z at t = 0, so each term times t^zmax
-    (zmax the largest z) is a power series in t, kept to zmax + 1
-    coefficients; the ones below t^zmax cancel across vertices and the
-    t^zmax coefficient of the sum is the analytic limit.  The series of
-    e^(x <v, zeta> t) is taken relative to the first vertex v0, as
-    e^(x <v - v0, zeta> t): that common factor leaves the limit as it is,
-    and its coefficients stay as small as P, wherever P lies.
-    NearSingularDirection is raised for a pairing that is not exactly zero
-    but below 1e-6 * |eta| * |mu| for its edge generator mu.  eta is exact
-    rational with P.dim coordinates, or an AffineForm whose constant c
-    enters every vertex exponent, e^(scale (<mu, eta> + c)), exactly,
-    which stays finite far from the origin where e^(scale c) alone would
-    not; scale is a float.  The boundary, in any dimension, sums the
-    interior formula over the facet charts (see _boundary_localize), after
-    the same checks on P.
+    With X the exact value of scale, the integral is
+
+        sum_v e^(X form(v)) c_v / (-X)^n,  c_v = index(v) / prod_i t_i,
+
+    for the exact pairings t_i of v's edge generators mu_i with eta.
+    Where some t_i are 0, the direction becomes eta + tau zeta (zeta
+    generic rational): c_v is then the tau^0 coefficient of
+    index(v) e^(tau X <v - v0, zeta>) / prod_i (t_i + tau <mu_i, zeta>),
+    whose poles cancel across the vertices, so the sum is the limit at
+    tau = 0.  Taking <v, zeta> relative to the first vertex v0 leaves the
+    sum as it is and the coefficients as small as P, wherever P lies.
+    The coefficients are exact rationals, merged at equal exponents, and
+    _exp_sum adds the terms.  eta is exact rational with P.dim coordinates, or an
+    AffineForm whose constant c enters every vertex exponent,
+    e^(scale (<v, eta> + c)), exactly, which stays finite far from the
+    origin where e^(scale c) alone would not; scale is a float.  The
+    boundary, in any dimension, sums the interior formula over the facet
+    charts (see _boundary_localize), after the same checks on P.
     """
     form, x, data, zero_edges = _localization_data(P, eta, scale)
     if boundary:
         return _boundary_localize(as_pa(form, P), x)
-    n = P.dim
-    if not zero_edges:
-        return _vertex_sum(n, form, x, data)
-
-    zeta = _aux_direction(n, zero_edges)
-    zeros = [sum(1 for (t, _) in pairs if t == 0) for (_, _, pairs) in data]
-    zmax = max(zeros)
-    sign = -1.0 if n % 2 else 1.0
-    total = [0.0] * (zmax + 1)
-    magnitude = [0.0] * zmax
-    # the common factor e^(-x <v0, zeta> t) of every term moves only the
-    # coefficients below t^zmax, which cancel; it keeps b as small as P
-    base = _dot(data[0][0].coords, zeta)
-    for (v, index, pairs), z in zip(data, zeros):
-        a = x * _finite(form(v), "the exponent at a vertex")
-        b = x * _finite(_dot(v.coords, zeta) - base, "a vertex's auxiliary pairing")
-        ea = _safe_exp(a)
-        try:
-            # e^(a + b t) t^(zmax - z): the z zero pairings below bring
-            # it down to the term times t^zmax
-            term = [0.0] * (zmax - z) + [ea * b ** j / factorial(j) for j in range(z + 1)]
-        except OverflowError:  # b^j beyond the float range: no float series
-            return float("nan")
-        term = _ser_mul(term, [sign * index])
+    if zero_edges:
+        zeta = _aux_direction(P.dim, zero_edges)
+        base = _dot(data[0][0].coords, zeta)
+    terms = {}
+    for (v, index, pairs) in data:
+        # index / prod_i (t_i + tau s_i), s_i = <mu_i, zeta>, is tau^-z
+        # (num / den) / prod_i (1 + tau s_i / t_i) over the nonzero t_i,
+        # with s_i in place of t_i in num / den for the z pairings t_i = 0
+        z = sum(1 for (t, _) in pairs if t == 0)
+        num, den = index, 1
+        ratios = []
         for (t, mu) in pairs:
-            s = _dot(mu, zeta)
-            if t == 0:
-                term = _ser_mul(term, [1.0 / (x * _finite(s, "an auxiliary pairing"))])
-            else:
-                term = _ser_mul(term, _inv_linear(t, s, x, zmax + 1))
-        for k, c in enumerate(term):
-            total[k] += c
-        for k in range(zmax):
-            magnitude[k] += abs(term[k])
+            if z:
+                s = _dot(mu, zeta)
+                if t == 0:
+                    t = s
+                else:
+                    ratios.append(s / t)
+            num *= t.denominator
+            den *= t.numerator
+        if z:
+            # series[k]: the tau^k coefficient of num / den / prod_i (1 + tau r_i);
+            # the coefficient is the tau^z one of series times e^(tau b)
+            series = [Fraction(num, den)] + [0] * z
+            for r in ratios:
+                for k in range(1, z + 1):
+                    series[k] -= r * series[k - 1]
+            b = Fraction(x) * (_dot(v.coords, zeta) - base)
+            coef = series[z]
+            for j in range(1, z + 1):
+                coef += series[z - j] * b ** j / factorial(j)
+            num, den = coef.numerator, coef.denominator
+        value = form(v)
+        key = (value.numerator, value.denominator)
+        if key in terms:
+            _, n0, d0 = terms[key]
+            num, den = n0 * den + num * d0, d0 * den
+        terms[key] = (value, num, den)
+    return _exp_sum(list(terms.values()), x, P.dim)
 
-    for k, msum in enumerate(magnitude):
-        if abs(total[k]) > 1e-8 * (msum + 1e-300):
-            raise ValidationFailure(
-                "Laurent coefficient at t^%d failed to cancel (%.3g of %.3g)"
-                % (k - zmax, total[k], msum)
-            )
-    return total[zmax]
 
+def _exp_sum(terms, x, n):
+    """sum of (num / den) e^(x f) over the exact (f, num, den) terms, over (-x)^n.
 
-def _inv_linear(t, s, x, keep):
-    """keep coefficients of the series of 1 / (x * (t + tau * s)) in tau,
-    for t != 0."""
-    base = 1.0 / (x * _finite(t, "a pairing"))
-    ratio = -_finite(s, "an auxiliary pairing") / _finite(t, "a pairing")
-    coeffs = []
-    acc = base
-    for _ in range(keep):
-        coeffs.append(acc)
-        acc *= ratio
-    return coeffs
+    That is a positive integral, so the sum is not 0.  Every f passes through
+    _finite; an exponent above 709 makes the sum inf, as in the kernel.
+    The T terms are added in floats where every coefficient and
+    exponential is a normal float and the rounding bound
+    2^-53 sum (T + 2 |a| + 3) |c e^a| (a = x f, rounded twice) is at most
+    1e-12 of the total, the accuracy target of paconvex._simplex_power;
+    else in decimals, with the exact exponents taken relative to the
+    largest, at a precision doubled until the same bound holds.
+    """
+    exps = [x * _finite(f, "the exponent at a vertex") for f, _, _ in terms]
+    if max(exps) > 709.0:
+        return inf
+    count = len(terms)
+    total = err = 0.0
+    for (_, num, den), a in zip(terms, exps):
+        if a < -708.0 or not -1000 < abs(num).bit_length() - abs(den).bit_length() < 1000:
+            break
+        part = num / den * exp(a)
+        total += part
+        err += (count + 2.0 * abs(a) + 3.0) * abs(part)
+    else:
+        if float_info.min <= abs(total) < inf and 2.0**-53 * err <= 1e-12 * abs(total):
+            for _ in range(n):
+                total /= -x
+            return total
+    X = Fraction(x)
+    top = X * terms[exps.index(max(exps))][0]
+    prec = 34
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            total = err = 0
+            for f, num, den in terms:
+                a = _decimal(X * f - top)
+                part = Decimal(num) / den * a.exp()
+                total += part
+                err += (count + abs(a) + 3) * abs(part)
+            if Decimal(10) ** (1 - prec) * err <= Decimal("1e-12") * abs(total):
+                return float(total * _decimal(top).exp() / _decimal(-X) ** n)
+        prec *= 2
 
 
 def _boundary_localize(qpa, rho):

@@ -210,10 +210,10 @@ def maximize_over_vectors(
 
     lam must be finite; lam > 0 makes the objective unbounded in general
     and requires an explicit box ((lo, hi) per coordinate, finite, lo <= hi).
-    A seed is P.dim finite numbers, taken as floats (as a trace's first entry
-    shows).  gtol must be finite and >= 0, max_iter an integer >= 0.  Raises
-    MaxIterExceeded when no seed converges; otherwise returns the best run
-    (its trace is monotone).
+    seeds, if given, is a nonempty sequence; a seed is P.dim finite numbers,
+    taken as floats (as a trace's first entry shows).  gtol must be finite
+    and >= 0, max_iter an integer >= 0.  Raises MaxIterExceeded when no
+    seed converges; otherwise returns the best run (its trace is monotone).
     """
     lam, gtol, max_iter = _finite(lam, "lam"), _finite(gtol, "gtol"), _natural(max_iter, "max_iter")
     if lam > 0 and box is None:
@@ -222,6 +222,8 @@ def maximize_over_vectors(
         raise InputError("gtol must be >= 0, got %r" % (gtol,))
     seeds = default_seeds(P.dim) if seeds is None else _iterable(seeds, "seeds")
     starts = [_fit(_floats(s, "seed %d" % k), P.dim, "seed %d" % k) for k, s in enumerate(seeds)]
+    if not starts:
+        raise InputError("seeds is empty")
     if box is not None:
         box = _fit(list(_iterable(box, "box")), P.dim, "box")
         box = [_interval(pair, "box %d" % k) for k, pair in enumerate(box)]

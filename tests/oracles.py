@@ -20,11 +20,9 @@ code with the sigma moments always on, and bfgs_ascent_every_iteration, a
 copy of the BFGS loop as it was when a stalled run spent every remaining
 iteration, run on the package's objective, and ExpIntegratorPerFacet, a
 copy of the integrator as it was when each facet had a child integrator,
-run on the package's cells and kernel, and brion_localize_laurent and
-boundary_moments_end_points, copies of the localization as it was when
-its limit used Laurent series and its boundary a two-dimensional vertex
-formula, and of the boundary moments as they were when a segment's facets
-were its end points, run on the package's vertex cones and PA functions.
+run on the package's cells and kernel, and boundary_moments_end_points, a
+copy of the boundary moments as they were when a segment's facets were
+its end points, run on the package's PA functions.
 ddexp_full_table is a
 package-free oracle of a different kind: a verbatim copy of the scalar divided-difference kernel
 as it was when it still filled and squared the whole seed table, kept to
@@ -718,142 +716,6 @@ class ExpIntegratorPerFacet:
                 totals[j] += t
                 mags[j] += m
         return list(zip(totals, mags))
-
-
-# -- localization as it was with a two-dimensional boundary formula ----------
-
-
-def _laurent_mul(a, b, keep):
-    la, ca = a
-    lb, cb = b
-    out = [0.0] * min(keep, len(ca) + len(cb) - 1)
-    for i, xi in enumerate(ca):
-        if xi == 0.0:
-            continue
-        top = min(len(out) - i, len(cb))
-        for j in range(top):
-            out[i + j] += xi * cb[j]
-    return (la + lb, out)
-
-
-def _laurent_coeff(a, power):
-    lead, c = a
-    i = power - lead
-    return c[i] if 0 <= i < len(c) else 0.0
-
-
-def _laurent_inv_linear(t, s, x, keep):
-    if t == 0:
-        return (-1, [1.0 / (x * float(s))])
-    base = 1.0 / (x * float(t))
-    ratio = -float(s) / float(t)
-    coeffs = []
-    acc = base
-    for _ in range(keep):
-        coeffs.append(acc)
-        acc *= ratio
-    return (0, coeffs)
-
-
-_LAURENT_AUX_SEEDS = (
-    Fraction(3, 7),
-    Fraction(5, 11),
-    Fraction(7, 13),
-    Fraction(11, 17),
-    Fraction(13, 19),
-    Fraction(17, 23),
-)
-
-
-def brion_localize_laurent(P, eta, scale=1.0, boundary=False):
-    """toricmu.integrate.brion_localize_limit as it was when exact zero
-    pairings went through truncated Laurent series (lead power, coefficients)
-    and the boundary, on polygons only, had its own vertex formula
-    -e^(<v, x eta>) (t1 + t2) / (t1 t2) for the edge pairings t1, t2 at v;
-    it runs on the package's vertex cones.  Inputs must pass the package's
-    checks: simple vertices, nonzero eta and scale, no near-singular
-    pairing."""
-    eta = tuple(Fraction(c) for c in eta)
-    x = float(scale)
-    n = P.dim
-    assert not boundary or n == 2
-    data = []
-    zero_edges = []
-    for v, cone in zip(P.vertices, P.vertex_cones):
-        pairs = [(_dot(g, eta), g) for g in cone.generators]
-        zero_edges += [g for (t, g) in pairs if t == 0]
-        data.append((v, cone.index, pairs))
-    if not zero_edges:
-        total = 0.0
-        if boundary:
-            for (v, _, pairs) in data:
-                (t1, _), (t2, _) = pairs
-                t1f, t2f = float(t1) * x, float(t2) * x
-                total -= (
-                    _safe_exp(x * float(_dot(v.coords, eta))) * (t1f + t2f) / (t1f * t2f)
-                )
-            return total
-        sign = -1.0 if n % 2 else 1.0
-        for (v, index, pairs) in data:
-            denom = 1.0
-            for (t, _) in pairs:
-                denom *= x * float(t)
-            total += _safe_exp(x * float(_dot(v.coords, eta))) * index / denom
-        return sign * total
-
-    for seed in _LAURENT_AUX_SEEDS:
-        zeta = tuple(seed ** k for k in range(n))
-        if all(_dot(mu, zeta) != 0 for mu in zero_edges):
-            break
-    else:
-        raise AssertionError("no generic auxiliary direction")
-    zmax = 0
-    for (_, _, pairs) in data:
-        zmax = max(zmax, sum(1 for (t, _) in pairs if t == 0))
-    keep = zmax + 4
-
-    total = (0, [0.0])
-    magnitude = {}
-    for (v, index, pairs) in data:
-        a = x * float(_dot(v.coords, eta))
-        b = x * float(_dot(v.coords, zeta))
-        ea = _safe_exp(a)
-        try:
-            term = (0, [ea * b ** j / math.factorial(j) for j in range(keep)])
-        except OverflowError:
-            return float("nan")
-        if boundary:
-            (t1, m1), (t2, m2) = pairs
-            s1, s2 = _dot(m1, zeta), _dot(m2, zeta)
-            num = (0, [float(t1 + t2), float(s1 + s2)])
-            term = _laurent_mul(term, num, keep)
-            for (t, s) in ((t1, s1), (t2, s2)):
-                term = _laurent_mul(term, _laurent_inv_linear(t, s, 1.0, keep), keep)
-            term = _laurent_mul(term, (0, [-1.0 / x]), keep)
-        else:
-            sign = -1.0 if n % 2 else 1.0
-            term = _laurent_mul(term, (0, [sign * index]), keep)
-            for (t, mu) in pairs:
-                s = _dot(mu, zeta)
-                term = _laurent_mul(term, _laurent_inv_linear(t, s, x, keep), keep)
-        lead, coeffs = term
-        tl, tc = total
-        newlead = min(lead, tl)
-        width = max(lead + len(coeffs), tl + len(tc)) - newlead
-        merged = [0.0] * width
-        for i, c in enumerate(tc):
-            merged[tl - newlead + i] += c
-        for i, c in enumerate(coeffs):
-            merged[lead - newlead + i] += c
-            p = lead + i
-            if p < 0:
-                magnitude[p] = magnitude.get(p, 0.0) + abs(c)
-        total = (newlead, merged)
-
-    for p, msum in magnitude.items():
-        residue = _laurent_coeff(total, p)
-        assert abs(residue) <= 1e-8 * (msum + 1e-300), (p, residue, msum)
-    return _laurent_coeff(total, 0)
 
 
 def boundary_moments_end_points(q, k):

@@ -522,6 +522,19 @@ def test_former_tracebacks_exit_cleanly(capsys, input_files, argv, code):
         assert captured.err.startswith("error: " if code == 2 else "validation failure: ")
 
 
+def test_near_singular_localization_exits_cleanly(capsys, tmp_path):
+    # <mu, (1, 10^-9)> on the square: an edge pairs to 10^-9, which exited 3
+    # while such directions were rejected
+    q = tmp_path / "near.json"
+    q.write_text(json.dumps({"pieces": [{"eta": [1, "1/1000000000"], "lambda": 0}]}))
+    code, out = invoke(
+        capsys, "integrate", "--polytope", "square", "--q", str(q), "--method", "localization"
+    )
+    assert code == 0
+    got = float(report_dict(out)["interior_localization"])
+    assert got == pytest.approx((math.e - 1) * math.expm1(1e-9) * 1e9, rel=1e-14)
+
+
 _SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 _BIG_SQUARE = [(0, 0), (2, 0), (0, 2), (2, 2)]
 _TRIANGLE = [(0, 0), (1, 0), (0, 1)]
@@ -694,6 +707,9 @@ def _max_xy_on(vertices):
         lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(1, 2)),
         lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(-3, -2)),
         lambda: tm.maximize_along_ray(support.unit_square(), (1, 0), bracket=(0, 0)),
+        # no seeds, and no grid points: max() of an empty sequence raised ValueError
+        lambda: maximize_over_vectors(support.unit_square(), seeds=[]),
+        lambda: tm.entropy_curve(support.unit_square(), None, grid=[]),
     ],
 )
 def test_library_argument_errors_are_input_errors(call):
@@ -712,10 +728,9 @@ def test_library_argument_errors_are_input_errors(call):
 
 
 def test_near_singular_direction_is_not_an_input_error():
-    # a numerical failure, not unusable input: the command line exits 3
-    assert not issubclass(tm.NearSingularDirection, tm.InputError)
-    with pytest.raises(tm.NearSingularDirection):
-        tm.brion_localize_limit(support.unit_square(), (1, Fraction(1, 10**9)))
+    # a direction that pairs to nearly zero with an edge localizes like any other
+    got = tm.brion_localize_limit(support.unit_square(), (1, Fraction(1, 10**9)))
+    assert got == pytest.approx((math.e - 1) * math.expm1(1e-9) * 1e9, rel=1e-14)
 
 
 def test_exit_code_2_on_bad_q_file(capsys, tmp_path):

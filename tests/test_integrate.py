@@ -1,5 +1,5 @@
 """Exponential integrals: simplex kernels, triangulation route, Brion
-vertex localization with its Laurent-limit fallback, and cross-validation.
+vertex localization with exact coefficients, and cross-validation.
 
 The two routes are algorithmically unrelated (divided differences vs
 vertex cone sums), so their agreement on random inputs is a strong check;
@@ -21,7 +21,6 @@ import support
 from toricmu import (
     ExpIntegrator,
     InputError,
-    NearSingularDirection,
     boundary_exp_integral,
     brion_localize_limit,
     build_polytope,
@@ -168,15 +167,6 @@ def test_brion_nongeneric_raises_and_limit_resolves():
     [
         (support.unit_square, (1, 2), 0.0, False, ValueError, "scale must be"),
         (support.unit_square, (0, 0), 1.0, False, ValueError, "direction must"),
-        (support.unit_square, (1, 1e-9), 1.0, False, NearSingularDirection, "pairs"),
-        (
-            lambda: build_polytope(support.UNIT_CUBE),
-            (1, 2, 1e-9),
-            1.0,
-            True,
-            NearSingularDirection,
-            "pairs",
-        ),
     ],
 )
 def test_localization_input_checks(make_P, eta, scale, boundary, error, message):
@@ -304,23 +294,18 @@ def test_boundary_localization_matches_triangulation(P, data):
 
 @settings(max_examples=150, deadline=None)
 @given(support.exact_polytopes(), st.data())
-def test_localization_matches_laurent_oracle(P, data):
-    """The interior limit in plain power series, with the auxiliary
-    pairings taken relative to the first vertex, agrees with the Laurent
-    series limit in absolute coordinates (oracles.brion_localize_laurent)
-    to rel 1e-12 in every dimension, and on polygons boundary localization
-    through the facet charts agrees with the old two-dimensional boundary
-    formula to rel 1e-12."""
+def test_localization_matches_triangulation(P, data):
+    """Localization, with exact coefficients for generic, zero and
+    near-zero pairings alike, agrees with the triangulation route to
+    rel 1e-12 in every dimension, inside and on the boundary."""
     eta = data.draw(_directions(P), label="eta")
     assume(any(c != 0 for c in eta))
     x = data.draw(st.sampled_from([1.0, 0.5, -0.8, 2.0]), label="scale")
+    aff = AffineForm(eta, 0)
     got = brion_localize_limit(P, eta, scale=x)
-    want = oracles.brion_localize_laurent(P, eta, scale=x)
-    assert got == pytest.approx(want, rel=1e-12)
-    if P.dim == 2:
-        got = brion_localize_limit(P, eta, scale=x, boundary=True)
-        want = oracles.brion_localize_laurent(P, eta, scale=x, boundary=True)
-        assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(polytope_exp_integral(P, aff, rho=x).value, rel=1e-12)
+    got = brion_localize_limit(P, eta, scale=x, boundary=True)
+    assert got == pytest.approx(boundary_exp_integral(P, aff, rho=x).value, rel=1e-12)
 
 
 def test_cross_validate_nongeneric_direction():
@@ -363,6 +348,32 @@ def test_laurent_limit_far_from_origin_keeps_its_digits(N):
     P = build_polytope([(N, N), (N + 1, N), (N + 1, N + 1), (N, N + 1)])
     got = polytope_exp_integral(P, AffineForm((1, 0), -N), method="localization")
     assert got.value == pytest.approx(E - 1, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("rho", [1e-9, 1e-6, 1e-30])
+def test_cross_validate_at_small_rho(rho):
+    """On P5 with max(x, y, -x - y - 1/3) the vertex terms are of order
+    rho^-2 and cancel down to the integral, about 2.875: the float vertex
+    sum lost every digit at rho = 1e-9 (rel gap 1.0) and most at 1e-6
+    (2.8e-4).  With exact coefficients the routes agree."""
+    P = support.readme_pentagon()
+    q = support.pa_from(P, ((1, 0), 0), ((0, 1), 0), ((-1, -1), Fraction(-1, 3)))
+    assert cross_validate(P, q, rho=rho).rel_gap <= 1e-12
+
+
+def test_near_singular_direction_on_the_cube_boundary():
+    """(1, 2, 10^-9) pairs to 10^-9 with the cube's vertical edges, which
+    raised NearSingularDirection; the boundary integral is
+    sum_i (1 + e^(eta_i)) prod_(j != i) (e^(eta_j) - 1) / eta_j.  (The
+    unit square case is in test_cli.)"""
+    eta = (1, 2, 1e-9)
+    sides = [math.expm1(c) / c for c in eta]
+    want = sum(
+        (1 + math.exp(c)) * math.prod(sides[:i] + sides[i + 1:]) for i, c in enumerate(eta)
+    )
+    P = build_polytope(support.UNIT_CUBE)
+    got = brion_localize_limit(P, (1, 2, Fraction(1, 10**9)), boundary=True)
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 def _assert_calls_equal_fresh(P, funcs, exponents):

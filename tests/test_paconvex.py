@@ -20,7 +20,6 @@ import oracles
 import support
 from toricmu import (
     InputError,
-    NearSingularDirection,
     ValidationFailure,
     boundary_exp_integral,
     boundary_pa_moment,
@@ -362,7 +361,7 @@ def _entry_point_outputs(P, q):
     for call in calls:
         try:
             out.append([None if x is None else struct.pack("<d", x) for x in call()])
-        except (InputError, NearSingularDirection, ValidationFailure) as err:
+        except (InputError, ValidationFailure) as err:
             out.append((type(err), str(err)))
     return out
 

@@ -20,6 +20,7 @@ from toricmu import (
     EMPTY,
     DegenerateHull,
     boundary_exp_integral,
+    brion_localize_limit,
     build_polytope,
     polytope_exp_integral,
     polytope_from_json,
@@ -138,6 +139,34 @@ def test_reflexive_polygons():
             B = boundary_exp_integral(P, q).value
             C = polytope_exp_integral(P, q, weight="entropy").value
             assert abs(B - C) <= 1e-13 * B
+
+
+def test_reflexive_polytopes_3d():
+    """The cube [-1, 1]^3, the octahedron conv(+-e_i) and the simplex of P^3
+    are reflexive: every facet offset is 1, the boundary measure is three
+    times the volume and, for q = <mu, -xi>, the boundary integral of e^q
+    equals the integral of (3 + q) e^q.  On the two simple ones the
+    boundary localization gives the same value; the octahedron's vertices
+    are not simple, so it is checked by triangulation only."""
+    cube = build_polytope(list(product((-1, 1), repeat=3)))
+    axes = [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+    octahedron = build_polytope(axes)
+    simplex = build_polytope([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)])
+    xis = [(Fraction(1, 3), Fraction(1, 2), Fraction(-1, 4)),
+           (Fraction(-2, 3), Fraction(1, 5), Fraction(1, 7)),
+           (Fraction(3, 4), Fraction(-5, 7), Fraction(2, 9))]
+    for P in (cube, octahedron, simplex):
+        assert all(f.offset == 1 for f in P.facets)
+        assert P.boundary_measure() == 3 * P.volume()
+        for xi in xis:
+            eta = tuple(-c for c in xi)
+            q = AffineForm(eta, 0)
+            B = boundary_exp_integral(P, q).value
+            C = polytope_exp_integral(P, q, weight="entropy").value
+            assert abs(B - C) <= 1e-13 * B
+            if P is not octahedron:
+                assert abs(brion_localize_limit(P, eta, boundary=True) - C) <= 1e-13 * C
+    assert octahedron.nonsimple_vertices
 
 
 def test_unit_square_exact_data():
