@@ -369,9 +369,8 @@ def _cmd_metric(args):
         value = metric_dexp(q, q2)
         name = "d_exp"
     else:
-        p = _rational(args.p, "--p")
-        value = metric_dp(q, q2, p)
-        name = "d_%g" % p
+        value = metric_dp(q, q2, _rational(args.p, "--p"))
+        name = "d_" + args.p
     return [{"quantity": name, "value": value}], REPORT_COLUMNS, {}
 
 

@@ -28,7 +28,8 @@ from .functionals import mu_star
 from .integrate import polytope_exp_integral
 from .paconvex import PiecewiseAffineConvex, make_pa
 from .polytope import (
-    InputError, LatticePolytope, _divisor, _finite, _positive_int, _rational, build_polytope
+    InputError, LatticePolytope, _divisor, _finite, _iterable, _positive_int, _rational,
+    build_polytope
 )
 
 
@@ -200,7 +201,7 @@ def char_mu_estimate(F, m_list, normalization="dimension", nu_infinity=None) -> 
     consistent diagonal entry is returned.  Raises NonConvergent when no two
     consecutive diagonal entries agree reasonably.
     """
-    ms = sorted(set(_positive_int(m, "degree") for m in m_list))
+    ms = sorted(set(_positive_int(m, "degree") for m in _iterable(m_list, "m_list")))
     if len(ms) < 3:
         raise InputError("need at least three distinct degrees, got %r" % (ms,))
     if nu_infinity is not None:

@@ -37,6 +37,7 @@ integral comes back non-finite.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product as _iproduct
 from decimal import Decimal, localcontext
@@ -44,7 +45,7 @@ from math import exp, factorial, inf, log
 from sys import float_info
 
 from ._ddexp_py import _float_sum, _safe_exp
-from .polytope import InputError, _dot, _finite, _fit
+from .polytope import InputError, _dot, _finite, _fit, _iterable
 from .paconvex import AffineForm, _decimal, as_pa, common_cells
 
 try:  # compiled kernel, with pure-Python fallback
@@ -334,7 +335,7 @@ class ExpIntegrator:
 
     def __init__(self, P, funcs):
         self.P = P
-        self.funcs = [as_pa(f, P) for f in funcs]
+        self.funcs = [as_pa(f, P) for f in _iterable(funcs, "funcs")]
         self.dim = P.dim
         self._interior = None
         self._facets = None
@@ -638,30 +639,18 @@ def _localize_integral(qpa, rho):
 # -- cross validation -----------------------------------------------------------
 
 
-class CrossValidation:
-    """Agreement report between the triangulation and localization routes."""
-
-    __slots__ = (
+# the agreement report of the triangulation and localization routes
+CrossValidation = namedtuple(
+    "CrossValidation",
+    [
         "interior_triangulation",
         "interior_localization",
         "boundary_triangulation",
         "boundary_localization",
         "rel_gap",
         "passed",
-    )
-
-    def __init__(self, it, il, bt, bl, rel_gap, passed):
-        self.interior_triangulation = it
-        self.interior_localization = il
-        self.boundary_triangulation = bt
-        self.boundary_localization = bl
-        self.rel_gap = rel_gap
-        self.passed = passed
-
-    def __repr__(self):
-        return (
-            "CrossValidation(rel_gap=%.3g, passed=%r)" % (self.rel_gap, self.passed)
-        )
+    ],
+)
 
 
 _VALIDATION_TOL = 1e-7

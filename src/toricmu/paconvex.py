@@ -12,7 +12,7 @@ transcendental (Laplace transforms, d_exp, non-integer powers).
 from __future__ import annotations
 
 import operator
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, factorial, inf, log1p, log10
@@ -196,7 +196,7 @@ class PiecewiseAffineConvex:
 
 
 def make_pa(pieces, P) -> PiecewiseAffineConvex:
-    pieces = list(pieces)
+    pieces = list(_iterable(pieces, "pieces"))
     if not pieces:
         raise EmptyPieces("need at least one affine piece")
     forms = []
@@ -255,7 +255,7 @@ def common_cells(P, funcs):
     any other cell, even an equal one, is split.
     """
     work = [(P, ())]
-    for f in funcs:
+    for f in _iterable(funcs, "funcs"):
         pa = as_pa(f, P)
         work = [
             (sub, ids + (i,))
@@ -307,7 +307,7 @@ def legendre_dual(fspec, P) -> PiecewiseAffineConvex:
     if isinstance(fspec, LegendreTransform):
         pairs = fspec.pieces()
     else:
-        pairs = list(fspec)
+        pairs = list(_iterable(fspec, "fspec"))
     n = P.dim
     pts = []
     for j, (w, c) in enumerate(pairs):
@@ -405,10 +405,11 @@ def _simplex_power(simplex, aff: AffineForm, p):
     the vertex values g, summed over the confluent weights of the exact
     sorted g, so equal values need no threshold.  An int p gives an exact
     Fraction, its powers taking O(log p) multiplications.  Any other p
-    (real, aff >= 0 on the simplex) is summed in floats, or in decimals
-    with as many more digits as close values cancel; a weight beyond the
-    float range means they cancel far past double precision, and sends
-    the simplex to decimals before any weight becomes a float.
+    (real, aff >= 0 on the simplex) gives a Decimal: |det| top^p times the
+    sum for g / top, which is summed in floats, or in decimals with as many
+    more digits as close values cancel; a weight beyond the float range
+    means they cancel far past double precision, and sends the simplex to
+    decimals before any weight becomes a float.
     """
     det, n = abs(simplex.edge_matrix_det()), simplex.dim
     g = sorted(aff(v) for v in simplex.vertices)
@@ -416,7 +417,7 @@ def _simplex_power(simplex, aff: AffineForm, p):
         return det * sum(_power_terms(_dd_weights(g).items(), g, n, p, Fraction), Fraction(0))
     top = g[-1]
     if top == 0:
-        return 0.0
+        return Decimal(0)
     # scaled into [0, 1]: powers of g cannot overflow, nor the sum underflow
     g = [x / top for x in g]
     weights = _dd_weights(g).items()
@@ -435,14 +436,14 @@ def _simplex_power(simplex, aff: AffineForm, p):
         jensen = mean**p
         loss = bound / jensen if jensen else inf
         if (p + 2 * n + 4) * 2.0**-53 * loss <= 1e-12:
-            return _finite(det, "a simplex volume") * float(top) ** p * total
+            return _decimal(det) * _decimal(top) ** Decimal(p) * Decimal(total)
         # loss may be beyond the float range; its log10 is not
         digits = log10(loss) if loss < inf else log10(bound) - p * log10(mean)
     with localcontext() as ctx:
         ctx.prec = 20 + ceil(digits)
         terms = _power_terms(weights, g, n, Decimal(p), _decimal)
         total = float(sum(terms))
-    return _finite(det, "a simplex volume") * float(top) ** p * total
+    return _decimal(det) * _decimal(top) ** Decimal(p) * Decimal(total)
 
 
 def poly_moment(P, aff: AffineForm, k: int = 1) -> Fraction:
@@ -599,12 +600,16 @@ def sup_abs_diff(q, qp) -> Fraction:
 
 
 def _power_sum(regions, p):
-    """Integral of aff^p over the (cell, aff) regions: exact for an int p."""
-    parts = (_simplex_power(s, aff, p) for (cell, aff) in regions for s in cell.triangulate())
-    return sum(parts, Fraction(0)) if isinstance(p, int) else _float_sum(parts)
+    """Integral of aff^p over the (cell, aff) regions, in one pass: a Fraction
+    for an int p, a Decimal for any other (see _simplex_power)."""
+    return sum(_simplex_power(s, aff, p) for (cell, aff) in regions for s in cell.triangulate())
 
 
 def _decimal(x) -> Decimal:
+    """x itself if a Decimal (whose Fraction may have a huge denominator), else
+    the exact value x divided out in the current context."""
+    if isinstance(x, Decimal):
+        return x
     x = Fraction(x)
     return Decimal(x.numerator) / x.denominator
 
@@ -612,37 +617,21 @@ def _decimal(x) -> Decimal:
 def metric_dp(q, qp, p) -> float:
     """L^p distance (integral of |q - q'|^p)^{1/p}, for any real p >= 1.
 
-    Integer p is summed exactly before the final root; any other p in
-    floats, by the same simplex identity (see _simplex_power).  Where a
-    float over- or underflows on the way, the float sum is redone for
-    |q - q'| divided by its maximum and the root is taken in decimals, so
-    the result is inf only when d_p itself is beyond the float range.
+    Integer p is summed exactly, any other p in decimals, by the same
+    simplex identity (see _simplex_power), with the decimal exponent range
+    as wide as it goes; one decimal root follows, so the result is inf or
+    0.0 only when d_p itself is beyond the float range.
     """
     pf = _finite(p, "p")
     if pf < 1:
         raise InputError("p must be at least 1, got %s" % (p,))
     p = int(pf) if pf == int(pf) else pf
-    regions = _signed_regions(q, qp)
-    try:
-        total = _power_sum(regions, p)
-    except OverflowError:  # a float power beyond the float range
-        total = inf
-    try:
-        d = float(total) ** (1.0 / p)
-    except OverflowError:  # an exact total beyond the float range
-        d = inf
-    if 0.0 < d < inf:
-        return d
-    top = 1
-    if isinstance(p, float):
-        top = _largest(regions)
-        if top == 0:
-            return 0.0
-        total = _power_sum([(cell, (1 / top) * aff) for (cell, aff) in regions], p)
     with localcontext() as ctx:
+        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
+        total = _power_sum(_signed_regions(q, qp), p)
         ctx.prec = 30
-        # float() of a Decimal beyond the float range is inf, not an error
-        return float(_decimal(top) * _decimal(total) ** (1 / Decimal(p)))
+        # float() of a Decimal beyond the float range is inf or 0.0, not an error
+        return float(_decimal(total) ** (1 / Decimal(p)))
 
 
 def metric_dexp(q, qp) -> float:

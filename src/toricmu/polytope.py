@@ -810,7 +810,7 @@ def facet_measure(P, facet_index) -> Fraction:
 
 def clip(P, halfspace):
     """halfspace = (normal, offset) meaning <x, normal> <= offset."""
-    normal, offset = halfspace
+    normal, offset = _fit(tuple(_iterable(halfspace, "halfspace")), 2, "halfspace")
     return P.clip(normal, offset)
 
 

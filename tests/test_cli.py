@@ -205,6 +205,22 @@ def test_metric_exp_and_p(capsys):
     assert float(report_dict(out)["d_2"]) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_metric_row_is_labelled_by_the_given_p(capsys):
+    """--p 2.000001 is a real p: its row is not d_2, the label of the exact
+    integer route.  On square-qn:1e200 its value is (N^(p-2) / ((p+1)
+    (p+2)))^(1/p), 2.3e-4 above d_2 = 12^(-1/2); it read 0.0 while the
+    corner simplices' volumes, near 1e-400, were floats."""
+    code, out = invoke(
+        capsys, "metric", "--polytope", "square", "--q", "square-qn:1e200", "--p", "2.000001"
+    )
+    assert code == 0
+    rows = report_dict(out)
+    assert list(rows) == ["d_2.000001"]
+    p = 2.000001
+    expected = math.exp(((p - 2) * 200 * math.log(10) - math.log((p + 1) * (p + 2))) / p)
+    assert float(rows["d_2.000001"]) == pytest.approx(expected, rel=1e-12)
+
+
 def test_filtration_corner_rows(capsys):
     code, out = invoke(capsys, "filtration", "--case", "corner", "--m", "1,2,4")
     assert code == 0

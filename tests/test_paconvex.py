@@ -13,18 +13,21 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import support
 from toricmu import (
+    ExpIntegrator,
     InputError,
     ValidationFailure,
     boundary_exp_integral,
     boundary_pa_moment,
     build_polytope,
     calabi,
+    char_mu_estimate,
+    corner_filtration,
     cross_validate,
     dh_cdf,
     dh_summary,
@@ -649,6 +652,28 @@ def test_legendre_dual_rejects_support_points_of_the_wrong_length():
         legendre_dual([((0, 0), 0), ((1, 0), 0), ((0,), 1)], support.unit_square())
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda P, q: make_pa(5, P), "pieces"),
+        (lambda P, q: common_cells(P, 5), "funcs"),
+        (lambda P, q: sup_abs_diff(q, 5), "pieces"),
+        (lambda P, q: legendre_dual(5, P), "fspec"),
+        (lambda P, q: ExpIntegrator(P, 5), "funcs"),
+        (lambda P, q: char_mu_estimate(corner_filtration(), 5), "m_list"),
+        (lambda P, q: polytope.clip(P, 5), "halfspace"),
+    ],
+    ids=["make_pa", "common_cells", "sup_abs_diff", "legendre_dual", "ExpIntegrator",
+         "char_mu_estimate", "clip"],
+)
+def test_sequence_arguments_reject_a_number(call, name):
+    """A number where a sequence belongs raises InputError naming the
+    argument, not a bare TypeError from iterating it."""
+    P = support.unit_square()
+    with pytest.raises(InputError, match="^%s: 5 is not a sequence$" % name):
+        call(P, kink_q(P))
+
+
 def test_legendre_fenchel_young():
     rng = random.Random(281)
     P = support.random_polytope(rng)
@@ -785,6 +810,45 @@ def test_metric_dp_float_route_near_integer_matches_exact(pair, k):
             assert metric_dp(q, qp, p) == pytest.approx(exact, rel=1e-8, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [10**100, 10**160, 10**200], ids=["1e100", "1e160", "1e200"])
+@pytest.mark.parametrize("p", [2 + 1e-6, 2.5])
+def test_metric_dp_real_p_on_square_qn(n, p):
+    """|square-qn:N| is N (1 - N (x + y)) on the corner x + y <= 1/N and
+    0 elsewhere, up to 1/(6N), so d_p^p = N^(p-2) / ((p+1) (p+2)) to rel
+    O(N^-2): the exact d_2 is 12^(-1/2), and a real p near 2 moves it by
+    the factor N^((p-2)/p) (1 + 2.3e-4 at N = 1e200).  The corner
+    simplices have volumes near N^-2, below the float range at 1e200."""
+    q = square_qn_potential(n)
+    zero = as_pa(None, q.P)
+    assert metric_dp(q, zero, 2) == pytest.approx(12**-0.5, rel=1e-15)
+    expected = math.exp(((p - 2) * math.log(n) - math.log((p + 1) * (p + 2))) / p)
+    assert metric_dp(q, zero, p) == pytest.approx(expected, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-400, 400), st.sampled_from([1, 2, 3, 1.5, 2.5, 7.25]))
+@example(308, 2.5).via("the largest scale in the float range")
+@example(309, 2).via("beyond the float range")
+@example(-320, 1.5).via("a subnormal d_p")
+@example(-324, 2.5).via("below the float range")
+@example(300, 4000.5).via("d_p^p beyond the default decimal range")
+@example(-300, 4000.5).via("d_p^p below the default decimal range")
+def test_metric_dp_of_a_constant_at_any_scale(k, p):
+    """|q - q'| = 10^k gives d_p = 10^k vol^(1/p), as its float: inf or
+    0.0 past the float range, and no OverflowError on the way, nor a
+    d_p^p that leaves the decimal exponent range."""
+    P = support.blowup_polytope()
+    got = metric_dp(support.pa_from(P, ((0, 0), Fraction(10) ** k)), as_pa(None, P), p)
+    vol = P.volume()
+    with mpmath.workdps(50):
+        root = (mpmath.mpf(vol.numerator) / vol.denominator) ** (1 / mpmath.mpf(p))
+        expected = float(mpmath.mpf(10) ** k * root)
+    if expected in (0.0, math.inf):
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=1e-14, abs=1e-323)
+
+
 def test_simplex_power_matches_segment_and_triangle_closed_forms():
     rng = random.Random(515)
     for trial in range(200):
@@ -803,7 +867,7 @@ def test_simplex_power_matches_segment_and_triangle_closed_forms():
         expected = oracles.simplex_power_closed_form(
             abs(float(s.edge_matrix_det())), [float(aff(v)) for v in s.vertices], p
         )
-        assert _simplex_power(s, aff, p) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert float(_simplex_power(s, aff, p)) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @st.composite
@@ -865,18 +929,18 @@ def test_simplex_power_close_or_tiny_vertex_values():
                         for x in [abs(s.edge_matrix_det())] + [aff(v) for v in s.vertices]
                     ]
                     expected = oracles.simplex_power_closed_form(det, vals, mpmath.mpf(p))
-                assert _simplex_power(s, aff, p) == pytest.approx(
+                assert float(_simplex_power(s, aff, p)) == pytest.approx(
                     float(expected), rel=1e-12, abs=0
                 )
             if m >= 12:
                 # 1 + e (x + 2y + 3z): 1/6 (1 + p e) up to O(e^2)
-                value = _simplex_power(corner, AffineForm((e, 2 * e, 3 * e), 1), p)
+                value = float(_simplex_power(corner, AffineForm((e, 2 * e, 3 * e), 1), p))
                 assert value == pytest.approx((1 + p * float(e)) / 6, rel=1e-14)
     # values near 1e-130: g^(p+2) underflows, the integral (~1e-195) does not
     aff = AffineForm((1, 2), 1)
     tiny = Fraction(1, 10**130) * aff
-    assert _simplex_power(triangle, tiny, 1.5) / 1e-195 == pytest.approx(
-        _simplex_power(triangle, aff, 1.5), rel=1e-14
+    assert float(_simplex_power(triangle, tiny, 1.5)) / 1e-195 == pytest.approx(
+        float(_simplex_power(triangle, aff, 1.5)), rel=1e-14
     )
 
 
