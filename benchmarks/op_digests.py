@@ -7,11 +7,11 @@ dump runs one pass of each of perfbench's `sweep`, `optimize` and `exact`
 workloads at the given seed against this checkout's sources and writes, per
 workload, every op's label and digest in op order, with each float as its
 float.hex string (tagged ["F", hex]), the number of calls the pass made to
-toricmu.integrate.ddexp, to build_polytope (every binding of it in a toricmu
-module) and to LatticePolytope.clip, counted by wrappers this script
-installs (the clips that build_polytope makes of its polar are counted
-apart, as hull clips, so that the clip count reads as in dumps of trees
-whose hulls made none), and the pass's traced memory in KiB
+toricmu.integrate.ddexp, in all and per node count, to build_polytope
+(every binding of it in a toricmu module) and to LatticePolytope.clip,
+counted by wrappers this script installs (the clips that build_polytope
+makes of its polar are counted apart, as hull clips, so that the clip
+count reads as in dumps of trees whose hulls made none), and the pass's traced memory in KiB
 (tracemalloc, started after the workload's inputs are built): what the
 ops leave allocated after the pass, such as the caches they keep on the
 inputs (like the kernel count, it leaves out the checks and the digests),
@@ -24,8 +24,9 @@ compare prints, per workload and op label, how many ops carry the label,
 how many of their digests differ, how many of those differ beyond the
 reference tolerance of perfbench/run.py (same_output: floats to rel 1e-9,
 everything else exactly) and the largest relative gap between two floats
-that differ; the kernel, hull-build, clip and hull-clip call counts
-and traced memory of both dumps ("-" for a count an older dump lacks); and
+that differ; the kernel (in all and per node count), hull-build, clip
+and hull-clip call counts and traced memory of both dumps ("-" for a count
+an older dump lacks); and
 exits with code 1 when any digest differs.  It prints the interpreter
 version of both dumps.
 
@@ -111,17 +112,20 @@ class GeometryCounts:
 
 
 def run_ops(workload, seed):
-    """{"ops": [[label, digest]], "ddexp_calls": count, "build_polytope_calls":
-    count, "clip_calls": count, "hull_clip_calls": count, "retained_kib": kib,
-    "peak_kib": kib} of one pass."""
+    """{"ops": [[label, digest]], "ddexp_calls": count, "ddexp_calls_by_nodes":
+    {node count: count}, "build_polytope_calls": count, "clip_calls": count,
+    "hull_clip_calls": count, "retained_kib": kib, "peak_kib": kib} of one
+    pass."""
     raw = workloads.make_raw(workload, seed)
     ops = workloads.ops_for(workload, raw, workloads.build(workload, raw))
     kernel = integrate.ddexp
     calls = 0
+    by_nodes = {}
 
     def counting(nodes):
         nonlocal calls
         calls += 1
+        by_nodes[len(nodes)] = by_nodes.get(len(nodes), 0) + 1
         return kernel(nodes)
 
     geometry = GeometryCounts()
@@ -161,6 +165,8 @@ def run_ops(workload, seed):
     return {
         "ops": out,
         "ddexp_calls": calls,
+        # JSON keys are strings: the node counts are written as text
+        "ddexp_calls_by_nodes": {str(m): by_nodes[m] for m in sorted(by_nodes)},
         "build_polytope_calls": geometry.build_polytope,
         "clip_calls": geometry.clip,
         "hull_clip_calls": geometry.hull_clip,
@@ -184,6 +190,8 @@ def dump(seed, path):
               % (w, len(run["ops"]), run["ddexp_calls"], run["build_polytope_calls"],
                  run["clip_calls"], run["hull_clip_calls"], run["retained_kib"],
                  run["peak_kib"]))
+        print("%-9s ddexp calls per node count: %s" % (w, ", ".join(
+            "%s: %d" % item for item in run["ddexp_calls_by_nodes"].items())))
     Path(path).write_text(json.dumps(data, indent=0) + "\n")
 
 
@@ -252,6 +260,11 @@ def compare(path_a, path_b):
             beyond += far
         wa, wb = a["workloads"][w], b["workloads"][w]
         print("%-9s ddexp calls %d -> %d" % (w, wa["ddexp_calls"], wb["ddexp_calls"]))
+        # dumps written before the per-node counts have none
+        na, nb = wa.get("ddexp_calls_by_nodes", {}), wb.get("ddexp_calls_by_nodes", {})
+        for m in sorted(set(na) | set(nb), key=int):
+            print("%-9s ddexp calls on %s nodes %s -> %s"
+                  % (w, m, na.get(m, "-" if not na else 0), nb.get(m, "-" if not nb else 0)))
         # dumps written before the geometry counts have none
         for key in ("build_polytope_calls", "clip_calls", "hull_clip_calls"):
             print("%-9s %s %s -> %s" % (w, key.replace("_", " "), wa.get(key, "-"),

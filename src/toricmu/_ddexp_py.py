@@ -36,12 +36,13 @@ always forms just the corner, the sum over k of B[0][k] * B[k][m-1] from
 bits as squaring the whole table K times.
 
 The small tables, the most common in the integrators, run straight-line
-code.  Two and three nodes take _ddexp2 and _ddexp3, which keep their
-table entries in locals from the centering to the corner and call the
-straight-line series directly.  Three and four nodes square with _corner3
-and _corner4, whose entries are locals too.  Each entry is _square_upper's
-sum, from 0.0 with k ascending, so the bits are those of the loops, which
-still serve five or more nodes.
+code.  Two to four nodes take _ddexp2, _ddexp3 and _ddexp4, which keep
+their table entries in locals from the centering to the corner and call
+the straight-line series directly; at K >= 2 three and four nodes square
+with _corner3 and _corner4, whose entries are locals too.  Each step makes
+the generic path's float operations in the same order (each squared entry
+is _square_upper's sum, from 0.0 with k ascending), so the bits are those
+of the lists and loops, which serve five or more nodes.
 
 Every float sum of the package, the centring here included, goes left to
 right from 0.0 through _float_sum or written out as 0.0 + a + b + ...: from
@@ -346,6 +347,49 @@ def _ddexp3(a, b, c):
     return _safe_exp(mean) * _corner3(B, K - 1)
 
 
+def _ddexp4(a, b, c, d):
+    """exp[a, b, c, d]: ddexp's steps for four nodes, with the table in locals.
+
+    At K = 1 the one squaring is the corner alone, which reads row 0 and
+    column 3 of the seed table; at K >= 2 _corner4 squares the whole table."""
+    mean = (0.0 + a + b + c + d) / 4
+    h0 = a - mean
+    h1 = b - mean
+    h2 = c - mean
+    h3 = d - mean
+    spread = abs(h0)  # max(map(abs, [h0, h1, h2, h3])), NaN included
+    if abs(h1) > spread:
+        spread = abs(h1)
+    if abs(h2) > spread:
+        spread = abs(h2)
+    if abs(h3) > spread:
+        spread = abs(h3)
+    if not spread > 0.5:
+        return _safe_exp(mean) * _series4((h0, h1, h2, h3))
+    K = _depth(spread)
+    eps = 0.5 ** K
+    s0 = h0 * eps
+    s1 = h1 * eps
+    s2 = h2 * eps
+    s3 = h3 * eps
+    b00 = exp(s0)
+    b01 = eps * _series2((s0, s1))
+    b02 = eps**2 * _series3((s0, s1, s2))
+    b03 = eps**3 * _series4((s0, s1, s2, s3))
+    b13 = eps**2 * _series3((s1, s2, s3))
+    b23 = eps * _series2((s2, s3))
+    b33 = exp(s3)
+    if K == 1:
+        return _safe_exp(mean) * (0.0 + b00 * b03 + b01 * b13 + b02 * b23 + b03 * b33)
+    B = (
+        (b00, b01, b02, b03),
+        (0.0, exp(s1), eps * _series2((s1, s2)), b13),
+        (0.0, 0.0, exp(s2), b23),
+        (0.0, 0.0, 0.0, b33),
+    )
+    return _safe_exp(mean) * _corner4(B, K - 1)
+
+
 def ddexp(nodes):
     """Divided difference exp[nodes[0], ..., nodes[-1]] (order insensitive)."""
     m = len(nodes)
@@ -353,6 +397,8 @@ def ddexp(nodes):
         return _ddexp2(*nodes)
     if m == 3:
         return _ddexp3(*nodes)
+    if m == 4:
+        return _ddexp4(*nodes)
     if m == 0:
         raise ValueError("need at least one node")
     if m == 1:
@@ -384,8 +430,6 @@ def ddexp(nodes):
     for i in range(m):
         for j in range(i + 1, m):
             B[i][j] = epow[j - i] * _series(s[i : j + 1])
-    if m == 4:
-        return _safe_exp(c) * _corner4(B, K - 1)
     for _ in range(K - 1):
         B = _square_upper(B)
     return _safe_exp(c) * _corner_of_square(B)

@@ -11,7 +11,8 @@ over a simplex reduce, through the barycentric moment identity
 to confluent divided differences of exp, which the _ddexp kernel evaluates
 without cancellation.  Piecewise-affine data is handled on the cell complex.
 ExpIntegrator integrates any number of factor lists at one exponent in one
-pass over the simplices.
+pass over the simplices, and simplices with equal vertex values (mirror
+images under a symmetry of the data) share their divided differences.
 
 Localization route: the vertex sum
 
@@ -37,7 +38,7 @@ integral comes back non-finite.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import product as _iproduct
 from decimal import Decimal, localcontext
@@ -112,8 +113,9 @@ def _divided_difference(avals, key, memo):
     return hit
 
 
-def _simplex_weighted(det, avals, factor_vals, memo):
-    """Integral over one simplex of (prod_j f_j) e^(e) given vertex values.
+def _simplex_weighted(avals, factor_vals, memo):
+    """Integral over one simplex of (prod_j f_j) e^(e) given vertex values,
+    divided by det.
 
     avals[i] is the exponent at vertex i; factor_vals[j][i] the j-th affine
     factor at vertex i.  Each factor contributes one barycentric power, so a
@@ -136,7 +138,7 @@ def _simplex_weighted(det, avals, factor_vals, memo):
             continue
         alph, dd = _divided_difference(avals, key, memo)
         total += w * alph * dd
-    return det * total
+    return total
 
 
 def simplex_exp_integral(simplex, exponent: AffineForm, weight=None) -> float:
@@ -158,18 +160,24 @@ def _float_records(cells, what="a function value"):
     """Float records of the simplices of (cell, pieces) pairs, in order.
 
     Returns one group for _accumulate: (records, tiny).  A record is
-    (det, rows): det is |det(edge matrix)| = n! * volume and rows[i][k] is
-    pieces[k] at vertex i, both as floats.  The pieces are evaluated once
-    per cell vertex, and the simplices that share the vertex share its row
-    (every simplex vertex is one of its cell's vertex objects, see
-    polytope._triangulate).  A simplex of exact volume 0 is
-    skipped.  One whose volume is nonzero but underflows to 0.0 goes to
-    tiny as (log det, rows, volume) for _check_tiny.  A det or value beyond
-    the float range raises InputError (what names the values).  _accumulate
-    only reads the group, so it is built once per integrator.
+    (det, rows, first): det is |det(edge matrix)| = n! * volume, rows[i][k]
+    is pieces[k] at vertex i, both as floats, and first is the index of the
+    first record of the group whose rows equal these, vertex by vertex, or
+    None where no other record of the group has them.  The rows come from
+    exact values through _finite, so they hold no -0.0 and no NaN: equal
+    rows are equal bits, and give equal exponents and factor values under
+    every combination.  The pieces are evaluated once per cell vertex, and
+    the simplices that share the vertex share its row (every simplex
+    vertex is one of its cell's vertex objects, see polytope._triangulate).
+    A simplex of exact volume 0 is skipped.  One whose volume is nonzero
+    but underflows to 0.0 goes to tiny as (log det, rows, volume) for
+    _check_tiny.  A det or value beyond the float range raises InputError
+    (what names the values).  _accumulate only reads the group, so it is
+    built once per integrator.
     """
     records = []
     tiny = []
+    first_of = {}
     for cell, pieces in cells:
         row_at = {id(v): [_finite(piece(v), what) for piece in pieces] for v in cell.vertices}
         for s in cell.triangulate():
@@ -183,7 +191,12 @@ def _float_records(cells, what="a function value"):
                 log_det = log(exact.numerator) - log(exact.denominator)
                 tiny.append((log_det, rows, volume))
             else:
-                records.append((det, rows))
+                key = tuple(map(tuple, rows))
+                records.append((det, rows, first_of.setdefault(key, len(records))))
+    # a record whose rows no other record has is tagged None, so that
+    # _accumulate keeps no sums for it
+    size = Counter(first for _, _, first in records)
+    records = [(det, rows, first if size[first] > 1 else None) for det, rows, first in records]
     return records, tiny
 
 
@@ -237,10 +250,17 @@ def _accumulate(groups, exp_combo, factor_lists):
     Within a record, the factor lists share one memo of divided
     differences, which ends with the record.
 
+    Records with equal rows (one first) have equal integrals up to det:
+    the first of them computes, per factor list, the sum of divided
+    differences times vertex weights, and every record of the class adds
+    det times that sum in its own place, so the totals keep the bits of
+    computing each record alone.  Those sums are kept for the one group of
+    one call.
+
     One empty factor list, an unweighted integral, is one divided
-    difference per record that nothing else shares: it runs a scalar loop
-    of det * ddexp(vertex exponents) without a memo, making the same
-    float operations in the same order as the general loop.
+    difference per record: it runs a scalar loop of det * ddexp(vertex
+    exponents) with neither memo nor shared sums, making the same float
+    operations in the same order as the general loop.
     """
     if len(factor_lists) == 1 and not factor_lists[0]:
         total = mag = 0.0
@@ -248,7 +268,7 @@ def _accumulate(groups, exp_combo, factor_lists):
             if tiny:
                 _check_tiny(tiny, exp_combo, factor_lists)
             part = part_mag = 0.0
-            for det, rows in records:
+            for det, rows, _ in records:
                 contrib = det * ddexp(_sums(exp_combo, rows))
                 part += contrib
                 part_mag += abs(contrib)
@@ -263,12 +283,22 @@ def _accumulate(groups, exp_combo, factor_lists):
             _check_tiny(tiny, exp_combo, factor_lists)
         part = [0.0] * count
         part_mags = [0.0] * count
-        for det, rows in records:
+        shared = {}
+        for det, rows, first in records:
+            sums = shared.get(first)
+            if sums is not None:
+                for j, total in enumerate(sums):
+                    contrib = det * total
+                    part[j] += contrib
+                    part_mags[j] += abs(contrib)
+                continue
+            if first is not None:
+                sums = shared[first] = []
             avals = _sums(exp_combo, rows)
             memo = {}
             for j, factors in enumerate(factor_lists):
                 if not factors:
-                    contrib = det * ddexp(avals)
+                    total = ddexp(avals)
                 elif len(factors) == 1:
                     # _simplex_weighted for one factor: vertex i alone is
                     # key (i,), with multiplicity factorial 1
@@ -281,13 +311,15 @@ def _accumulate(groups, exp_combo, factor_lists):
                             if hit is None:
                                 hit = memo[(i,)] = (1, ddexp(avals + [avals[i]]))
                             total += w * hit[1]
-                    contrib = det * total
                 else:
                     fvals = [
                         [const + v for v in _sums(coeffs, rows)]
                         for (const, coeffs) in factors
                     ]
-                    contrib = _simplex_weighted(det, avals, fvals, memo)
+                    total = _simplex_weighted(avals, fvals, memo)
+                if sums is not None:
+                    sums.append(total)
+                contrib = det * total
                 part[j] += contrib
                 part_mags[j] += abs(contrib)
         for j in range(count):
@@ -326,11 +358,16 @@ class ExpIntegrator:
     One call makes one pass over the simplices: the vertex exponents are
     computed once per simplex and every factor list is integrated from
     them, computing each distinct divided difference of the simplex once.
-    That memo lives for one simplex of one call; the compiled records are
-    the only state kept between calls, and no call changes them.  An empty
-    factor list needs one divided difference, which nothing else shares,
-    so it bypasses the memo; a call with that list alone (every unweighted
-    integral) is _accumulate's scalar loop.
+    That memo lives for one simplex of one call.  A simplex whose vertex
+    values equal, vertex by vertex, those of an earlier simplex of its
+    group (a mirror image, on symmetric data) takes that simplex's sums per
+    factor list, kept for one group of one call, and scales them by its own
+    det, with the bits of computing it alone.  The compiled records are the
+    only state kept between calls, and no call changes them.  An empty
+    factor list needs one divided difference, which nothing else in the
+    simplex shares, so it bypasses the memo; a call with that list alone
+    (every unweighted integral) is _accumulate's scalar loop, which shares
+    nothing.
     """
 
     def __init__(self, P, funcs):

@@ -310,8 +310,9 @@ def legendre_dual(fspec, P) -> PiecewiseAffineConvex:
         pairs = list(_iterable(fspec, "fspec"))
     n = P.dim
     pts = []
-    for j, (w, c) in enumerate(pairs):
+    for j, entry in enumerate(pairs):
         name = "support point %d" % j
+        w, c = _fit(tuple(_iterable(entry, "fspec entry %d" % j)), 2, "fspec entry %d" % j)
         coords = _fit(_coords(w, name), n, name) + (-_rational(c, "support value %d" % j),)
         if coords not in pts:
             pts.append(coords)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import oracles
 import support
 from toricmu import (
+    DegenerateHull,
     ExpIntegrator,
     InputError,
     boundary_exp_integral,
@@ -538,6 +539,121 @@ def test_flat_integrator_bit_identical_to_per_facet_children(P, data):
             got = getattr(flat, kind)(e, lists)
             want = getattr(children, kind)(e, lists)
             assert _pair_bits(got) == _pair_bits(want), (kind, e, lists)
+
+
+@st.composite
+def mirror_cases(draw):
+    """A polygon on the 1/4 grid symmetric under (x, y) -> (y, x), or the
+    unit cube, with 1-2 PA functions invariant under that swap of the
+    first two coordinates: each piece comes with its mirror image."""
+    if draw(st.booleans(), label="cube"):
+        P = build_polytope(support.UNIT_CUBE)
+    else:
+        pts = draw(st.lists(st.tuples(support.quarter, support.quarter), min_size=2, max_size=4))
+        try:
+            P = build_polytope(pts + [(y, x) for (x, y) in pts])
+        except DegenerateHull:
+            assume(False)
+    coefficient = st.integers(-8, 8).map(lambda k: Fraction(k, 4))
+    funcs = []
+    for _ in range(draw(st.integers(1, 2), label="functions")):
+        pieces = []
+        for _ in range(draw(st.integers(1, 2), label="piece pairs")):
+            g = [draw(coefficient) for _ in range(P.dim)]
+            c = draw(coefficient)
+            pieces += [AffineForm(tuple(g), c), AffineForm((g[1], g[0]) + tuple(g[2:]), c)]
+        funcs.append(make_pa(pieces, P))
+    return P, funcs
+
+
+def _assert_equal_to_per_facet_children(P, funcs, exponents, factor_lists):
+    flat = ExpIntegrator(P, funcs)
+    children = oracles.ExpIntegratorPerFacet(P, funcs)
+    for e in exponents:
+        for kind in ("interior", "boundary"):
+            got = getattr(flat, kind)(e, factor_lists)
+            want = getattr(children, kind)(e, factor_lists)
+            assert _pair_bits(got) == _pair_bits(want), (kind, e, factor_lists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mirror_cases(), st.data())
+def test_records_with_equal_rows_share_their_sums_bit_for_bit(case, data):
+    """Mirror simplices of symmetric data have equal rows, and _accumulate
+    computes their sums once: interior and boundary keep the bits of the
+    integrator that computed every record alone
+    (oracles.ExpIntegratorPerFacet), at rho = 0 and at drawn exponents, for
+    factor lists of 0, 1 and 2 factors in one call."""
+    P, funcs = case
+    combo = st.tuples(*[FLOAT_COEFFICIENTS] * len(funcs))
+    exponents = [(0.0,) * len(funcs)] + data.draw(
+        st.lists(combo, min_size=1, max_size=2), label="exponents"
+    )
+    factor = st.tuples(FLOAT_COEFFICIENTS, combo)
+    factor_lists = [[]] + [
+        data.draw(st.lists(factor, min_size=k, max_size=k), label="factors")
+        for k in (1, 2)
+    ]
+    _assert_equal_to_per_facet_children(P, funcs, exponents, factor_lists)
+
+
+def test_readme_pentagon_along_the_diagonal_shares_a_record():
+    """On the README pentagon with <mu, (1, 1)>, two of the three interior
+    simplices have equal rows, so the shared path runs, and keeps the bits
+    of computing each record alone."""
+    P = support.readme_pentagon()
+    funcs = [diag()]
+    gear = ExpIntegrator(P, funcs)
+    gear.interior((1.0,), [[]])
+    [(records, _)] = gear._interior
+    firsts = [first for (_, _, first) in records]
+    assert any(first is not None and first != r for r, first in enumerate(firsts))
+    factor_lists = [[], [(2.0, (1.0,))], [(3.0, (1.0,)), (0.0, (1.0,))]]
+    _assert_equal_to_per_facet_children(
+        P, funcs, [(0.0,), (1.0,), (-2.5,), (40.0,)], factor_lists
+    )
+
+
+def _identity_cases():
+    """Five random rational polygons with the origin inside (every offset
+    positive), the same polygons moved off it (offsets of both signs), and
+    the unit cube, whose corner is the origin (three offsets 0)."""
+    rng = random.Random(1907)
+    around = []
+    while len(around) < 5:
+        P = support.random_polytope(rng)
+        if P.contains((0, 0), strict=True):
+            around.append(P)
+    moved = [
+        build_polytope([(x + 5, y + Fraction(7, 3)) for (x, y) in (v.coords for v in P.vertices)])
+        for P in around
+    ]
+    return around + moved + [build_polytope(support.UNIT_CUBE)]
+
+
+@pytest.mark.parametrize("P", _identity_cases())
+def test_facet_totals_weighted_by_offsets_equal_the_divergence_integral(P):
+    """Sum_j b_j B_j = C for q_xi = <mu, -xi> on P = {<u_j, x> <= b_j}, u_j
+    primitive: the divergence theorem for x e^q, with B_j the integral of e^q
+    over facet j against its lattice measure (the total _accumulate makes of
+    the facet's record group) and C that of (n + q) e^q over P.  The
+    boundary and interior routes share no facet code.  Offsets of both
+    signs make the terms cancel, so the gap is held to 1e-13 of the
+    magnitude sum_j |b_j| |B_j| + |C|, not of C; on these cases it is at
+    most 1.5e-16 of it."""
+    n = float(P.dim)
+    for xi in [(Fraction(1, 3), Fraction(1, 2), Fraction(-1, 4)),
+               (Fraction(-2, 3), Fraction(1, 5), Fraction(1, 7)),
+               (Fraction(3, 4), Fraction(-5, 7), Fraction(2, 9))]:
+        gear = ExpIntegrator(P, [AffineForm(tuple(-c for c in xi[: P.dim]), 0)])
+        e = (1.0,)
+        [(C, C_mag)] = gear.interior(e, [[(n, e)]])
+        total = mag = 0.0
+        for facet, group in zip(P.facets, gear._facet_groups()):
+            [(B, B_mag)] = _accumulate([group], e, [[]])
+            total += float(facet.offset) * B
+            mag += abs(float(facet.offset)) * B_mag
+        assert abs(total - C) <= 1e-13 * (mag + C_mag), (xi, total, C)
 
 
 def _first_outcome(call):

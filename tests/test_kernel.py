@@ -225,6 +225,23 @@ def kernel_nodes(draw):
 @example([math.inf, 0.0, 1.0])
 @example([-math.inf, 2.0, 2.0])
 @example([math.inf, -math.inf, 0.0])
+# four nodes (_ddexp4) at K = 0, 1 and >= 2
+@example([0.1, -0.2, 0.3, 0.0])  # K = 0
+@example([0.0, -0.0, -0.0, 0.0])  # K = 0, signed zeros
+@example([0.25, -0.1, 0.25, -0.1])  # K = 0, repeated nodes
+@example([0.8, -0.8, 0.1, -0.1])  # K = 1
+@example([-0.0, 1.2, -0.0, 0.3])  # K = 1, repeated signed zeros
+@example([-0.3125, 0.53125, -0.3125, -0.3125])  # K = 1, a node three times
+@example([1.5, -1.5, 0.2, -0.2])  # K = 2
+@example([-0.0, 3.0, -0.0, -0.0])  # K >= 2, repeated signed zeros
+@example([710.0, 712.5, 709.0, 711.0])  # past 709: exp of the centre is inf
+@example([-400.0, 400.0, -0.0, 0.0])  # spread 800
+@example([0.0, 800.0, 800.0, 0.0])  # spread 800, repeated nodes
+@example([math.nan, 0.25, 1.0, 0.1])
+@example([0.5, math.nan, 3.0, -0.0])
+@example([math.inf, 0.0, 1.0, 2.0])
+@example([-math.inf, 2.0, 2.0, 2.0])
+@example([math.inf, -math.inf, 0.0, -0.0])
 def test_python_kernel_bit_identical_to_full_table(nodes):
     """The kernel fills only the seed entries its corner reads, summed in
     the same order as the whole-table kernel, so every result has the same
@@ -235,12 +252,14 @@ def test_python_kernel_bit_identical_to_full_table(nodes):
 @pytest.mark.parametrize(
     "nodes, series_calls",
     [
-        ([0.1, -0.2, 0.3, 0.0], 1),  # K = 0: only the corner series
-        ([0.8, -0.8, 0.1, -0.1], 5),  # K = 1: row 0 and column 3, 2m - 3
-        ([1.5, -1.5, 0.2, -0.2], 6),  # K = 2: the whole strict upper triangle
+        ([0.1, -0.2, 0.3, 0.0, -0.1], 1),  # K = 0: only the corner series
+        ([0.8, -0.8, 0.1, -0.1, 0.0], 7),  # K = 1: row 0 and column 4, 2m - 3
+        ([1.5, -1.5, 0.2, -0.2, 0.0], 10),  # K = 2: the whole strict upper triangle
     ],
 )
 def test_python_kernel_series_per_depth(monkeypatch, nodes, series_calls):
+    """The generic path, which five or more nodes take, computes only the
+    seed entries its corner reads."""
     calls = []
     series = _ddexp_py._series
 

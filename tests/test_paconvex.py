@@ -653,6 +653,23 @@ def test_legendre_dual_rejects_support_points_of_the_wrong_length():
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([5], "fspec entry 0: 5 is not a sequence"),
+        ([((0, 0), 0), (1,)], "fspec entry 1 has 1 coordinates, expected 2"),
+        ([((1, 0), 0, 7)], "fspec entry 0 has 3 coordinates, expected 2"),
+    ],
+    ids=["number", "one-field", "three-fields"],
+)
+def test_legendre_dual_rejects_a_spec_entry_that_is_not_a_pair(spec, message):
+    """Each spec entry goes through _as_piece's gate: a number, or a tuple
+    of other than two fields, raises InputError, not a bare TypeError or
+    ValueError from unpacking it."""
+    with pytest.raises(InputError, match="^%s$" % message):
+        legendre_dual(spec, support.unit_square())
+
+
+@pytest.mark.parametrize(
     "call, name",
     [
         (lambda P, q: make_pa(5, P), "pieces"),
